@@ -3,8 +3,9 @@
 Two comparisons, both on the tiled matmul with full timing/PMU accounting:
 
 * fast dispatch vs the reference interpreter (the PR-1 property);
-* block-delta + batched retirement vs per-op retirement -- the path the
-  machine falls back to the moment a sampling counter arms.  The measured
+* block-delta + batched retirement vs per-op retirement (fast dispatch
+  with every op retired through ``CoreTimingModel.retire``, the path
+  ``Machine.execute`` takes).  The measured
   ops/sec of both retirement modes are written to
   ``benchmarks/output/BENCH_retire.json`` to seed the repo's perf
   trajectory.
@@ -98,15 +99,25 @@ def test_dispatch_rate_fast(benchmark):
     assert machine.cycles > 0
 
 
+def _retire_per_op(machine) -> None:
+    """Route *machine*'s batched retirement through a per-op
+    ``Machine.execute`` loop: fast dispatch still builds the batches, but
+    every op retires (and walks the cache) through ``CoreTimingModel.retire``.
+    Only valid with block deltas off, so batches hold plain ops."""
+    def execute_batch(ops, task=None, mem_accesses=None):
+        for op in ops:
+            machine.execute(op, task)
+    machine.execute_batch = execute_batch
+
+
 def _session_counting_run(per_op: bool):
-    """One counting-mode matmul-tiled Session run; ``per_op`` forces the
-    retirement path that runs whenever a sampling counter is armed."""
+    """One counting-mode matmul-tiled Session run; ``per_op`` retires every
+    op individually (see :func:`_retire_per_op`)."""
     session = Session("SpacemiT X60")
     machine = session.machine(True)
-    if per_op:
-        machine.set_sampling_probe(lambda: True)
     spec = ProfileSpec().counting()
     if per_op:
+        _retire_per_op(machine)
         spec = spec.without_block_delta().without_fast_cache()
     workload = registry.create("matmul-tiled", n=RETIRE_MATMUL_N)
     start = time.perf_counter()

@@ -51,6 +51,11 @@ def _counting_run(traced: bool):
     return run, machine, elapsed, roots
 
 
+def _count_spans(spans) -> int:
+    """Every span in the trees rooted at *spans*, children included."""
+    return sum(1 + _count_spans(span.children) for span in spans)
+
+
 def test_span_tracing_overhead_is_bounded(output_dir):
     """Enabled tracing within MAX_OVERHEAD of untraced; identical results."""
     # One untimed warmup pair fills the shared compile cache and settles
@@ -74,9 +79,11 @@ def test_span_tracing_overhead_is_bounded(output_dir):
     plain_elapsed = min(plain_times)
     traced_elapsed = min(traced_times)
 
-    # Tracing happened (phase spans exist) ...
+    # Tracing happened (phase spans exist, nested under their roots) ...
     names = {span.name for span in roots}
     assert {"compile", "execute"} <= names or {"run"} <= names
+    spans_recorded = _count_spans(roots)
+    assert spans_recorded > len(roots)
     # ... and perturbed nothing the model computes.
     assert traced_run.stat.counts == plain_run.stat.counts
     assert traced_machine.cycles == plain_machine.cycles
@@ -89,7 +96,7 @@ def test_span_tracing_overhead_is_bounded(output_dir):
         "traced_seconds": round(traced_elapsed, 4),
         "overhead_ratio": round(overhead, 4),
         "max_overhead_ratio": MAX_OVERHEAD,
-        "spans_recorded": len(names),
+        "spans_recorded": spans_recorded,
     }
     path = os.path.join(output_dir, "BENCH_telemetry.json")
     with open(path, "w", encoding="utf-8") as handle:

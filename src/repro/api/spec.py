@@ -52,18 +52,18 @@ class ProfileSpec:
         :class:`repro.smp.MultiHartMachine` and runs system-wide, with
         per-hart counts and cpu-tagged sample streams.
     fast_dispatch:
-        Whether compiled-kernel workloads execute on the predecoded,
-        batch-retiring engine (the default) or on the reference
-        instruction-at-a-time interpreter.  Counters, multiplex times,
-        sample streams and SMP schedules are bit-identical either way (the
-        differential suite pins this down); the reference path exists for
-        exactly those equivalence runs.
+        Whether compiled kernels execute on the predecoded, batch-retiring
+        engine and synthetic traces retire in batches (the default), or on
+        the reference interpreter and per-op retirement.  Counters,
+        multiplex times, sample streams and SMP schedules are bit-identical
+        either way (the differential suite pins this down); the reference
+        path exists for exactly those equivalence runs.
     block_delta:
         Whether the engine retires memory-free, branch-free basic blocks
         through precomputed :class:`~repro.cpu.core.BlockDelta` signatures
         (default on; fast-dispatch only).  Bit-identical results either
-        way -- the machine falls back to per-op retirement the moment a
-        sampling counter arms; the switch exists for differential runs.
+        way -- a sentinel an armed overflow falls inside retires op by op;
+        the switch exists for differential runs.
     fast_cache:
         Whether the machine's cache hierarchy uses its same-line
         short-circuits (default on).  Bit-identical results either way;

@@ -95,6 +95,7 @@ class SyntheticTraceWorkload:
         executor = TraceExecutor(
             machine, task, seed=spec.seed,
             instruction_factor=self._factor_for(machine.descriptor),
+            batched=spec.fast_dispatch,
         )
         return lambda: executor.run(self.tree, invocations=spec.invocations)
 

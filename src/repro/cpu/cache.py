@@ -153,9 +153,6 @@ class Cache:
             self._sets[set_index] = bucket
         return bucket, tag
 
-    def _set_for(self, address: int) -> Tuple[_CacheSet, int]:
-        return self._bucket_for(address >> self._line_shift)
-
     def access(self, address: int, is_store: bool) -> bool:
         """Access one line; return True on hit.
 

@@ -23,11 +23,11 @@ for sampling interrupts to fire mid-run, exactly as on hardware).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.cpu.branch import BranchPredictor, GsharePredictor
 from repro.cpu.cache import AccessResult, CacheHierarchy
-from repro.cpu.events import EventBus, HwEvent
+from repro.cpu.events import UNBOUNDED, EventBus, HwEvent
 from repro.isa.machine_ops import (
     FLOP_OP_CLASSES,
     MEMORY_OP_CLASSES,
@@ -37,12 +37,28 @@ from repro.isa.machine_ops import (
 )
 from repro.isa.privilege import ModeCycleAccounting, PrivilegeMode
 
+if TYPE_CHECKING:
+    from repro.kernel.task import Task
+    from repro.pmu.unit import PmuUnit
+
 #: Privilege mode -> the vendor per-mode cycle event it pulses.
 _MODE_CYCLE_EVENT = {
     PrivilegeMode.USER: HwEvent.U_MODE_CYCLE,
     PrivilegeMode.SUPERVISOR: HwEvent.S_MODE_CYCLE,
     PrivilegeMode.MACHINE: HwEvent.M_MODE_CYCLE,
 }
+
+
+def _sync_pc(task: Task, ops: Sequence[object], index: int) -> None:
+    """Set *task*'s pc to the last nonzero pc in ``ops[:index + 1]`` -- where
+    per-op retirement of those ops would have left it (unchanged if none)."""
+    while index >= 0:
+        op = ops[index]
+        pc = op.last_pc if op.__class__ is BlockDelta else op.pc
+        if pc:
+            task.set_pc(pc)
+            return
+        index -= 1
 
 
 #: Default operation latencies (cycles), roughly matching published numbers
@@ -134,9 +150,10 @@ class BlockDelta:
     per-op cost list and replays the remainder walk -- and memoizes the
     ``remainder -> (cycles, new remainder)`` map, which converges to a handful
     of entries inside any loop.  Event pulse totals are constant and
-    precomputed outright.  When a sampling counter arms, the machine expands
-    the delta back into its per-op stream (``ops``), so overflow interrupts
-    observe precise pc/cycle state.
+    precomputed outright.  While a sampling counter is armed, a sentinel whose
+    pulses would reach the nearest overflow is expanded back into its per-op
+    stream (``ops``), so the interrupt observes precise pc/cycle state; every
+    other execution still retires as one aggregate.
     """
 
     __slots__ = ("ops", "costs", "instructions", "int_ops", "flops",
@@ -191,11 +208,14 @@ class CoreTimingModel:
         hierarchy: CacheHierarchy,
         bus: EventBus,
         predictor: Optional[BranchPredictor] = None,
+        pmu: Optional[PmuUnit] = None,
     ):
         self.config = config
         self.hierarchy = hierarchy
         self.bus = bus
         self.predictor = predictor or GsharePredictor()
+        #: The PMU on *bus*, whose armed counters bound retire_batch's aggregates.
+        self.pmu = pmu
         self.privilege_mode = PrivilegeMode.USER
         self.mode_cycles = ModeCycleAccounting()
         self.retired_instructions = 0
@@ -244,18 +264,8 @@ class CoreTimingModel:
             mispredicted = self.predictor.update(op.pc, op.target, op.taken)
 
         base, frontend, backend = self._op_cost(op, mem, mispredicted)
-        self.frontend_stall_cycles += frontend
-        self.backend_stall_cycles += backend
-        total = base + frontend + backend
-
-        self._cycle_remainder += total
-        cycles = int(self._cycle_remainder)
-        self._cycle_remainder -= cycles
-        self.total_cycles += cycles
-        self.retired_instructions += 1
-        self.mode_cycles.add(self.privilege_mode, cycles)
-
-        self._publish(op, mem, mispredicted, cycles, frontend, backend)
+        cycles = self._retire_one(op, mem, mispredicted,
+                                  base + frontend + backend, frontend, backend)
 
         return RetireResult(
             cycles=cycles,
@@ -266,6 +276,22 @@ class CoreTimingModel:
             mispredicted=mispredicted,
             dram_bytes=mem.dram_bytes if mem else 0,
         )
+
+    def _retire_one(self, op: MachineOp, mem: Optional[AccessResult],
+                    mispredicted: bool, total: float, frontend: float,
+                    backend: float) -> int:
+        """Advance time by one op costing *total* cycles and publish its
+        events op-precisely; returns the integer cycles it retired."""
+        self.frontend_stall_cycles += frontend
+        self.backend_stall_cycles += backend
+        self._cycle_remainder += total
+        cycles = int(self._cycle_remainder)
+        self._cycle_remainder -= cycles
+        self.total_cycles += cycles
+        self.retired_instructions += 1
+        self.mode_cycles.add(self.privilege_mode, cycles)
+        self._publish(op, mem, mispredicted, cycles, frontend, backend)
+        return cycles
 
     # -- batched retirement -----------------------------------------------------
 
@@ -364,27 +390,24 @@ class CoreTimingModel:
         return self.retire_batch((delta,))
 
     def retire_batch(self, ops: Sequence[object],
-                     mem_results: Optional[Sequence[AccessResult]] = None) -> int:
+                     mem_results: Optional[Sequence[AccessResult]] = None,
+                     task: Optional[Task] = None) -> int:
         """Retire a chunk of ops with coalesced event publication.
 
-        Microarchitectural state (cache hierarchy, branch predictor, the
-        fractional-cycle remainder) advances op by op in stream order, so the
-        per-op integer cycle sequence is identical to calling :meth:`retire`
-        in a loop.  Only the event-bus publications are aggregated into one
-        pulse per event per batch, which is observationally identical *as
-        long as no armed sampling counter is listening* -- final counter
-        values and bus totals match exactly, but a mid-batch overflow
-        interrupt would fire at the flush instead of at the triggering op.
-        :meth:`~repro.platforms.machine.Machine.execute_batch` enforces that
-        precondition by falling back to per-op retirement while sampling is
-        armed.  Returns the total integer cycles the batch consumed.
+        Cache, predictor and fractional-cycle state advance op by op as in a
+        :meth:`retire` loop; event pulses are aggregated up to the PMU's
+        overflow horizon (:meth:`~repro.pmu.unit.PmuUnit.overflow_horizon`).
+        At the first op or :class:`BlockDelta` sentinel whose pulses would
+        reach it, the aggregate before it (which cannot overflow) is
+        published, the task pc is set, that *crossing* op retires through the
+        per-op :meth:`_publish` order (a sentinel expands into its ops) and
+        the horizon is re-read.  Samples see the exact pc, clock and
+        callchain, and group values count the crossing op's events published
+        before the leader's and none after: bit-identical to per-op retirement.
 
-        *ops* may contain :class:`BlockDelta` sentinels (a whole precomputed
-        block execution each); *mem_results* optionally supplies the
-        :class:`~repro.cpu.cache.AccessResult` sequence of the batch's
-        addressed memory ops, as produced by the hierarchy's batched
-        ``access_lines`` entry point (the accesses are replayed in stream
-        order either way, so cache state and results are identical).
+        *mem_results* optionally supplies the chunk's addressed-access results
+        from ``access_lines``; *task*, if given, ends at the chunk's last pc.
+        Returns the integer cycles the chunk consumed.
         """
         table = self._batch_info
         if table is None:
@@ -394,168 +417,203 @@ class CoreTimingModel:
         predictor_update = self.predictor.update
         mem_costs = self._mem_cost_cache
         op_cost = self._op_cost
-        remainder = self._cycle_remainder
         walk_limit = BlockDelta.WALK_CACHE_LIMIT
-
-        count = 0
-        cycles_total = 0
-        frontend_total = 0.0
-        backend_total = 0.0
-        frontend_pulses = 0
-        backend_pulses = 0
-        loads = stores = cache_refs = 0
-        load_misses = store_misses = llc_misses = 0
-        dram_read = dram_write = 0
-        branches = branch_misses = 0
-        flops = int_ops = vector_ops = 0
-        delta_blocks = 0
-        mem_index = 0
-
-        for op in ops:
-            if op.__class__ is BlockDelta:
-                walk_cache = op.walk_cache
-                walked = walk_cache.get(remainder)
-                if walked is None:
-                    r = remainder
-                    total_cycles = 0
-                    for cost in op.costs:
-                        r += cost
-                        c = int(r)
-                        r -= c
-                        total_cycles += c
-                    if len(walk_cache) < walk_limit:
-                        walk_cache[remainder] = (total_cycles, r)
-                    remainder = r
-                else:
-                    total_cycles, remainder = walked
-                cycles_total += total_cycles
-                count += op.instructions
-                delta_blocks += 1
-                int_ops += op.int_ops
-                flops += op.flops
-                vector_ops += op.vector_ops
-                frontend_total += op.frontend_total
-                backend_total += op.backend_total
-                frontend_pulses += op.frontend_pulses
-                backend_pulses += op.backend_pulses
-                continue
-
-            count += 1
-            info = table[op.opclass.index]
-            kind = info[0]
-            if kind == 0:
-                total, frontend, backend, fp, bp = info[1]
-                flop_factor = info[2]
-                if flop_factor:
-                    flops += flop_factor * op.lanes
-                elif info[3]:
-                    int_ops += op.lanes
-                if info[4]:
-                    vector_ops += 1
-            elif kind == 1:
-                is_load = info[2]
-                is_store = info[3]
-                if is_load:
-                    loads += 1
-                else:
-                    stores += 1
-                cache_refs += 1
-                address = op.address
-                if address is not None and op.size_bytes > 0:
-                    if mem_results is None:
-                        mem = access(address, op.size_bytes, is_store)
-                    else:
-                        mem = mem_results[mem_index]
-                        mem_index += 1
-                    cached = mem_costs.get(mem.latency)
-                    if cached is None:
-                        base, frontend, backend = op_cost(op, mem, False)
-                        cached = (base + frontend + backend, backend,
-                                  int(backend) if backend >= 1.0 else 0)
-                        mem_costs[mem.latency] = cached
-                    total, backend, bp = cached
-                    frontend = 0.0
-                    fp = 0
-                    if mem.l1_miss:
-                        if is_load:
-                            load_misses += 1
-                        else:
-                            store_misses += 1
-                    if mem.llc_miss:
-                        llc_misses += 1
-                    dram = mem.dram_bytes
-                    if dram:
-                        if is_store:
-                            dram_write += dram
-                        else:
-                            dram_read += dram
-                else:
-                    total, frontend, backend, fp, bp = info[1]
-                if info[4]:
-                    vector_ops += 1
-            else:
-                mispredicted = predictor_update(op.pc, op.target, op.taken)
-                branches += 1
-                if mispredicted:
-                    branch_misses += 1
-                total, frontend, backend, fp, bp = info[1][op.taken][mispredicted]
-
-            frontend_total += frontend
-            backend_total += backend
-            frontend_pulses += fp
-            backend_pulses += bp
-            remainder += total
-            cycles = int(remainder)
-            remainder -= cycles
-            cycles_total += cycles
-
-        self._cycle_remainder = remainder
-        self.total_cycles += cycles_total
-        self.retired_instructions += count
-        self.delta_blocks_retired += delta_blocks
-        self.frontend_stall_cycles += frontend_total
-        self.backend_stall_cycles += backend_total
-        self.mode_cycles.add(self.privilege_mode, cycles_total)
-
         publish = self.bus.publish
-        if cycles_total:
-            publish(HwEvent.CYCLES, cycles_total)
-            publish(_MODE_CYCLE_EVENT[self.privilege_mode], cycles_total)
-        if count:
-            publish(HwEvent.INSTRUCTIONS, count)
-        if loads:
-            publish(HwEvent.LOADS_RETIRED, loads)
-            publish(HwEvent.L1D_LOADS, loads)
-        if stores:
-            publish(HwEvent.STORES_RETIRED, stores)
-            publish(HwEvent.L1D_STORES, stores)
-        if cache_refs:
-            publish(HwEvent.CACHE_REFERENCES, cache_refs)
-        if load_misses:
-            publish(HwEvent.L1D_LOAD_MISSES, load_misses)
-        if store_misses:
-            publish(HwEvent.L1D_STORE_MISSES, store_misses)
-        if llc_misses:
-            publish(HwEvent.CACHE_MISSES, llc_misses)
-        if dram_read:
-            publish(HwEvent.DRAM_READ_BYTES, dram_read)
-        if dram_write:
-            publish(HwEvent.DRAM_WRITE_BYTES, dram_write)
-        if branches:
-            publish(HwEvent.BRANCH_INSTRUCTIONS, branches)
-        if branch_misses:
-            publish(HwEvent.BRANCH_MISSES, branch_misses)
-        if flops:
-            publish(HwEvent.FP_OPS_RETIRED, flops)
-        if int_ops:
-            publish(HwEvent.INT_OPS_RETIRED, int_ops)
-        if vector_ops:
-            publish(HwEvent.VECTOR_OPS_RETIRED, vector_ops)
-        if frontend_pulses:
-            publish(HwEvent.STALLED_CYCLES_FRONTEND, frontend_pulses)
-        if backend_pulses:
-            publish(HwEvent.STALLED_CYCLES_BACKEND, backend_pulses)
-        return cycles_total
+        pmu = self.pmu
+        mode = self.privilege_mode
+        mode_event = _MODE_CYCLE_EVENT[mode]
+        mem_index = 0
+        cycles_before = self.total_cycles
+        remaining = iter(ops)   # each pass resumes just past the crossing op
+        start = 0               # index in ops of the pass's first op
+
+        while True:
+            cycles_left, instructions_left = (   # no PMU: nothing overflows
+                pmu.overflow_horizon(mode_event) if pmu is not None
+                else (UNBOUNDED, UNBOUNDED))
+            remainder = self._cycle_remainder
+            frontend_total = backend_total = 0.0
+            count = cycles_total = frontend_pulses = backend_pulses = 0
+            loads = stores = branches = branch_misses = 0
+            load_misses = store_misses = llc_misses = dram_read = dram_write = 0
+            flops = int_ops = vector_ops = delta_blocks = delta_count = 0
+
+            for op in remaining:
+                if op.__class__ is BlockDelta:
+                    walk_cache = op.walk_cache
+                    walked = walk_cache.get(remainder)
+                    if walked is None:
+                        r = remainder
+                        block_cycles = 0
+                        for cost in op.costs:
+                            r += cost
+                            c = int(r)
+                            r -= c
+                            block_cycles += c
+                        if len(walk_cache) < walk_limit:
+                            walk_cache[remainder] = (block_cycles, r)
+                    else:
+                        block_cycles, r = walked
+                    cycles_total += block_cycles
+                    count += op.instructions
+                    if cycles_total >= cycles_left or count >= instructions_left:
+                        cycles_total -= block_cycles
+                        count -= op.instructions
+                        break
+                    remainder = r
+                    delta_count += op.instructions
+                    delta_blocks += 1
+                    int_ops += op.int_ops
+                    flops += op.flops
+                    vector_ops += op.vector_ops
+                    frontend_total += op.frontend_total
+                    backend_total += op.backend_total
+                    frontend_pulses += op.frontend_pulses
+                    backend_pulses += op.backend_pulses
+                    continue
+
+                info = table[op.opclass.index]
+                kind = info[0]
+                if kind == 0:
+                    total, frontend, backend, fp, bp = info[1]
+                elif kind == 1:
+                    address = op.address
+                    if address is not None and op.size_bytes > 0:
+                        if mem_results is None:
+                            mem = access(address, op.size_bytes, info[3])
+                        else:
+                            mem = mem_results[mem_index]
+                            mem_index += 1
+                        cached = mem_costs.get(mem.latency)
+                        if cached is None:
+                            base, frontend, backend = op_cost(op, mem, False)
+                            cached = (base + frontend + backend, backend,
+                                      int(backend) if backend >= 1.0 else 0)
+                            mem_costs[mem.latency] = cached
+                        total, backend, bp = cached
+                        frontend = 0.0
+                        fp = 0
+                    else:
+                        mem = None
+                        total, frontend, backend, fp, bp = info[1]
+                else:
+                    mispredicted = predictor_update(op.pc, op.target, op.taken)
+                    total, frontend, backend, fp, bp = \
+                        info[1][op.taken][mispredicted]
+
+                r = remainder + total
+                cycles = int(r)
+                cycles_total += cycles
+                count += 1
+                if cycles_total >= cycles_left or count >= instructions_left:
+                    cycles_total -= cycles      # the crossing op retires apart
+                    count -= 1
+                    break
+                remainder = r - cycles
+                frontend_total += frontend
+                backend_total += backend
+                frontend_pulses += fp
+                backend_pulses += bp
+                if kind == 0:
+                    flop_factor = info[2]
+                    if flop_factor:
+                        flops += flop_factor * op.lanes
+                    elif info[3]:
+                        int_ops += op.lanes
+                    if info[4]:
+                        vector_ops += 1
+                elif kind == 1:
+                    if info[2]:
+                        loads += 1
+                    else:
+                        stores += 1
+                    if mem is not None:
+                        if mem.l1_miss:
+                            if info[2]:
+                                load_misses += 1
+                            else:
+                                store_misses += 1
+                        if mem.llc_miss:
+                            llc_misses += 1
+                        dram = mem.dram_bytes
+                        if dram:
+                            if info[3]:
+                                dram_write += dram
+                            else:
+                                dram_read += dram
+                    if info[4]:
+                        vector_ops += 1
+                else:
+                    branches += 1
+                    if mispredicted:
+                        branch_misses += 1
+            else:
+                op = None       # no crossing op: the chunk is exhausted
+
+            # Publish the ops before the crossing op (or the whole rest of
+            # the chunk): by construction their pulses reach no horizon.
+            self._cycle_remainder = remainder
+            self.total_cycles += cycles_total
+            self.retired_instructions += count
+            self.delta_blocks_retired += delta_blocks
+            self.frontend_stall_cycles += frontend_total
+            self.backend_stall_cycles += backend_total
+            self.mode_cycles.add(mode, cycles_total)
+            if cycles_total:
+                publish(HwEvent.CYCLES, cycles_total)
+                publish(mode_event, cycles_total)
+            if count:
+                publish(HwEvent.INSTRUCTIONS, count)
+            if loads:
+                publish(HwEvent.LOADS_RETIRED, loads)
+                publish(HwEvent.L1D_LOADS, loads)
+            if stores:
+                publish(HwEvent.STORES_RETIRED, stores)
+                publish(HwEvent.L1D_STORES, stores)
+            if loads or stores:
+                publish(HwEvent.CACHE_REFERENCES, loads + stores)
+            if load_misses:
+                publish(HwEvent.L1D_LOAD_MISSES, load_misses)
+            if store_misses:
+                publish(HwEvent.L1D_STORE_MISSES, store_misses)
+            if llc_misses:
+                publish(HwEvent.CACHE_MISSES, llc_misses)
+            if dram_read:
+                publish(HwEvent.DRAM_READ_BYTES, dram_read)
+            if dram_write:
+                publish(HwEvent.DRAM_WRITE_BYTES, dram_write)
+            if branches:
+                publish(HwEvent.BRANCH_INSTRUCTIONS, branches)
+            if branch_misses:
+                publish(HwEvent.BRANCH_MISSES, branch_misses)
+            if flops:
+                publish(HwEvent.FP_OPS_RETIRED, flops)
+            if int_ops:
+                publish(HwEvent.INT_OPS_RETIRED, int_ops)
+            if vector_ops:
+                publish(HwEvent.VECTOR_OPS_RETIRED, vector_ops)
+            if frontend_pulses:
+                publish(HwEvent.STALLED_CYCLES_FRONTEND, frontend_pulses)
+            if backend_pulses:
+                publish(HwEvent.STALLED_CYCLES_BACKEND, backend_pulses)
+
+            if op is None:
+                if task is not None:
+                    _sync_pc(task, ops, len(ops) - 1)
+                return self.total_cycles - cycles_before
+            # Ops consumed before the crossing one: plain ops plus sentinels.
+            index = start + count - delta_count + delta_blocks
+            is_delta = op.__class__ is BlockDelta
+            if task is not None:
+                # A sentinel's own pcs are set as it expands.
+                _sync_pc(task, ops, index - is_delta)
+            if is_delta:
+                self.retire_batch(op.ops, None, task)
+            else:
+                self._retire_one(op, mem if kind == 1 else None,
+                                 kind == 2 and mispredicted, total, frontend,
+                                 backend)
+            start = index + 1
 
     # -- event publication ------------------------------------------------------
 

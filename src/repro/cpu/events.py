@@ -119,6 +119,10 @@ class EventCounts:
 #: Signature of event-bus subscribers: (event, amount) -> None.
 EventObserver = Callable[[HwEvent, int], None]
 
+#: A pulse count larger than any run can publish: the overflow horizon of an
+#: event no armed counter watches (see ``PmuUnit.overflow_horizon``).
+UNBOUNDED = 1 << 62
+
 
 class EventBus:
     """Publish/subscribe channel for hardware event increments.

@@ -64,13 +64,13 @@ class Machine:
         #: system-wide (cpu-bound) perf events sample whatever runs on the CPU.
         self.current_task: Optional[Task] = None
 
+        self.pmu: PmuUnit = descriptor.pmu_class(self.bus)
         core_cls = OutOfOrderCore if descriptor.core.out_of_order else InOrderCore
         self.core: CoreTimingModel = core_cls(
-            descriptor.core, self.hierarchy, self.bus, self.predictor
+            descriptor.core, self.hierarchy, self.bus, self.predictor, self.pmu
         )
 
         self.csr = CsrFile(descriptor.identity)
-        self.pmu: PmuUnit = descriptor.pmu_class(self.bus)
 
         self.sbi: Optional[OpenSbi] = None
         if descriptor.is_riscv:
@@ -89,13 +89,6 @@ class Machine:
             current_task=lambda: self.current_task,
         )
         self._tasks: Dict[int, Task] = {}
-        #: Predicate consulted by :meth:`execute_batch` to decide whether
-        #: batched retirement must fall back to per-op retirement.  A
-        #: standalone machine only watches its own PMU; a multi-hart machine
-        #: replaces it with a system-wide probe so *any* hart arming a
-        #: sampling counter forces every hart onto the per-op path (the
-        #: conservative reading of "no interrupt may be deferred").
-        self._sampling_probe = self.pmu.sampling_active
         #: Per-(block, core-config) cache of precomputed
         #: :class:`~repro.cpu.core.BlockDelta` signatures.  Keyed by the IR
         #: basic block; the machine *is* the core-config axis, and it outlives
@@ -166,31 +159,14 @@ class Machine:
                       mem_accesses: Optional[Sequence] = None) -> None:
         """Retire a chunk of machine ops (the engine's batched accounting).
 
-        While the sampling probe reports an armed sampling counter (on this
-        hart's PMU -- or on *any* hart, when a
-        :class:`~repro.smp.machine.MultiHartMachine` installed its
-        system-wide probe), every op is a potential overflow boundary: ops
-        retire one at a time with the task pc updated
-        first, exactly like :meth:`execute`, so interrupts observe the
-        precise pc/cycle/callchain state.  Otherwise event publication is
-        coalesced per chunk through
-        :meth:`~repro.cpu.core.CoreTimingModel.retire_batch`, which leaves
-        final counter values and bus totals bit-identical while removing the
-        per-op publication fan-out.
-
-        *ops* may contain :class:`~repro.cpu.core.BlockDelta` sentinels --
-        whole precomputed block executions.  On the per-op (sampling) path
-        each sentinel is expanded back into its op stream, so interrupts see
-        exactly the per-op state; on the batched path it is retired as one
-        aggregate by :meth:`~repro.cpu.core.CoreTimingModel.retire_batch`.
-
-        *mem_accesses* optionally carries the batch's addressed memory
-        accesses as ``(address, size_bytes, is_store)`` tuples in stream
-        order (the engine collects them while emitting ops).  The batched
-        path resolves them in one :meth:`~repro.cpu.cache.CacheHierarchy.
-        access_lines` call; the per-op path ignores them (each
-        :meth:`~repro.cpu.core.CoreTimingModel.retire` performs its own
-        access), so the hierarchy is walked exactly once either way.
+        :meth:`~repro.cpu.core.CoreTimingModel.retire_batch` coalesces event
+        publication and retires each op that reaches an armed overflow of
+        this hart's PMU as :meth:`execute` would: counters, bus totals and
+        samples are bit-identical to per-op retirement.  *ops* may contain
+        :class:`~repro.cpu.core.BlockDelta` sentinels.  *mem_accesses*
+        optionally carries the batch's addressed accesses as ``(address,
+        size_bytes, is_store)`` tuples in stream order, resolved in one
+        :meth:`~repro.cpu.cache.CacheHierarchy.access_lines` call.
         """
         if not ops:
             return
@@ -203,43 +179,10 @@ class Machine:
                 if op.__class__ is not BlockDelta and op.is_memory \
                         and op.address is not None:
                     record(op.address, op.size_bytes, op.is_store)
-        if self._sampling_probe():
-            retire = self.core.retire
-            if task is not None:
-                set_pc = task.set_pc
-                for op in ops:
-                    if op.__class__ is BlockDelta:
-                        for sub in op.ops:
-                            if sub.pc:
-                                set_pc(sub.pc)
-                            retire(sub)
-                    else:
-                        if op.pc:
-                            set_pc(op.pc)
-                        retire(op)
-            else:
-                for op in ops:
-                    if op.__class__ is BlockDelta:
-                        for sub in op.ops:
-                            retire(sub)
-                    else:
-                        retire(op)
-            return
-        if task is not None:
-            # No interrupt can fire mid-batch; only the final pc is observable.
-            for op in reversed(ops):
-                pc = op.last_pc if op.__class__ is BlockDelta else op.pc
-                if pc:
-                    task.set_pc(pc)
-                    break
         mem_results = None
         if mem_accesses:
             mem_results = self.hierarchy.access_lines(mem_accesses)
-        self.core.retire_batch(ops, mem_results)
-
-    def set_sampling_probe(self, probe) -> None:
-        """Install a system-wide sampling predicate (see ``_sampling_probe``)."""
-        self._sampling_probe = probe
+        self.core.retire_batch(ops, mem_results, task)
 
     def set_access_recorder(self, recorder) -> None:
         """Install (or clear, with ``None``) the memory-access observer.

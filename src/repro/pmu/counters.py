@@ -106,6 +106,11 @@ class HardwareCounter:
     def sample_period(self) -> int:
         return self._sample_period
 
+    @property
+    def pulses_to_overflow(self) -> int:
+        """Pulses left until the next overflow (>= 1 while sampling is armed)."""
+        return self._sample_period - self._since_overflow
+
     # -- control ---------------------------------------------------------------
 
     def start(self) -> None:

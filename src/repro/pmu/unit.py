@@ -10,9 +10,9 @@ implemented, and which counters can raise overflow interrupts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cpu.events import EventBus, HwEvent
+from repro.cpu.events import UNBOUNDED, EventBus, HwEvent
 from repro.pmu.counters import HardwareCounter, OverflowHandler, SamplingUnsupportedError
 
 
@@ -128,17 +128,26 @@ class PmuUnit:
             for counter in counters:
                 counter.count(event, amount)
 
-    def sampling_active(self) -> bool:
-        """True when any running counter has an overflow handler armed.
+    def overflow_horizon(self, mode_cycle_event: HwEvent) -> Tuple[int, int]:
+        """Pulses retirement may publish before the nearest armed overflow.
 
-        The machine's batched retirement path consults this before each
-        chunk: with sampling armed every op is a potential overflow boundary
-        and retirement must stay per-op.
+        ``(cycles, instructions)`` over the running, armed counters, where
+        ``CYCLES`` and *mode_cycle_event* (the current privilege mode's cycle
+        event) count as cycles and an unwatched axis is :data:`UNBOUNDED`.
+        An armed counter on any other event cannot be bounded ahead of time:
+        the horizon is then ``(0, 0)``, i.e. any op may overflow.
         """
+        cycles = instructions = UNBOUNDED
         for counter in self._counters.values():
             if counter.running and counter.sampling_armed:
-                return True
-        return False
+                event, left = counter.event, counter.pulses_to_overflow
+                if event is HwEvent.CYCLES or event is mode_cycle_event:
+                    cycles = min(cycles, left)
+                elif event is HwEvent.INSTRUCTIONS:
+                    instructions = min(instructions, left)
+                else:
+                    return 0, 0
+        return cycles, instructions
 
     def detach(self) -> None:
         """Stop observing the event bus (used when tearing a machine down)."""

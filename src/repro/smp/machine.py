@@ -146,13 +146,8 @@ class MultiHartMachine:
             )
             for hart_id in range(cpus)
         ]
-        # Whenever *any* hart has a sampling counter armed, every hart's
-        # batched retirement falls back to per-op retirement: interrupts may
-        # then fire at any retired op, and the batching optimisation must
-        # never defer one (the fast-dispatch SMP path relies on this to stay
-        # bit-identical to the reference interpreter).
-        for hart in self.harts:
-            hart.set_sampling_probe(self.sampling_active)
+        # No sampling coordination between harts: each hart's batched
+        # retirement stops at its own PMU's overflows (retire_batch).
         self._swappers: Dict[int, Task] = {}
 
     # -- identity ---------------------------------------------------------------
@@ -170,10 +165,6 @@ class MultiHartMachine:
 
     def hart(self, hart_id: int) -> Machine:
         return self.harts[hart_id]
-
-    def sampling_active(self) -> bool:
-        """True when any hart has a running counter with sampling armed."""
-        return any(hart.pmu.sampling_active() for hart in self.harts)
 
     def set_cache_fast_path(self, enabled: bool) -> None:
         """Toggle the same-line short-circuits on every hart's hierarchy

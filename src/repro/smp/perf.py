@@ -129,13 +129,10 @@ def smp_stat(machine: MultiHartMachine,
              events: Sequence[HwEvent] = DEFAULT_STAT_EVENTS) -> SmpStatResult:
     """Count *events* on every hart while the scheduler runs *bodies*.
 
-    Counting mode is where the fast-dispatch engines batch: no sampling
-    counter is armed on any hart, so each quantum's machine ops retire
+    No sampling counter is armed, so each quantum's machine ops retire
     through :meth:`~repro.platforms.machine.Machine.execute_batch` with one
-    aggregated event-bus pulse per event per chunk.  The per-hart counters
-    this function reads (and therefore the cross-hart aggregates) are
-    bit-identical to per-op retirement -- only the publication fan-out is
-    coalesced.
+    event-bus pulse per event per chunk; the per-hart counters read here
+    (and their cross-hart aggregates) are bit-identical to per-op retirement.
     """
     if not bodies:
         raise ValueError("smp_stat needs at least one thread body")
@@ -283,11 +280,10 @@ def smp_record(machine: MultiHartMachine,
     Raises :class:`~repro.miniperf.groups.SamplingNotSupportedError` on parts
     that cannot sample at all (the U74), like the single-hart path.
 
-    While the leaders are enabled, :meth:`MultiHartMachine.sampling_active`
-    is true and every hart's batched retirement falls back to per-op
-    retirement, so overflow interrupts fire at the exact triggering op and
-    the merged sample stream is bit-identical whichever dispatch engine the
-    thread bodies run.
+    Each hart's batched retirement stops at every overflow of its own
+    leader and retires the triggering op individually, so interrupts fire
+    at the exact op and the merged sample stream is bit-identical whichever
+    dispatch engine the thread bodies run.
     """
     if not bodies:
         raise ValueError("smp_record needs at least one thread body")

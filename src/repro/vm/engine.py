@@ -36,11 +36,10 @@ The engine has two dispatch strategies over the same semantics:
   :meth:`~repro.platforms.machine.Machine.execute_batch` -- at call
   boundaries (external handlers read the machine clock), at function return
   (before the task's stack frame pops, so samples attribute correctly) and
-  when the buffer reaches a size threshold.  ``execute_batch`` retires op by
-  op whenever a sampling counter is armed (every op is then a potential
-  overflow boundary), and aggregates event-bus publications per chunk
-  otherwise; final counter values, bus totals, sample counts and sample
-  contents are bit-identical to the per-op path.
+  when the buffer reaches a size threshold.  ``execute_batch`` aggregates
+  event-bus publications up to each armed overflow and retires the op that
+  reaches it individually; final counter values, bus totals, sample counts
+  and sample contents are bit-identical to the per-op path.
 
   On top of the batching, basic blocks that retire no addressed memory ops,
   no conditional branches, no calls and no vector-gated ops are classified
@@ -49,7 +48,7 @@ The engine has two dispatch strategies over the same semantics:
   execution instead of the block's op stream (see ``block_delta`` below).
   The addressed memory accesses of a flush are collected in stream order
   alongside the pending ops and resolved in one batched
-  ``hierarchy.access_lines`` call on the non-sampling path.
+  ``hierarchy.access_lines`` call.
 
 * **Slow dispatch** (``fast_dispatch=False``): the original instruction-at-
   a-time interpreter, kept as the reference implementation.  Equivalence
@@ -283,8 +282,8 @@ class ExecutionEngine:
         fast dispatch only).  Such a block's retirement cost and event
         pulses are constants of the core config, so one sentinel replaces
         the block's per-op account stream.  Counters, cycles and -- because
-        the machine expands sentinels back to per-op retirement whenever a
-        sampling counter is armed -- sample streams are bit-identical with
+        the machine expands a sentinel back to per-op retirement when an
+        armed overflow falls inside it -- sample streams are bit-identical with
         the flag off; the switch exists for differential suites.
     """
 

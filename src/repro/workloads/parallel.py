@@ -370,6 +370,7 @@ class ForkJoinCalltreeWorkload:
                 seed=spec.seed + 101 * index,
                 instruction_factor=instruction_factor_for(machine.descriptor.arch),
                 address_offset=index * THREAD_ADDRESS_STRIDE,
+                batched=_fast_dispatch(spec),
             )
             for _ in range(self.repeats):
                 executor.run(tree, invocations=1)

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import random
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.machine_ops import MachineOp, OpClass
@@ -92,16 +94,29 @@ class SyntheticWorkload:
         return clone
 
 
+#: Instruction-mix entry -> the op class it emits ("branches" is built apart).
+_MIX_OPCLASS = {"int_alu": OpClass.INT_ALU, "int_mul": OpClass.INT_MUL,
+                "loads": OpClass.LOAD, "stores": OpClass.STORE,
+                "fp": OpClass.FP_MUL}
+
+
 class TraceExecutor:
-    """Executes a synthetic workload on a machine model."""
+    """Executes a synthetic workload on a machine model.
+
+    A function body retires in segments split at child calls, so all ops of
+    a segment share one call chain: one ``Machine.execute_batch`` call each,
+    or op by op through ``Machine.execute`` without ``batched`` (the per-op
+    reference).  The op stream depends only on the seed either way.
+    """
 
     def __init__(self, machine: Machine, task: Task, seed: int = 42,
                  instruction_factor: Optional[float] = None,
-                 address_offset: int = 0):
+                 address_offset: int = 0, batched: bool = True):
         self.machine = machine
         self.task = task
         self.random = random.Random(seed)
         self.instruction_factor = instruction_factor
+        self.batched = batched
         self._base_addresses: Dict[str, int] = {}
         # Parallel workloads give every software thread its own offset so
         # per-thread working sets occupy disjoint address ranges (threads of
@@ -109,7 +124,6 @@ class TraceExecutor:
         # offset keeps single-thread traces byte-identical to before.
         self._next_base = 0x2000_0000 + address_offset
         self._sequential_cursor: Dict[str, int] = {}
-        self._pc_counter = 0x0100_0000
 
     # -- address generation -------------------------------------------------------------
 
@@ -127,13 +141,6 @@ class TraceExecutor:
             return base + cursor
         return base + (self.random.randrange(working_set) & ~0x7)
 
-    def _pc(self, function: SyntheticFunction, slot: int) -> int:
-        # crc32, not hash(): str hashing is randomised per process
-        # (PYTHONHASHSEED), and synthetic pcs must be reproducible across
-        # processes for the golden-file CLI tests (and any cross-run diff).
-        digest = zlib.crc32(function.name.encode("utf-8"))
-        return (digest & 0xFFFF) * 0x100 + (slot % 64) * 4 + 0x0100_0000
-
     # -- execution -------------------------------------------------------------------------
 
     def run(self, workload: SyntheticWorkload, invocations: int = 1) -> None:
@@ -145,79 +152,68 @@ class TraceExecutor:
         for _ in range(invocations):
             self._run_function(workload, workload.function(workload.entry), factor)
 
+    def _retire(self, segment: List[MachineOp]) -> None:
+        """Retire and clear one segment (all ops under one call chain)."""
+        if self.batched:
+            self.machine.execute_batch(segment, self.task)
+        else:
+            for op in segment:
+                self.machine.execute(op, self.task)
+        segment.clear()
+
     def _run_function(self, workload: SyntheticWorkload,
                       function: SyntheticFunction, factor: float) -> None:
-        machine = self.machine
         task = self.task
         task.push_frame(function.name)
-        machine.execute(MachineOp(OpClass.CALL, taken=True,
-                                  pc=self._pc(function, 0)), task)
+        # Slot s of the body is at pc_base + (s % 64) * 4.  crc32, not
+        # hash(): str hashing is randomised per process (PYTHONHASHSEED), and
+        # synthetic pcs must be reproducible across processes for the
+        # golden-file CLI tests (and any cross-run diff).
+        pc_base = ((zlib.crc32(function.name.encode("utf-8")) & 0xFFFF) * 0x100
+                   + 0x0100_0000)
+        segment = [MachineOp(OpClass.CALL, taken=True, pc=pc_base)]
         try:
             ops = max(1, int(function.ops_per_call * factor))
-            entries = function.mix.normalised()
-            callees = list(function.callees)
-            # Interleave child calls evenly through the body.
-            call_points = set()
-            total_calls = sum(count for _, count in callees)
-            if total_calls:
-                stride = max(1, ops // (total_calls + 1))
-                position = stride
-                for callee_name, count in callees:
-                    for _ in range(count):
-                        call_points.add((position, callee_name))
-                        position += stride
-
-            pending_calls = sorted(call_points)
-            next_call_index = 0
-            for slot in range(ops):
-                while (next_call_index < len(pending_calls)
-                       and pending_calls[next_call_index][0] == slot):
-                    callee_name = pending_calls[next_call_index][1]
-                    next_call_index += 1
-                    self._run_function(workload, workload.function(callee_name), factor)
-                self._emit_op(function, entries, slot)
-            # Any calls scheduled past the body length still happen.
-            while next_call_index < len(pending_calls):
-                callee_name = pending_calls[next_call_index][1]
-                next_call_index += 1
-                self._run_function(workload, workload.function(callee_name), factor)
+            kinds, weights = zip(*function.mix.normalised())
+            bounds = list(accumulate(weights))
+            # Interleave child calls evenly through the body; calls
+            # scheduled past the body length happen after it.
+            calls = [name for name, count in function.callees
+                     for _ in range(count)]
+            stride = max(1, ops // (len(calls) + 1))
+            slot = 0
+            for position, callee_name in enumerate(calls, 1):
+                end = min(position * stride, ops)
+                segment.extend(self._make_op(function, kinds, bounds,
+                                             body_slot, pc_base)
+                               for body_slot in range(slot, end))
+                slot = end
+                self._retire(segment)
+                self._run_function(workload, workload.function(callee_name),
+                                   factor)
+            segment.extend(self._make_op(function, kinds, bounds, body_slot,
+                                         pc_base)
+                           for body_slot in range(slot, ops))
         finally:
-            machine.execute(MachineOp(OpClass.RET, taken=True,
-                                      pc=self._pc(function, 1)), task)
+            segment.append(MachineOp(OpClass.RET, taken=True, pc=pc_base + 4))
+            self._retire(segment)
             task.pop_frame()
 
-    def _emit_op(self, function: SyntheticFunction,
-                 entries: Sequence[Tuple[str, float]], slot: int) -> None:
-        draw = self.random.random()
-        cumulative = 0.0
-        kind = entries[-1][0]
-        for name, weight in entries:
-            cumulative += weight
-            if draw <= cumulative:
-                kind = name
-                break
-        pc = self._pc(function, slot)
-        machine = self.machine
-        task = self.task
+    def _make_op(self, function: SyntheticFunction, kinds: Sequence[str],
+                 bounds: Sequence[float], slot: int, pc_base: int) -> MachineOp:
+        # The first kind whose cumulative weight reaches the draw (the last
+        # kind if rounding leaves the draw above every bound).
+        index = bisect_left(bounds, self.random.random())
+        kind = kinds[min(index, len(kinds) - 1)]
+        pc = pc_base + (slot % 64) * 4
+        opclass = _MIX_OPCLASS.get(kind)
+        if opclass is OpClass.LOAD or opclass is OpClass.STORE:
+            return MachineOp(opclass, size_bytes=8,
+                             address=self._address_for(function), pc=pc)
+        if opclass is not None:
+            return MachineOp(opclass, pc=pc)
         mix = function.mix
-        if kind == "int_alu":
-            machine.execute(MachineOp(OpClass.INT_ALU, pc=pc), task)
-        elif kind == "int_mul":
-            machine.execute(MachineOp(OpClass.INT_MUL, pc=pc), task)
-        elif kind == "loads":
-            machine.execute(MachineOp(OpClass.LOAD, size_bytes=8,
-                                      address=self._address_for(function), pc=pc), task)
-        elif kind == "stores":
-            machine.execute(MachineOp(OpClass.STORE, size_bytes=8,
-                                      address=self._address_for(function), pc=pc), task)
-        elif kind == "fp":
-            machine.execute(MachineOp(OpClass.FP_MUL, pc=pc), task)
-        else:  # branches
-            predictable = self.random.random() < mix.branch_predictability
-            taken = (
-                self.random.random() < mix.branch_taken_fraction
-                if not predictable
-                else (slot % 8) != 0
-            )
-            machine.execute(MachineOp(OpClass.BRANCH, taken=taken,
-                                      target=pc + 16, pc=pc), task)
+        predictable = self.random.random() < mix.branch_predictability
+        taken = ((slot % 8) != 0 if predictable
+                 else self.random.random() < mix.branch_taken_fraction)
+        return MachineOp(OpClass.BRANCH, taken=taken, target=pc + 16, pc=pc)
