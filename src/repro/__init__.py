@@ -31,7 +31,6 @@ from repro.platforms import (
 from repro.miniperf import Miniperf
 from repro.api import Comparison, ProfileSpec, Run, Session
 from repro.smp import MultiHartMachine
-from repro.toolchain import AnalysisWorkflow
 
 __all__ = [
     "__version__",
@@ -42,7 +41,6 @@ __all__ = [
     "ProfileSpec",
     "Run",
     "Comparison",
-    "AnalysisWorkflow",
     "all_platforms",
     "platform_by_name",
     "spacemit_x60",

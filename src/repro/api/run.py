@@ -73,7 +73,7 @@ class Run:
     #: stats are present and ``errors["sampling"]`` explains what is missing.
     errors: Dict[str, str] = field(default_factory=dict)
     #: The exceptions behind :attr:`errors`, for callers that need to re-raise
-    #: (the legacy workflow facade does); not part of the dict/JSON export.
+    #: them; not part of the dict/JSON export.
     failures: Dict[str, BaseException] = field(default_factory=dict, repr=False)
     #: Wall-clock phase timings in seconds (``compile`` -- building the
     #: workload executable, including cached compilation; ``execute`` -- the

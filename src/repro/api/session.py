@@ -8,15 +8,17 @@ or compiled kernel) according to a declarative
 and spec across several platforms and returns a :class:`Comparison` with
 side-by-side summaries and quantitative flame-graph diffs.
 
-Machine construction is lazy and cached per vendor-driver setting, so a
-session is cheap to create and repeated runs on the same platform share one
-machine model (and therefore one identified CPU), like the real tool.
+Machine construction is lazy and cached per vendor-driver setting and hart
+count, so a session is cheap to create and repeated runs on the same
+platform share one machine model (and therefore one identified CPU), like
+the real tool.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 
 def _wall_seconds() -> float:
@@ -89,6 +91,132 @@ def _resolve_workload(workload: Union[str, Workload]) -> Workload:
     return workload
 
 
+@contextmanager
+def _phase(timings: Dict[str, float], name: str, analysis: str):
+    """One run phase: its telemetry span plus its share of ``run.timings``.
+
+    The only reader of :func:`_wall_seconds`; a phase that raises adds no
+    time.
+    """
+    start = _wall_seconds()
+    with _telemetry.span(name, analysis=analysis):
+        yield
+    timings[name] += _wall_seconds() - start
+
+
+def _threads_for(workload: Workload, spec: ProfileSpec):
+    """Shard *workload* for an SMP run.
+
+    Workloads implementing the :class:`~repro.workloads.parallel.
+    ParallelWorkload` protocol shard themselves; any other workload runs
+    as one software thread (on hart 0), which is what an unthreaded
+    program does on an SMP box.
+    """
+    threads = getattr(workload, "threads", None)
+    if callable(threads):
+        return threads(spec.cpus, spec)
+
+    def body(machine, task):
+        workload.executable(machine, task, spec)()
+        yield
+
+    return [(workload.name, body)]
+
+
+class _HartBackend:
+    """How a single-hart run measures: ``miniperf`` on one :class:`Machine`.
+
+    :meth:`Session.run` drives one phase loop over a backend: ``prepare``
+    builds what the stat/sampling phase runs (its compile phase),
+    ``stat``/``record`` run it under the PMU, and the rest derive the
+    analyses from the recording and the single-hart roofline.
+    """
+
+    def __init__(self, tool: Miniperf, machine, workload: Workload,
+                 spec: ProfileSpec):
+        self.tool = tool
+        self.machine = machine
+        self.workload = workload
+        self.spec = spec
+
+    def prepare(self):
+        task = self.machine.create_task(self.workload.name)
+        return self.workload.executable(self.machine, task, self.spec), task
+
+    def stat(self, prepared):
+        executable, task = prepared
+        return self.tool.stat(executable, task=task, events=self.spec.events)
+
+    def record(self, prepared):
+        executable, task = prepared
+        return self.tool.record(executable, task=task,
+                                events=self.spec.events,
+                                sample_period=self.spec.sample_period)
+
+    def hotspots(self, recording):
+        return self.tool.hotspots(recording)
+
+    def flame_graph(self, recording, weight: str):
+        return build_flame_graph(recording.samples, weight=weight)
+
+    def roofline(self, single):
+        return single
+
+
+class _SmpBackend(_HartBackend):
+    """How an SMP run measures: system-wide ``perf -a`` on a multi-hart
+    machine, with the workload sharded into scheduler threads."""
+
+    def prepare(self):
+        return _threads_for(self.workload, self.spec)
+
+    def stat(self, threads):
+        from repro.smp import smp_stat
+        return smp_stat(self.machine, threads, events=self.spec.events)
+
+    def record(self, threads):
+        from repro.smp import smp_record
+        return smp_record(self.machine, threads, events=self.spec.events,
+                          sample_period=self.spec.sample_period)
+
+    def hotspots(self, recording):
+        return recording.hotspots()
+
+    def flame_graph(self, recording, weight: str):
+        return recording.flame_graph(weight=weight)
+
+    def roofline(self, single):
+        # The kernel point is measured on one hart; the roofs are aggregated
+        # over all harts.  The shared levels (DRAM and the platform's LLC,
+        # which SharedMemorySystem shares across harts) keep their
+        # single-instance bandwidth.
+        from repro.smp import aggregate_roofline
+        return aggregate_roofline(
+            single, self.spec.cpus,
+            shared_levels=("DRAM", self.machine.descriptor.caches[-1].name))
+
+
+def _measure(run: Run, analysis: str, backend: _HartBackend, measure,
+             timings: Dict[str, float]):
+    """Compile and execute one measured analysis (``stat`` or ``sampling``).
+
+    Returns the result, or None with the failure recorded in ``run.errors``
+    and ``run.failures``.
+    """
+    try:
+        with _phase(timings, "compile", analysis):
+            prepared = backend.prepare()
+        with _phase(timings, "execute", analysis):
+            result = measure(prepared)
+    except (SamplingNotSupportedError, PerfEventOpenError) as error:
+        run.errors[analysis] = str(error)
+        run.failures[analysis] = error
+        return None
+    # SMP results carry the executed schedule; single-hart ones have none.
+    run.schedule = getattr(result, "schedule", None)
+    return result
+
+
 class Session:
     """Profiling session bound to one platform model.
 
@@ -105,28 +233,24 @@ class Session:
     def __init__(self, platform: PlatformLike, vendor_driver: bool = True):
         self.descriptor = _resolve_platform(platform)
         self.default_vendor_driver = vendor_driver
-        self._machines: Dict[bool, Machine] = {}
+        #: Machines keyed by (vendor_driver, hart count).
+        self._machines: Dict[Tuple[bool, int], object] = {}
         self._tools: Dict[bool, Miniperf] = {}
-        self._smp_machines: Dict[tuple, "object"] = {}
 
     # -- lazy machine ownership ---------------------------------------------------------
 
-    def _effective_vendor_driver(self, spec: ProfileSpec) -> bool:
-        if spec.vendor_driver is None:
+    def _vendor_driver(self, vendor_driver: Optional[bool]) -> bool:
+        if vendor_driver is None:
             return self.default_vendor_driver
-        return spec.vendor_driver
+        return vendor_driver
 
     def machine(self, vendor_driver: Optional[bool] = None) -> Machine:
-        """The (lazily built, cached) machine for a vendor-driver setting."""
-        key = self.default_vendor_driver if vendor_driver is None else vendor_driver
-        machine = self._machines.get(key)
-        if machine is None:
-            machine = Machine(self.descriptor, vendor_driver=key)
-            self._machines[key] = machine
-        return machine
+        """The (lazily built, cached) single-hart machine for a vendor-driver
+        setting."""
+        return self.smp_machine(1, vendor_driver)
 
     def miniperf(self, vendor_driver: Optional[bool] = None) -> Miniperf:
-        key = self.default_vendor_driver if vendor_driver is None else vendor_driver
+        key = self._vendor_driver(vendor_driver)
         tool = self._tools.get(key)
         if tool is None:
             tool = Miniperf(self.machine(key))
@@ -134,19 +258,25 @@ class Session:
         return tool
 
     def smp_machine(self, cpus: int, vendor_driver: Optional[bool] = None):
-        """The (lazily built, cached) multi-hart machine for an SMP run."""
-        from repro.smp import MultiHartMachine
-        key = (self.default_vendor_driver if vendor_driver is None
-               else vendor_driver, cpus)
-        machine = self._smp_machines.get(key)
+        """The (lazily built, cached) machine with *cpus* harts.
+
+        One hart is a :class:`Machine`; more build a
+        :class:`~repro.smp.MultiHartMachine`, which raises ``ValueError`` for
+        a hart count the board cannot provide.
+        """
+        key = (self._vendor_driver(vendor_driver), cpus)
+        machine = self._machines.get(key)
         if machine is None:
-            machine = MultiHartMachine(self.descriptor, cpus,
-                                       vendor_driver=key[0])
-            self._smp_machines[key] = machine
+            if cpus == 1:
+                machine = Machine(self.descriptor, vendor_driver=key[0])
+            else:
+                from repro.smp import MultiHartMachine
+                machine = MultiHartMachine(self.descriptor, cpus,
+                                           vendor_driver=key[0])
+            self._machines[key] = machine
         return machine
 
-    def adopt_machine(self, machine: Machine,
-                      vendor_driver: Optional[bool] = None) -> None:
+    def adopt_machine(self, machine, vendor_driver: Optional[bool] = None) -> None:
         """Install a pre-built machine as this session's cached machine.
 
         The warm pools in :mod:`repro.service` construct machines ahead of
@@ -156,32 +286,16 @@ class Session:
         anything yet: a machine's *first* run is bit-identical to a fresh
         machine's, but PMU/cache state persists across runs, so a reused
         machine would break the byte-reproducibility the result cache
-        depends on.
+        depends on.  It is cached under its own hart count (a single-hart
+        :class:`Machine` has one), so only runs of that width use it.
         """
         if machine.name != self.descriptor.name:
             raise ValueError(
                 f"machine models {machine.name!r}, session is bound to "
                 f"{self.descriptor.name!r}"
             )
-        key = (self.default_vendor_driver if vendor_driver is None
-               else vendor_driver)
+        key = (self._vendor_driver(vendor_driver), getattr(machine, "cpus", 1))
         self._machines[key] = machine
-
-    def adopt_smp_machine(self, machine, cpus: int,
-                          vendor_driver: Optional[bool] = None) -> None:
-        """Install a pre-built multi-hart machine (see :meth:`adopt_machine`)."""
-        if machine.name != self.descriptor.name:
-            raise ValueError(
-                f"machine models {machine.name!r}, session is bound to "
-                f"{self.descriptor.name!r}"
-            )
-        if getattr(machine, "cpus", cpus) != cpus:
-            raise ValueError(
-                f"machine has {machine.cpus} harts, adopted under cpus={cpus}"
-            )
-        key = (self.default_vendor_driver if vendor_driver is None
-               else vendor_driver, cpus)
-        self._smp_machines[key] = machine
 
     @property
     def platform(self) -> str:
@@ -198,22 +312,25 @@ class Session:
             fast_dispatch: Optional[bool] = None) -> Run:
         """Profile *workload* according to *spec* and return a uniform Run.
 
-        ``cpus`` (or ``spec.cpus``) selects the machine: 1 keeps the
-        single-hart fast path exactly as before; more harts route through the
-        SMP subsystem (:mod:`repro.smp`) for system-wide counting, per-hart
-        sample streams and merged, hart-labelled flame graphs.
+        One phase loop -- stat, sampling, hotspots/flame graphs, roofline --
+        runs over a machine-specific backend.  ``cpus`` (or ``spec.cpus``)
+        selects it: 1 measures with ``miniperf`` on a single-hart
+        :class:`Machine`; more harts route through the SMP subsystem
+        (:mod:`repro.smp`) for system-wide counting, per-hart sample streams,
+        merged, hart-labelled flame graphs and aggregate roofline roofs.
 
         ``fast_dispatch`` (or ``spec.fast_dispatch``, default on) selects the
         execution engine compiled-kernel workloads run on -- the predecoded
-        batch-retiring engine or the reference interpreter.  Both the
-        single-hart and the SMP path honour it; results are bit-identical
-        either way, only wall-clock time differs.
+        batch-retiring engine or the reference interpreter.  Both backends
+        honour it; results are bit-identical either way, only wall-clock
+        time differs.
 
         Analyses that the platform cannot deliver (e.g. sampling on a part
-        whose counters cannot raise overflow interrupts, or a roofline for a
-        workload with no compiled kernel) are recorded in ``run.errors``
-        instead of aborting the whole run, so multi-platform comparisons
-        degrade per-platform exactly the way the paper's Table 1 predicts.
+        whose counters cannot raise overflow interrupts, a roofline for a
+        workload with no compiled kernel, or more harts than the board has)
+        are recorded in ``run.errors`` instead of aborting the whole run, so
+        multi-platform comparisons degrade per-platform exactly the way the
+        paper's Table 1 predicts.
         """
         spec = spec or ProfileSpec()
         if cpus is not None and cpus != spec.cpus:
@@ -221,72 +338,54 @@ class Session:
         if fast_dispatch is not None and fast_dispatch != spec.fast_dispatch:
             spec = spec.replace(fast_dispatch=fast_dispatch)
         workload = _resolve_workload(workload)
-        if spec.cpus > 1:
-            return self._run_smp(workload, spec)
-        vendor_driver = self._effective_vendor_driver(spec)
-        machine = self.machine(vendor_driver)
-        machine.set_cache_fast_path(spec.fast_cache)
+        vendor_driver = self._vendor_driver(spec.vendor_driver)
         tool = self.miniperf(vendor_driver)
         run = Run(
-            platform=machine.name,
+            platform=self.descriptor.name,
             workload=workload.name,
             spec=spec,
+            cpus=spec.cpus,
             cpu_description=tool.describe(),
         )
-        compile_seconds = 0.0
-        execute_seconds = 0.0
-        analyses_seconds = 0.0
-        collector = _telemetry.RunCollector(platform=machine.name,
+        try:
+            machine = self.smp_machine(spec.cpus, vendor_driver)
+        except ValueError as error:
+            # A hart count the board cannot provide degrades per-run (and
+            # therefore per-platform in Session.compare), like any other
+            # undeliverable analysis, under the analyses' own error keys.
+            wanted = (("stat", spec.wants_stat),
+                      ("sampling", spec.wants_sampling),
+                      ("roofline", spec.wants_roofline))
+            for key in sorted(key for key, on in wanted if on):
+                run.errors[key] = str(error)
+                run.failures[key] = error
+            return run
+        machine.set_cache_fast_path(spec.fast_cache)
+        backend_type = _SmpBackend if spec.cpus > 1 else _HartBackend
+        backend = backend_type(tool, machine, workload, spec)
+        timings = {"compile": 0.0, "execute": 0.0, "analyses": 0.0}
+        collector = _telemetry.RunCollector(platform=run.platform,
                                             workload=workload.name)
         collector.start(machine)
 
-        with _telemetry.span("run", cat="run", platform=machine.name,
-                             workload=workload.name, cpus=1):
+        with _telemetry.span("run", cat="run", platform=run.platform,
+                             workload=workload.name, cpus=spec.cpus):
             if spec.wants_stat:
-                task = machine.create_task(workload.name)
-                start = _wall_seconds()
-                try:
-                    with _telemetry.span("compile", analysis="stat"):
-                        executable = workload.executable(machine, task, spec)
-                    compile_seconds += _wall_seconds() - start
-                    start = _wall_seconds()
-                    with _telemetry.span("execute", analysis="stat"):
-                        run.stat = tool.stat(executable, task=task,
-                                             events=spec.events)
-                    execute_seconds += _wall_seconds() - start
-                except PerfEventOpenError as error:
-                    run.errors["stat"] = str(error)
-                    run.failures["stat"] = error
+                run.stat = _measure(run, "stat", backend, backend.stat,
+                                    timings)
 
             if spec.wants_sampling:
-                task = machine.create_task(workload.name)
-                start = _wall_seconds()
-                try:
-                    with _telemetry.span("compile", analysis="sampling"):
-                        executable = workload.executable(machine, task, spec)
-                    compile_seconds += _wall_seconds() - start
-                    start = _wall_seconds()
-                    with _telemetry.span("execute", analysis="sampling"):
-                        run.recording = tool.record(
-                            executable,
-                            task=task, events=spec.events,
-                            sample_period=spec.sample_period,
-                        )
-                    execute_seconds += _wall_seconds() - start
-                except (SamplingNotSupportedError, PerfEventOpenError) as error:
-                    run.errors["sampling"] = str(error)
-                    run.failures["sampling"] = error
+                run.recording = _measure(run, "sampling", backend,
+                                         backend.record, timings)
                 if run.recording is not None:
-                    start = _wall_seconds()
-                    with _telemetry.span("analyses", analysis="sampling"):
+                    with _phase(timings, "analyses", "sampling"):
                         if "hotspots" in spec.analyses:
-                            run.hotspots = tool.hotspots(run.recording)
+                            run.hotspots = backend.hotspots(run.recording)
                         if "flamegraph" in spec.analyses:
-                            run.flame_cycles = build_flame_graph(
-                                run.recording.samples, weight="samples")
-                            run.flame_instructions = build_flame_graph(
-                                run.recording.samples, weight="instructions")
-                    analyses_seconds += _wall_seconds() - start
+                            run.flame_cycles = backend.flame_graph(
+                                run.recording, "samples")
+                            run.flame_instructions = backend.flame_graph(
+                                run.recording, "instructions")
 
             if spec.wants_roofline:
                 if not workload.supports_roofline:
@@ -297,152 +396,13 @@ class Session:
                 else:
                     # Resolve the session-level vendor-driver default before the
                     # workload builds its own (fresh) roofline machines.
-                    start = _wall_seconds()
-                    with _telemetry.span("analyses", analysis="roofline"):
-                        run.roofline = workload.roofline(
+                    with _phase(timings, "analyses", "roofline"):
+                        run.roofline = backend.roofline(workload.roofline(
                             self.descriptor,
-                            spec.replace(vendor_driver=vendor_driver))
-                    analyses_seconds += _wall_seconds() - start
+                            spec.replace(vendor_driver=vendor_driver)))
 
-        run.timings = {"compile": compile_seconds, "execute": execute_seconds,
-                       "analyses": analyses_seconds}
-        collector.finish(timings=run.timings)
-        return run
-
-    # -- SMP runs ------------------------------------------------------------------------
-
-    def _threads_for(self, workload: Workload, spec: ProfileSpec):
-        """Shard *workload* for an SMP run.
-
-        Workloads implementing the :class:`~repro.workloads.parallel.
-        ParallelWorkload` protocol shard themselves; any other workload runs
-        as one software thread (on hart 0), which is what an unthreaded
-        program does on an SMP box.
-        """
-        threads = getattr(workload, "threads", None)
-        if callable(threads):
-            return threads(spec.cpus, spec)
-
-        def body(machine, task):
-            workload.executable(machine, task, spec)()
-            yield
-
-        return [(workload.name, body)]
-
-    def _run_smp(self, workload: Workload, spec: ProfileSpec) -> Run:
-        """System-wide profiling on a multi-hart machine."""
-        from repro.flamegraph import merge_flame_graphs
-        from repro.miniperf.groups import SamplingNotSupportedError as _SNS
-        from repro.smp import aggregate_roofline, smp_record, smp_stat
-
-        vendor_driver = self._effective_vendor_driver(spec)
-        tool = self.miniperf(vendor_driver)
-        run = Run(
-            platform=self.descriptor.name,
-            workload=workload.name,
-            spec=spec,
-            cpus=spec.cpus,
-            cpu_description=tool.describe(),
-        )
-        compile_seconds = 0.0
-        execute_seconds = 0.0
-        analyses_seconds = 0.0
-        try:
-            machine = self.smp_machine(spec.cpus, vendor_driver)
-        except ValueError as error:
-            # A hart count the board cannot provide degrades per-run (and
-            # therefore per-platform in Session.compare), like any other
-            # undeliverable analysis.  Error keys mirror the ones the
-            # analyses below use: stat / sampling / roofline.
-            failed = set()
-            if spec.wants_stat:
-                failed.add("stat")
-            if spec.wants_sampling:
-                failed.add("sampling")
-            if spec.wants_roofline:
-                failed.add("roofline")
-            for key in sorted(failed):
-                run.errors[key] = str(error)
-                run.failures[key] = error
-            return run
-        machine.set_cache_fast_path(spec.fast_cache)
-        collector = _telemetry.RunCollector(platform=self.descriptor.name,
-                                            workload=workload.name)
-        collector.start(machine)
-
-        with _telemetry.span("run", cat="run", platform=self.descriptor.name,
-                             workload=workload.name, cpus=spec.cpus):
-            if spec.wants_stat:
-                start = _wall_seconds()
-                try:
-                    with _telemetry.span("compile", analysis="stat"):
-                        threads = self._threads_for(workload, spec)
-                    compile_seconds += _wall_seconds() - start
-                    start = _wall_seconds()
-                    with _telemetry.span("execute", analysis="stat"):
-                        run.stat = smp_stat(machine, threads,
-                                            events=spec.events)
-                    run.schedule = run.stat.schedule
-                    execute_seconds += _wall_seconds() - start
-                except PerfEventOpenError as error:
-                    run.errors["stat"] = str(error)
-                    run.failures["stat"] = error
-
-            if spec.wants_sampling:
-                start = _wall_seconds()
-                try:
-                    with _telemetry.span("compile", analysis="sampling"):
-                        threads = self._threads_for(workload, spec)
-                    compile_seconds += _wall_seconds() - start
-                    start = _wall_seconds()
-                    with _telemetry.span("execute", analysis="sampling"):
-                        run.recording = smp_record(
-                            machine, threads,
-                            events=spec.events,
-                            sample_period=spec.sample_period,
-                        )
-                    run.schedule = run.recording.schedule
-                    execute_seconds += _wall_seconds() - start
-                except (_SNS, PerfEventOpenError) as error:
-                    run.errors["sampling"] = str(error)
-                    run.failures["sampling"] = error
-                if run.recording is not None:
-                    start = _wall_seconds()
-                    with _telemetry.span("analyses", analysis="sampling"):
-                        if "hotspots" in spec.analyses:
-                            run.hotspots = run.recording.hotspots()
-                        if "flamegraph" in spec.analyses:
-                            run.flame_cycles = run.recording.flame_graph(
-                                weight="samples")
-                            run.flame_instructions = run.recording.flame_graph(
-                                weight="instructions")
-                    analyses_seconds += _wall_seconds() - start
-
-            if spec.wants_roofline:
-                if not workload.supports_roofline:
-                    run.errors["roofline"] = (
-                        f"workload {workload.name!r} ({workload.kind}) has no "
-                        "compiled kernel to run the two-phase roofline flow on"
-                    )
-                else:
-                    # The kernel point is measured on one hart; the roofs are
-                    # aggregated over all harts.  The shared levels (DRAM and
-                    # the platform's LLC, which SharedMemorySystem shares across
-                    # harts) keep their single-instance bandwidth.
-                    start = _wall_seconds()
-                    with _telemetry.span("analyses", analysis="roofline"):
-                        single = workload.roofline(
-                            self.descriptor,
-                            spec.replace(vendor_driver=vendor_driver))
-                        run.roofline = aggregate_roofline(
-                            single, spec.cpus,
-                            shared_levels=("DRAM",
-                                           self.descriptor.caches[-1].name))
-                    analyses_seconds += _wall_seconds() - start
-
-        run.timings = {"compile": compile_seconds, "execute": execute_seconds,
-                       "analyses": analyses_seconds}
-        collector.finish(schedule=run.schedule, timings=run.timings)
+        run.timings = timings
+        collector.finish(schedule=run.schedule, timings=timings)
         return run
 
     # -- multi-platform comparison ------------------------------------------------------

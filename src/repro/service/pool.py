@@ -168,12 +168,9 @@ def execute_run_payload(payload: dict) -> dict:
         vendor_driver = (request.vendor_driver if spec.vendor_driver is None
                          else spec.vendor_driver)
         try:
-            machine = _take_machine(
-                (session.platform, vendor_driver, spec.cpus))
-            if spec.cpus > 1:
-                session.adopt_smp_machine(machine, spec.cpus, vendor_driver)
-            else:
-                session.adopt_machine(machine, vendor_driver)
+            session.adopt_machine(
+                _take_machine((session.platform, vendor_driver, spec.cpus)),
+                vendor_driver)
         except ValueError:
             # A machine that cannot be built ahead of time (e.g. more harts
             # than the board has) is the session's call: it degrades the run

@@ -1,10 +1,5 @@
-"""The integrated toolchain: CLI + legacy workflow facade.
+"""The integrated toolchain's front end.
 
 The profiling logic itself lives in :mod:`repro.api` (Session / ProfileSpec
-/ Run); :class:`AnalysisWorkflow` is the backwards-compatible facade over it
-and :mod:`repro.toolchain.cli` is the ``miniperf`` command-line front end.
+/ Run); :mod:`repro.toolchain.cli` is the ``repro`` command line over it.
 """
-
-from repro.toolchain.workflow import AnalysisWorkflow, AnalysisReport
-
-__all__ = ["AnalysisWorkflow", "AnalysisReport"]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import telemetry
 from repro.api import (
     CompiledKernelWorkload,
     Comparison,
@@ -14,10 +15,17 @@ from repro.api import (
     Workload,
 )
 from repro.cpu.events import HwEvent
-from repro.platforms import intel_i5_1135g7, sifive_u74, spacemit_x60
+from repro.miniperf.groups import SamplingNotSupportedError
+from repro.platforms import Machine, intel_i5_1135g7, sifive_u74, spacemit_x60
+from repro.smp import MultiHartMachine
 from repro.workloads import registry
 from repro.workloads.kernels import DOT_PRODUCT_SOURCE, dot_args_builder
 from repro.workloads.registry import micro_calltree_workload
+from repro.workloads.synthetic import (
+    InstructionMix,
+    SyntheticFunction,
+    SyntheticWorkload,
+)
 
 FAST_SPEC = ProfileSpec(sample_period=2_000)
 
@@ -126,6 +134,19 @@ class TestSessionSynthetic:
         stock = session.machine(vendor_driver=False)
         assert stock is not first
 
+    def test_adopted_machine_cached_under_its_hart_count(self):
+        session = Session(spacemit_x60())
+        pair = MultiHartMachine(spacemit_x60(), 2)
+        session.adopt_machine(pair)
+        assert session.smp_machine(2) is pair
+        assert session.machine() is not pair
+        single = Machine(spacemit_x60(), vendor_driver=False)
+        session.adopt_machine(single, vendor_driver=False)
+        assert session.machine(vendor_driver=False) is single
+        assert session.smp_machine(2, vendor_driver=False) is not single
+        with pytest.raises(ValueError, match="session is bound to"):
+            session.adopt_machine(Machine(sifive_u74()))
+
     def test_counting_spec_runs_stat_only(self):
         run = Session(sifive_u74()).run("micro-calltree", ProfileSpec().counting())
         assert run.stat is not None
@@ -137,6 +158,7 @@ class TestSessionSynthetic:
         assert run.recording is None
         assert "sampling" in run.errors
         assert "overflow" in run.errors["sampling"]
+        assert isinstance(run.failures["sampling"], SamplingNotSupportedError)
         # ...and still exports.
         assert "errors" in run.to_dict()
 
@@ -151,6 +173,7 @@ class TestSessionSynthetic:
         run = Session(spacemit_x60()).run("micro-calltree", FAST_SPEC)
         text = run.report()
         assert "micro-calltree on SpacemiT X60" in text
+        assert "miniperf on SpacemiT X60" in text
         assert "Hotspots" in text
         payload = json.loads(run.to_json())
         assert payload["platform"] == "SpacemiT X60"
@@ -188,6 +211,7 @@ class TestSessionKernels:
         model = run.roofline_model()
         assert any(p.name == "matmul_tiled" for p in model.points)
         assert run.roofline_svg().startswith("<svg")
+        assert "Roofline" in run.report()
 
     def test_roofline_on_synthetic_workload_reports_error(self):
         run = Session(spacemit_x60()).run(
@@ -259,32 +283,81 @@ class TestCompare:
 
 
 class TestLegacyShim:
-    def test_analysis_workflow_still_works(self):
-        from repro.toolchain import AnalysisWorkflow
-        workflow = AnalysisWorkflow(spacemit_x60())
-        report = workflow.profile_synthetic(micro_calltree_workload(),
-                                            sample_period=2_000)
-        assert report.recording is not None
-        assert report.hotspots is not None
-        assert "Hotspots" in report.format()
-
-    def test_analysis_workflow_roofline_kernel(self):
-        from repro.toolchain import AnalysisWorkflow
-        workflow = AnalysisWorkflow(spacemit_x60())
-        result = workflow.roofline_kernel(DOT_PRODUCT_SOURCE, "dot",
-                                          dot_args_builder(256))
-        assert result.kernel_gflops > 0
+    """Hand-built workload objects -- what the removed ``AnalysisWorkflow``
+    facade wrapped -- profiled through Session directly."""
 
     def test_custom_workload_objects_accepted_directly(self):
         workload = SyntheticTraceWorkload(tree=micro_calltree_workload(scale=2))
         run = Session(spacemit_x60()).run(workload, FAST_SPEC)
         assert run.workload == "micro-calltree"
+        tree = SyntheticWorkload(name="mini", entry="main")
+        mix = InstructionMix(working_set_bytes=4096, locality=0.9)
+        tree.add(SyntheticFunction("kernel", 4000, mix))
+        tree.add(SyntheticFunction("main", 200, mix, callees=[("kernel", 1)]))
+        mini = Session(spacemit_x60()).run(
+            SyntheticTraceWorkload(tree=tree, auto_instruction_factor=False),
+            FAST_SPEC)
+        assert mini.recording is not None and mini.hotspots is not None
+        assert mini.flame_cycles.find("kernel") is not None
+        text = mini.report()
+        assert "miniperf on SpacemiT X60" in text and "Hotspots" in text
         kernel = CompiledKernelWorkload(
             name="my-dot", source=DOT_PRODUCT_SOURCE, function="dot",
             args_builder=dot_args_builder(128))
         roofline_run = Session(spacemit_x60()).run(
             kernel, ProfileSpec(analyses=("roofline",)))
         assert roofline_run.roofline is not None
+        assert roofline_run.roofline.kernel_gflops > 0
+        assert "Roofline" in roofline_run.report()
+
+
+PARITY_SPEC = ProfileSpec(sample_period=2_000,
+                          analyses=("stat", "hotspots", "flamegraph",
+                                    "roofline"))
+
+
+def _traced_run(platform, cpus):
+    """One run under span capture: the run, its spans and its metrics."""
+    with telemetry.capture(spans=True) as captured:
+        run = Session(platform).run(registry.create("dot-product", n=128),
+                                    PARITY_SPEC, cpus=cpus)
+    return run, captured
+
+
+def _phase_tree(spans):
+    """The run span's args and its direct children, wall-clock stripped."""
+    (root,) = [span for span in spans if span["name"] == "run"]
+    args = {key: value for key, value in root["args"].items() if key != "cpus"}
+    return args, [(child["name"], child["args"])
+                  for child in root["children"]]
+
+
+class TestRunDriver:
+    """Single-hart and SMP runs go through one phase loop: same spans,
+    timings, run counter and error keys, whichever backend measures."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_phase_loop_is_shared(self, cpus):
+        run, captured = _traced_run(spacemit_x60(), cpus)
+        assert run.cpus == cpus and not run.errors
+        assert _phase_tree(captured.spans) == (
+            {"platform": "SpacemiT X60", "workload": "dot-product"},
+            [("compile", {"analysis": "stat"}),
+             ("execute", {"analysis": "stat"}),
+             ("compile", {"analysis": "sampling"}),
+             ("execute", {"analysis": "sampling"}),
+             ("analyses", {"analysis": "sampling"}),
+             ("analyses", {"analysis": "roofline"})])
+        assert list(run.timings) == ["compile", "execute", "analyses"]
+        runs = captured.metrics["repro_runs_total"]["series"]
+        assert sum(count for _, count in runs) == 1
+
+        u74, captured = _traced_run(sifive_u74(), cpus)
+        assert list(u74.errors) == ["sampling"]
+        assert list(u74.failures) == ["sampling"]
+        assert isinstance(u74.failures["sampling"], SamplingNotSupportedError)
+        assert list(u74.timings) == ["compile", "execute", "analyses"]
+        assert u74.stat is not None and u74.roofline is not None
 
 
 @pytest.mark.slow

@@ -1,9 +1,9 @@
-"""Tests for the roofline model, the two-phase runner and the integrated workflow."""
+"""Tests for the roofline model and the two-phase runner."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.platforms import Machine, intel_i5_1135g7, sifive_u74, spacemit_x60
+from repro.platforms import intel_i5_1135g7, sifive_u74, spacemit_x60
 from repro.roofline import (
     MachineRoofs,
     RooflineModel,
@@ -14,7 +14,6 @@ from repro.roofline import (
     render_svg_roofline,
     theoretical_roofs,
 )
-from repro.toolchain.workflow import AnalysisWorkflow
 from repro.workloads import (
     DOT_PRODUCT_SOURCE,
     dot_args_builder,
@@ -22,8 +21,6 @@ from repro.workloads import (
     matmul_args_builder,
 )
 from repro.workloads.kernels import analytic_matmul_counts
-from repro.workloads.sqlite3_like import sqlite3_like_workload
-from repro.workloads.synthetic import InstructionMix, SyntheticFunction, SyntheticWorkload
 
 
 class TestRoofs:
@@ -137,28 +134,3 @@ class TestTwoPhaseRunner:
         runner = RooflineRunner(descriptor)
         result = runner.run_source(DOT_PRODUCT_SOURCE, "dot", dot_args_builder(64))
         assert result.kernel_gflops > 0
-
-
-class TestWorkflow:
-    def test_full_report_contains_all_sections(self):
-        workload = SyntheticWorkload(name="mini", entry="main")
-        mix = InstructionMix(working_set_bytes=4096, locality=0.9)
-        workload.add(SyntheticFunction("kernel", 4000, mix))
-        workload.add(SyntheticFunction("main", 200, mix, callees=[("kernel", 1)]))
-
-        workflow = AnalysisWorkflow(spacemit_x60())
-        report = workflow.profile_synthetic(workload, sample_period=2000)
-        report.roofline = workflow.roofline_kernel(
-            DOT_PRODUCT_SOURCE, "dot", dot_args_builder(64))
-        text = report.format()
-        assert "miniperf on SpacemiT X60" in text
-        assert "Hotspots" in text
-        assert "Roofline" in text
-        assert report.flame_cycles.find("kernel") is not None
-
-    def test_workflow_on_platform_without_sampling_raises(self):
-        from repro.miniperf.groups import SamplingNotSupportedError
-        workflow = AnalysisWorkflow(sifive_u74())
-        workload = sqlite3_like_workload()
-        with pytest.raises(SamplingNotSupportedError):
-            workflow.profile_synthetic(workload, sample_period=5000)
