@@ -58,9 +58,12 @@ The engine has two dispatch strategies over the same semantics:
 Preemptible execution
 ---------------------
 
-:meth:`ExecutionEngine.run_yielding` drives either dispatch path as a
-*generator* that yields control after every *quantum* of executed IR
-instructions -- the SMP scheduler's time slice.  The yield points are
+Each dispatch path has exactly one block loop, and it is a *generator*;
+the call machinery around it is one generator too.  Both public entry
+points drive it.  :meth:`ExecutionEngine.run_yielding` yields control after
+every *quantum* of executed IR instructions -- the SMP scheduler's time
+slice.  :meth:`ExecutionEngine.run` drains the same generator with the fuel
+cell parked out of reach, so it never suspends.  The yield points are
 decided by one shared fuel counter that both dispatch paths decrement at
 basic-block boundaries, so the fast and the slow engine are preempted after
 exactly the same dynamic instruction, and a multi-hart schedule (and every
@@ -207,11 +210,11 @@ class _Ret:
 
 
 class _PendingCall:
-    """Sentinel returned by a compiled call step in yieldable mode.
+    """Sentinel returned by every compiled internal-call step.
 
-    The generator block loop sees it and delegates to the generator call
-    machinery (``yield from``), so a preemption inside the callee propagates
-    all the way up through the caller's frames.
+    The block loop sees it and delegates to the call machinery
+    (``yield from``), so a preemption inside the callee propagates all the
+    way up through the caller's frames.
     """
 
     __slots__ = ("callee", "args", "dest")
@@ -318,23 +321,18 @@ class ExecutionEngine:
         self._vector_counters: Dict[int, int] = {}
         self._pc_of: Dict[int, int] = {}
         self._assign_pcs()
-        self._accounting_enabled = machine is not None
         self.fast_dispatch = fast_dispatch
         self.block_delta = block_delta
-        # Fast-dispatch state: the shared accounting-enabled cell (closures
-        # test it so set_accounting() keeps working), the pending retired-op
-        # buffer (plus the stream-ordered addressed memory accesses it
-        # contains, handed to the hierarchy's batched access_lines), and the
-        # per-function predecode cache.
-        self._acct_cell: List[bool] = [self._accounting_enabled]
+        # Fast-dispatch state: the pending retired-op buffer (plus the
+        # stream-ordered addressed memory accesses it contains, handed to the
+        # hierarchy's batched access_lines) and the per-function predecode
+        # cache.
         self._pending: List[MachineOp] = []
         self._pending_mem: List[tuple] = []
         self._suppress_accounts = False
         self._decoded: Dict[Function, _DecodedFunction] = {}
-        # Yieldable-execution state: compiled call steps consult the mode
-        # cell (so one predecode serves run() and run_yielding()), and both
-        # dispatch paths decrement the shared fuel cell at block boundaries.
-        self._yield_cell: List[bool] = [False]
+        # Both dispatch paths decrement the shared fuel cell at block
+        # boundaries and yield when it runs out.
         self._fuel: List[int] = [0]
 
     # -- setup -----------------------------------------------------------------------------
@@ -350,35 +348,30 @@ class ExecutionEngine:
     def register_external_handler(self, handler: object) -> None:
         self.external_handlers.append(handler)
 
-    def set_accounting(self, enabled: bool) -> None:
-        """Temporarily disable timing/PMU accounting (used by microbenchmarks)."""
-        self._accounting_enabled = enabled and self.machine is not None
-        self._acct_cell[0] = self._accounting_enabled
-
     # -- public API -------------------------------------------------------------------------
 
     def run(self, function_name: str, args: Sequence[object] = ()) -> object:
-        """Execute *function_name* with *args*; returns its return value."""
-        function = self.module.get_function(function_name)
-        if function.is_declaration:
-            raise ValueError(f"cannot run declaration @{function_name}")
-        if len(args) != len(function.args):
-            raise ValueError(
-                f"@{function_name} expects {len(function.args)} arguments, "
-                f"got {len(args)}"
-            )
-        yield_cell = self._yield_cell
-        if not yield_cell[0]:
-            return self._call_function(function, list(args))
-        # run() while a run_yielding() generator of this engine is suspended:
-        # compiled call steps consult the shared mode cell, so it must read
-        # False for the duration or internal calls would be handed back as
-        # _PendingCall markers that the non-generator loop cannot execute.
-        yield_cell[0] = False
+        """Execute *function_name* with *args*; returns its return value.
+
+        Drains the same generator :meth:`run_yielding` drives.  The fuel cell
+        is parked at a value no realistic run exhausts, so the generator runs
+        straight through, and restored afterwards: a ``run()`` entered while
+        a ``run_yielding()`` of this engine is active (from an external
+        handler, mid-quantum) neither spends nor resets that run's fuel.
+        """
+        function = self._resolve(function_name, args)
+        fuel = self._fuel
+        saved_fuel = fuel[0]
+        fuel[0] = 1 << 62
         try:
-            return self._call_function(function, list(args))
+            inner = self._call_function(function, list(args))
+            while True:
+                try:
+                    next(inner)
+                except StopIteration as stop:
+                    return stop.value
         finally:
-            yield_cell[0] = True
+            fuel[0] = saved_fuel
 
     def run_yielding(self, function_name: str, args: Sequence[object] = (),
                      quantum: Optional[int] = None):
@@ -401,6 +394,11 @@ class ExecutionEngine:
             quantum = self.DEFAULT_QUANTUM
         if quantum < 1:
             raise ValueError(f"quantum must be >= 1 (got {quantum})")
+        function = self._resolve(function_name, args)
+        return self._drive_yielding(function, list(args), quantum)
+
+    def _resolve(self, function_name: str, args: Sequence[object]) -> Function:
+        """The defined function *function_name*, checked against *args*."""
         function = self.module.get_function(function_name)
         if function.is_declaration:
             raise ValueError(f"cannot run declaration @{function_name}")
@@ -409,31 +407,30 @@ class ExecutionEngine:
                 f"@{function_name} expects {len(function.args)} arguments, "
                 f"got {len(args)}"
             )
-        return self._drive_yielding(function, list(args), quantum)
+        return function
 
     def _drive_yielding(self, function: Function, args: List[object],
                         quantum: int):
         """The generator behind :meth:`run_yielding` (already validated)."""
         fuel = self._fuel
-        yield_cell = self._yield_cell
         fuel[0] = quantum
-        previous_mode = yield_cell[0]
-        yield_cell[0] = True
-        try:
-            inner = self._call_function_gen(function, args)
-            while True:
-                try:
-                    next(inner)
-                except StopIteration as stop:
-                    return stop.value
-                yield
-                fuel[0] = quantum
-        finally:
-            yield_cell[0] = previous_mode
+        inner = self._call_function(function, args)
+        while True:
+            try:
+                next(inner)
+            except StopIteration as stop:
+                return stop.value
+            yield
+            fuel[0] = quantum
 
     # -- call machinery -----------------------------------------------------------------------
 
-    def _call_function(self, function: Function, args: List[object]) -> object:
+    def _call_function(self, function: Function, args: List[object]):
+        """Run one activation of *function* as a generator.
+
+        Yields wherever the frame's dispatch loop (or a callee's) runs out
+        of fuel and returns the function's return value.
+        """
         frame = _Frame(function, self.memory.push_stack_frame())
         for formal, actual in zip(function.args, args):
             frame.values[formal] = actual
@@ -446,8 +443,10 @@ class ExecutionEngine:
         self.stats.calls += 1
         try:
             if self.fast_dispatch:
-                return self._run_frame_fast(frame)
-            return self._run_frame_slow(frame)
+                result = yield from self._run_frame_predecoded(frame)
+            else:
+                result = yield from self._run_frame_slow(frame)
+            return result
         finally:
             # Retire anything still pending before the frame pops, so any
             # sampling interrupt attributes to the call stack that executed
@@ -469,41 +468,17 @@ class ExecutionEngine:
             if pending_mem:
                 del pending_mem[:]
 
-    # -- yieldable call machinery --------------------------------------------------------------
+    # -- block loops ---------------------------------------------------------------------------
 
-    def _call_function_gen(self, function: Function, args: List[object]):
-        """Generator twin of :meth:`_call_function` (same frame discipline)."""
-        frame = _Frame(function, self.memory.push_stack_frame())
-        for formal, actual in zip(function.args, args):
-            frame.values[formal] = actual
-        if self.task is not None:
-            entry_pc = 0
-            if function.blocks and function.entry_block.instructions:
-                entry_pc = self._pc_of[id(function.entry_block.instructions[0])]  # repro-lint: allow[no-id] -- per-engine pc map key; pcs come from a deterministic module walk, ids never order or escape
-            self.task.push_frame(function.name, pc=entry_pc,
-                                 source_file=function.source_file)
-        self.stats.calls += 1
-        try:
-            if self.fast_dispatch:
-                result = yield from self._run_frame_fast_gen(frame)
-            else:
-                result = yield from self._run_frame_slow_gen(frame)
-            return result
-        finally:
-            if self._pending:
-                self._flush()
-            self.memory.pop_stack_frame(frame.stack_token)
-            if self.task is not None:
-                self.task.pop_frame()
+    def _run_frame_predecoded(self, frame: _Frame):
+        """The fast path's block loop (a generator, like the reference one).
 
-    def _run_frame_fast_gen(self, frame: _Frame):
-        """Generator twin of :meth:`_run_frame_fast`.
-
-        Identical block loop, plus: compiled call steps return a
-        :class:`_PendingCall` (the mode cell is set) that is delegated to
-        the generator call machinery, and the shared fuel cell is decremented
-        by each block's instruction count -- when it runs out, pending ops
-        are flushed and control is yielded.
+        Runs the frame's predecoded blocks.  A compiled internal-call step
+        returns a :class:`_PendingCall` that is delegated to
+        :meth:`_call_function` (``yield from``), so a preemption inside the
+        callee propagates up through the caller's frames.  The shared fuel
+        cell is decremented by each block's instruction count -- when it
+        runs out, pending ops are flushed and control is yielded.
         """
         function = frame.function
         decoded = self._decoded.get(function)
@@ -517,8 +492,7 @@ class ExecutionEngine:
         flush = self._flush
         threshold = self._FLUSH_THRESHOLD
         fuel = self._fuel
-        acct_cell = self._acct_cell
-        call_gen = self._call_function_gen
+        call = self._call_function
         block = decoded.entry
         prev: Optional[_DecodedBlock] = None
         try:
@@ -537,22 +511,23 @@ class ExecutionEngine:
                     if accounts is not None:
                         for account in accounts:
                             account()
-                stats.ir_instructions += block.instr_count
-                per_fn[fname] = per_fn.get(fname, 0) + block.instr_count
+                count = block.instr_count
+                stats.ir_instructions += count
+                per_fn[fname] = per_fn.get(fname, 0) + count
                 for step in block.steps:
                     marker = step(values)
                     if marker is not None:
-                        result = yield from call_gen(marker.callee, marker.args)
+                        result = yield from call(marker.callee, marker.args)
                         if marker.dest is not None:
                             values[marker.dest] = result
                 nxt = block.terminator(values)
                 delta = block.delta
-                if delta is not None and acct_cell[0]:
+                if delta is not None:
                     pending.append(delta)
                     stats.machine_ops += delta.instructions
                 if nxt.__class__ is _Ret:
                     return nxt.value
-                fuel[0] -= block.instr_count
+                fuel[0] -= count
                 if fuel[0] <= 0:
                     if pending:
                         flush()
@@ -570,15 +545,13 @@ class ExecutionEngine:
                 ) from None
             raise
 
-    def _run_frame_slow_gen(self, frame: _Frame):
-        """The reference interpreter's dispatch loop (the one and only copy).
+    def _run_frame_slow(self, frame: _Frame):
+        """The reference interpreter's block loop.
 
         Retires ops one at a time (nothing is ever pending), so a quantum
         boundary is just a yield; it lands after exactly the same executed
-        IR instruction as in the fast twin because both decrement the one
-        fuel cell per block they complete.  :meth:`_run_frame_slow` drives
-        this generator to completion for plain ``run()`` calls, ignoring the
-        side-effect-free yields.
+        IR instruction as on the fast path because both decrement the one
+        fuel cell per block they complete.
         """
         function = frame.function
         per_fn = self.stats.per_function_instructions
@@ -624,7 +597,7 @@ class ExecutionEngine:
                     break
 
                 if isinstance(inst, Call):
-                    result = yield from self._execute_call_gen(frame, inst)
+                    result = yield from self._execute_call(frame, inst)
                 else:
                     result = self._execute(frame, inst)
                 if not inst.type.is_void:
@@ -642,7 +615,7 @@ class ExecutionEngine:
                 yield
             prev_block, block = block, next_block
 
-    def _execute_call_gen(self, frame: _Frame, inst: Call):
+    def _execute_call(self, frame: _Frame, inst: Call):
         """Evaluate a call instruction on the reference path (generator)."""
         args = [self._eval(frame, a) for a in inst.operands]
         self._account(inst, frame)
@@ -654,72 +627,10 @@ class ExecutionEngine:
             callee_fn = self.module.get_function(callee)
 
         if callee_fn is not None and not callee_fn.is_declaration:
-            result = yield from self._call_function_gen(callee_fn, args)
+            result = yield from self._call_function(callee_fn, args)
             return result
         name = callee if isinstance(callee, str) else callee.name
         return self._dispatch_external(name, args)
-
-    # -- fast dispatch ------------------------------------------------------------------------
-
-    def _run_frame_fast(self, frame: _Frame) -> object:
-        function = frame.function
-        decoded = self._decoded.get(function)
-        if decoded is None:
-            decoded = self._decode_function(function)
-        values = frame.values
-        stats = self.stats
-        per_fn = stats.per_function_instructions
-        fname = function.name
-        pending = self._pending
-        flush = self._flush
-        threshold = self._FLUSH_THRESHOLD
-        acct_cell = self._acct_cell
-        block = decoded.entry
-        prev: Optional[_DecodedBlock] = None
-        # Executed-instruction bookkeeping is accumulated locally and folded
-        # into the (externally only observed at rest) stats on frame exit.
-        executed = 0
-        try:
-            while True:
-                phis = block.phi_nodes
-                if phis:
-                    getters = block.phi_sources.get(prev)
-                    if getters is None:
-                        for phi in phis:
-                            values[phi] = None
-                    else:
-                        incoming = [g(values) for g in getters]
-                        for phi, value in zip(phis, incoming):
-                            values[phi] = value
-                    accounts = block.phi_accounts
-                    if accounts is not None:
-                        for account in accounts:
-                            account()
-                executed += block.instr_count
-                for step in block.steps:
-                    step(values)
-                nxt = block.terminator(values)
-                delta = block.delta
-                if delta is not None and acct_cell[0]:
-                    pending.append(delta)
-                    stats.machine_ops += delta.instructions
-                if nxt.__class__ is _Ret:
-                    return nxt.value
-                if len(pending) >= threshold:
-                    flush()
-                prev = block
-                block = nxt
-        except KeyError as exc:
-            key = exc.args[0] if exc.args else None
-            if isinstance(key, Value):
-                raise RuntimeError(
-                    f"value %{key.name} used before definition in "
-                    f"@{frame.function.name}"
-                ) from None
-            raise
-        finally:
-            stats.ir_instructions += executed
-            per_fn[fname] = per_fn.get(fname, 0) + executed
 
     # -- predecoding --------------------------------------------------------------------------
 
@@ -903,25 +814,20 @@ class ExecutionEngine:
         return 0
 
     def _guard_account(self, width: int, emit: Callable) -> Callable:
-        """Wrap *emit* in the shared accounting gate.
+        """Gate *emit* on the vector-lane counter.
 
-        The returned thunk checks the accounting-enabled cell and -- for a
-        vector-annotated instruction (``width`` > 1) -- fires *emit* only on
-        every ``width``-th execution, the executions in between being lanes
-        of the one retired vector op.  All accounting thunks share this gate
-        so the gating rule lives in exactly one place.
+        A scalar instruction (``width`` 0) retires on every execution, so
+        *emit* is returned as is.  For a vector-annotated instruction the
+        returned thunk fires *emit* only on every ``width``-th execution, the
+        executions in between being lanes of the one retired vector op.  All
+        accounting thunks share this gate so the lane rule lives in exactly
+        one place.
         """
-        cell = self._acct_cell
         if width == 0:
-            def account(*args) -> None:
-                if cell[0]:
-                    emit(*args)
-            return account
+            return emit
         counter = [0]
 
         def account_vector(*args) -> None:
-            if not cell[0]:
-                return
             count = counter[0] + 1
             counter[0] = count
             if count % width:
@@ -1244,23 +1150,16 @@ class ExecutionEngine:
             callee_fn = self.module.get_function(callee)
 
         if callee_fn is not None and not callee_fn.is_declaration:
-            call_function = self._call_function
-            yield_cell = self._yield_cell
+            dest = inst if store_result else None
 
-            def step(values: dict) -> Optional[_PendingCall]:
+            def step(values: dict) -> _PendingCall:
                 args = [g(values) for g in arg_getters]
                 if account is not None:
                     account()
                 flush()
-                if yield_cell[0]:
-                    # run_yielding(): the generator block loop performs the
-                    # call, so preemption propagates through the callee.
-                    return _PendingCall(callee_fn, args,
-                                        inst if store_result else None)
-                result = call_function(callee_fn, args)
-                if store_result:
-                    values[inst] = result
-                return None
+                # The block loop performs the call, so a preemption inside
+                # the callee propagates through the caller's frames.
+                return _PendingCall(callee_fn, args, dest)
             return step
 
         name = callee if isinstance(callee, str) else callee.name
@@ -1321,38 +1220,6 @@ class ExecutionEngine:
             account()
             return _Ret(value_get(values))
         return ret
-
-    # -- slow (reference) dispatch --------------------------------------------------------------
-
-    def _run_frame_slow(self, frame: _Frame) -> object:
-        """Drive the reference interpreter's one dispatch loop to completion.
-
-        The generator twin *is* the reference implementation -- keeping a
-        second verbatim copy of the loop here would have to be edited in
-        lockstep forever.  A quantum "yield" has no side effect on the slow
-        path (nothing is ever pending), so draining the generator and
-        ignoring its yields executes identically; the fuel cell is whatever
-        the last run_yielding() left behind, which only determines where the
-        ignored yields land.
-        """
-        fuel = self._fuel
-        saved_fuel = fuel[0]
-        # A drained run never wants quantum yields: park the fuel cell at a
-        # value no realistic run exhausts, so the generator runs straight
-        # through instead of suspending at every block boundary.
-        fuel[0] = 1 << 62
-        gen = self._run_frame_slow_gen(frame)
-        try:
-            while True:
-                try:
-                    next(gen)
-                except StopIteration as stop:
-                    return stop.value
-        finally:
-            # Fuel-neutral, like the fast path's run(): a slow run() while a
-            # run_yielding() generator is suspended must not shift the
-            # suspended run's quantum boundaries.
-            fuel[0] = saved_fuel
 
     # -- instruction execution (reference path) -------------------------------------------------
 
@@ -1525,9 +1392,8 @@ class ExecutionEngine:
 
     def _account(self, inst: Instruction, frame: _Frame,
                  address: Optional[int] = None, taken: bool = False) -> None:
-        if not self._accounting_enabled:
+        if self.machine is None:
             return
-        assert self.machine is not None and self.target is not None
         vector_width = 0
         annotated = inst.metadata.get(VECTOR_WIDTH_KEY, 0)
         if annotated and self.target.supports_vector:

@@ -268,6 +268,44 @@ class TestFastSlowPmuEquivalence:
     def test_counting_run_bit_identical(self):
         assert self._run_counting(True) == self._run_counting(False)
 
+    CALLS_SOURCE = """
+    float scale(float* x, long i, float s) { return x[i] * s; }
+    float dot_scaled(float* x, float* y, long n) {
+      float acc = 0.0f;
+      for (long i = 0; i < n; i++) {
+        acc = acc + scale(x, i, 2.0f) * y[i];
+      }
+      return sqrtf(fabsf(acc));
+    }
+    """
+
+    def _run_calls(self, fast):
+        """run() of a kernel that calls an internal and an external function
+        on every iteration (the call machinery both paths share)."""
+        descriptor = spacemit_x60()
+        machine = Machine(descriptor)
+        task = machine.create_task("calls")
+        module = _compiled(self.CALLS_SOURCE, descriptor, "calls.c")
+        memory = Memory()
+        n = 96
+        x = memory.alloc_float_array([0.25 * i for i in range(n)])
+        y = memory.alloc_float_array([1.0 - 0.01 * i for i in range(n)])
+        runtime = RooflineRuntime(module, machine, instrumented=False)
+        engine = ExecutionEngine(module, machine, target_for_platform(descriptor),
+                                 task=task, memory=memory,
+                                 external_handlers=[runtime], fast_dispatch=fast)
+        result = engine.run("dot_scaled", [x, y, n])
+        return result, engine.stats, machine.cycles
+
+    def test_run_with_calls_bit_identical(self):
+        fast = self._run_calls(True)
+        slow = self._run_calls(False)
+        assert fast == slow
+        stats = fast[1]
+        # dot_scaled, its outlined loop, and one scale() per iteration.
+        assert stats.calls == 2 + 96 and stats.external_calls >= 2
+        assert stats.per_function_instructions["scale"] > 0
+
     def _run_multiplexed(self, fast):
         """More events than generic counters, with a rotation mid-workload."""
         descriptor = spacemit_x60()

@@ -170,6 +170,54 @@ class TestEngineQuantum:
                             engine.stats.machine_ops)
         assert counts[True] == counts[False]
 
+    def test_yield_inside_callee_lands_on_same_machine_state(self):
+        """A quantum that runs out inside a callee preempts both engines at
+        the same modelled machine state.  (``stats`` may differ at such a
+        yield: inside a callee the fast path counts a block's instructions
+        when it enters the block, the reference path as it executes them.)"""
+        from repro.compiler.cache import compile_source_cached
+        from repro.compiler.targets import target_for_platform
+        from repro.platforms import Machine, spacemit_x60
+        from repro.vm import ExecutionEngine
+
+        source = """
+        float helper(float x) {
+          float acc = x;
+          for (long i = 0; i < 200; i++) { acc = acc + 1.0f; }
+          return acc;
+        }
+        float caller(float x) {
+          float acc = x;
+          for (long k = 0; k < 4; k++) { acc = helper(acc); }
+          return acc;
+        }
+        """
+        descriptor = spacemit_x60()
+        module = compile_source_cached(source, "calls.c", descriptor,
+                                       enable_vectorizer=True)
+        runs = {}
+        for fast in (True, False):
+            machine = Machine(descriptor)
+            task = machine.create_task("calls")
+            engine = ExecutionEngine(module, machine,
+                                     target_for_platform(descriptor),
+                                     task=task, fast_dispatch=fast)
+            points = []
+            preempted = engine.run_yielding("caller", [0.0], quantum=37)
+            while True:
+                try:
+                    next(preempted)
+                except StopIteration as stop:
+                    result = stop.value
+                    break
+                points.append((machine.cycles, machine.instructions,
+                               task.callchain()))
+            runs[fast] = (result, points, machine.cycles, machine.instructions)
+        assert runs[True] == runs[False]
+        result, points, _cycles, _instructions = runs[True]
+        assert result == 800.0
+        assert sum(1 for point in points if point[2][0] == "helper") > 4
+
     @pytest.mark.parametrize("fast", [True, False], ids=["fast", "slow"])
     def test_run_yielding_matches_plain_run(self, fast):
         preempted, memory_a, args_a = self._engine(fast)
@@ -189,8 +237,8 @@ class TestEngineQuantum:
     @pytest.mark.parametrize("fast", [True, False], ids=["fast", "slow"])
     def test_run_while_suspended_still_executes_internal_calls(self, fast):
         """run() on an engine whose run_yielding() generator is suspended
-        must execute internal calls normally (the yield-mode cell is scoped
-        to the generator, not the engine's lifetime)."""
+        must execute internal calls normally and be fuel-neutral: the parked
+        run yields exactly as often as an undisturbed one."""
         from repro.compiler.cache import compile_source_cached
         from repro.platforms import spacemit_x60
         from repro.vm import ExecutionEngine
@@ -206,13 +254,50 @@ class TestEngineQuantum:
         """
         module = compile_source_cached(source, "reentrant.c", spacemit_x60(),
                                        enable_vectorizer=True)
+        undisturbed = sum(1 for _ in ExecutionEngine(module, fast_dispatch=fast)
+                          .run_yielding("looper", [0.0, 500], quantum=50))
         engine = ExecutionEngine(module, fast_dispatch=fast)
         suspended = engine.run_yielding("looper", [0.0, 500], quantum=50)
         next(suspended)                       # leave it parked mid-loop
         assert engine.run("caller", [3.0]) == 7.0
         remaining = sum(1 for _ in suspended)
-        assert remaining > 0                  # the parked run still finishes
+        assert 1 + remaining == undisturbed > 1
         assert engine.run("caller", [5.0]) == 11.0
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "slow"])
+    def test_run_from_external_handler_is_fuel_neutral(self, fast):
+        """run() re-entered mid-quantum (from an external handler) must not
+        spend or reset the running run_yielding()'s fuel."""
+        from repro.compiler.cache import compile_source_cached
+        from repro.platforms import spacemit_x60
+        from repro.vm import ExecutionEngine
+
+        source = """
+        float helper(float x) { return x * 2.0f; }
+        float looper(float x, long n) {
+          float acc = x;
+          for (long i = 0; i < n; i++) { acc = fabsf(acc) + 1.0f; }
+          return acc;
+        }
+        """
+        module = compile_source_cached(source, "nested.c", spacemit_x60(),
+                                       enable_vectorizer=True)
+
+        class Reentrant:
+            def handles(self, name):
+                return name == "fabsf"
+
+            def call(self, name, args):
+                assert engine.run("helper", [3.0]) == 6.0
+                return abs(args[0])
+
+        undisturbed = sum(1 for _ in ExecutionEngine(module, fast_dispatch=fast)
+                          .run_yielding("looper", [0.0, 500], quantum=50))
+        engine = ExecutionEngine(module, external_handlers=[Reentrant()],
+                                 fast_dispatch=fast)
+        nested = sum(1 for _ in engine.run_yielding("looper", [0.0, 500],
+                                                    quantum=50))
+        assert nested == undisturbed > 1
 
     @pytest.mark.parametrize("fast", [True, False], ids=["fast", "slow"])
     def test_validation_is_eager_not_deferred_to_first_next(self, fast):
