@@ -15,19 +15,16 @@ from repro.service.daemon import (
     ServiceConfig,
     serve,
 )
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.pool import WarmPool, warm_kernel_plan, warm_worker
 from repro.service.wire import cache_key, canonical_json
 
 __all__ = [
     "BackgroundServer",
-    "LatencyHistogram",
     "ReproService",
     "ResultCache",
     "ServiceClient",
     "ServiceConfig",
     "ServiceError",
-    "ServiceMetrics",
     "ServiceReply",
     "WarmPool",
     "cache_key",

@@ -41,12 +41,15 @@ Responses carry ``X-Repro-Cache: hit|miss|bypass|coalesced``,
 *bodies* are byte-identical across hit and fill, which the end-to-end
 determinism tests assert.
 
-``GET /metrics`` is built on the unified telemetry registry
-(:mod:`repro.telemetry`): worker processes ship each request's registry
-delta back alongside the cacheable payload and the daemon merges it, so
-block-delta, fast-cache, compile-cache and pool series are served next to
-the service's own request counters (JSON under the ``engine`` key;
-Prometheus appended after the service families).
+``GET /metrics`` renders two :class:`~repro.telemetry.MetricsRegistry`
+instances, each family under exactly one name: the daemon's own
+(``self.registry``: request, execution, rejection, timeout and error
+counters, the latency histogram, and queue/pool/cache/breaker gauges sampled
+at render time) and the process-wide ``repro.telemetry.REGISTRY`` of engine
+tallies.  Worker processes ship each request's engine delta back alongside
+the cacheable payload and the daemon merges it into the process registry.
+JSON puts the process registry under the ``engine`` key; Prometheus appends
+it after the daemon's families.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from repro.api.executor import RunRequest
 from repro.service import pool as pool_module
 from repro.service import wire
 from repro.service.cache import ResultCache
-from repro.service.metrics import ServiceMetrics
 from repro.service.pool import WarmPool, WorkerCrash
 from repro.service.resilience import (
     PROBE,
@@ -100,6 +102,25 @@ _REASONS = {
 
 #: Header clients set to skip the cache lookup (the fill still happens).
 BYPASS_HEADER = "x-repro-no-cache"
+
+#: Request-latency histogram bounds, in seconds (Prometheus ``le`` labels).
+LATENCY_BUCKETS: Tuple[float, ...] = (
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
+)
+
+#: The daemon's unlabeled event counters (name -> help).  They start at
+#: zero, so every scrape reports them.
+_EVENT_COUNTERS = {
+    "repro_service_coalesced_total":
+        "Requests served by awaiting an identical in-flight run",
+    "repro_service_rejected_total":
+        "Requests bounced with 429 by admission control",
+    "repro_service_timeouts_total":
+        "Requests that hit the per-request timeout",
+    "repro_service_errors_total":
+        "Requests that failed with a structured error",
+}
 
 
 @dataclass(frozen=True)
@@ -175,7 +196,20 @@ class ReproService:
             from repro.cache.store import DiskCache
             store = DiskCache(config.cache_dir)
         self.cache = ResultCache(config.cache_entries, store=store)
-        self.metrics = ServiceMetrics()
+        #: This daemon's service series.  Per instance, so two daemons in
+        #: one process never share counts; engine tallies stay in the
+        #: process-wide ``repro.telemetry.REGISTRY``.
+        self.registry = _telemetry.MetricsRegistry()
+        for name, help_text in _EVENT_COUNTERS.items():
+            self.registry.counter(name, help_text).inc(0)
+        self._requests = self.registry.counter(
+            "repro_service_requests_total", "Requests seen per endpoint")
+        self._executions = self.registry.counter(
+            "repro_service_executions_total",
+            "Requests executed on a worker, per endpoint")
+        self._latency = self.registry.histogram(
+            "repro_service_request_seconds", "Request latency per endpoint",
+            bounds=LATENCY_BUCKETS)
         warm_configs = [(self._canonical_platform(name), True, cpus)
                         for name in config.warm_platforms
                         for cpus in config.warm_cpus]
@@ -363,13 +397,9 @@ class ReproService:
         except _Reject as reject:
             status, body = reject.status, wire.encode_body(reject.payload)
             extra = reject.headers
-            if reject.status == 429:
-                self.metrics.rejected += 1
-                _telemetry.REGISTRY.counter(
-                    "repro_service_rejected_total",
-                    "Requests bounced with 429 by admission control").inc()
-            else:
-                self.metrics.errors += 1
+            self.registry.counter(
+                "repro_service_rejected_total" if reject.status == 429
+                else "repro_service_errors_total").inc()
         except (asyncio.IncompleteReadError, ConnectionError):
             writer.close()
             return
@@ -377,10 +407,10 @@ class ReproService:
             status = 500
             body = wire.encode_body(wire.error_payload(
                 type(error).__name__, str(error)))
-            self.metrics.errors += 1
+            self.registry.counter("repro_service_errors_total").inc()
         elapsed = _now() - started
-        self.metrics.count_request(endpoint)
-        self.metrics.observe_latency(endpoint, elapsed)
+        self._requests.inc(endpoint=endpoint)
+        self._latency.observe(elapsed, endpoint=endpoint)
         # Interleaved asyncio requests would corrupt a span stack, so each
         # request records as a flat root (no-op while tracing is off).
         _telemetry.record("service_request", cat="service",
@@ -438,13 +468,6 @@ class ReproService:
 
     # -- simple GET endpoints -----------------------------------------------------------
 
-    def _gauges(self) -> dict:
-        return {
-            "queue_depth": max(0, self._admitted - self._in_flight),
-            "in_flight": self._in_flight,
-            "queue_limit": self.config.queue_limit,
-        }
-
     def _healthz(self) -> dict:
         if self._draining:
             status = "draining"
@@ -461,21 +484,20 @@ class ReproService:
             "breaker": self.breaker.to_dict(),
         }
 
-    def _sync_registry_gauges(self) -> None:
-        """Mirror point-in-time service state into the unified registry.
-
-        Counter-shaped series (admissions, rejections, pool restocks,
-        engine tallies) accumulate where they happen; gauges are sampled
-        here, right before a render, so ``/metrics`` reports the state at
-        serving time whichever format is asked for.
-        """
-        registry = _telemetry.REGISTRY
+    def _metrics_response(self, request: _HttpRequest):
+        wants_prometheus = (
+            request.query.get("format") == "prometheus"
+            or "text/plain" in request.headers.get("accept", ""))
+        # Counters accumulate where they happen; gauges are point-in-time,
+        # sampled here so either format reports the state at serving time.
+        registry = self.registry
         queue = registry.gauge("repro_service_queue",
                                "Admission-control occupancy by state")
-        for name, value in self._gauges().items():
-            queue.set(value, state=name)
-        pool_gauge = registry.gauge("repro_service_pool",
-                                    "Worker-pool state")
+        queue.set(max(0, self._admitted - self._in_flight),
+                  state="queue_depth")
+        queue.set(self._in_flight, state="in_flight")
+        queue.set(self.config.queue_limit, state="queue_limit")
+        pool_gauge = registry.gauge("repro_service_pool", "Worker-pool state")
         pool_gauge.set(self.pool.workers, state="workers")
         pool_gauge.set(self.pool.restarts, state="restarts")
         cache_gauge = registry.gauge("repro_result_cache",
@@ -488,23 +510,11 @@ class ReproService:
                           state="open")
         breaker_gauge.set(len(self.breaker.quarantined), state="quarantined")
         breaker_gauge.set(self.breaker.opens, state="opens")
-
-    def _metrics_response(self, request: _HttpRequest):
-        wants_prometheus = (
-            request.query.get("format") == "prometheus"
-            or "text/plain" in request.headers.get("accept", ""))
-        self.metrics.worker_restarts = self.pool.restarts
-        self._sync_registry_gauges()
         if wants_prometheus:
-            # Service families first (their tested lines stay byte-stable),
-            # then the unified registry: engine tallies merged back from
-            # workers, pool restocks, queue/cache gauges.
-            text = (self.metrics.prometheus(self._gauges(),
-                                            self.cache.stats())
-                    + _telemetry.REGISTRY.prometheus())
+            text = registry.prometheus() + _telemetry.REGISTRY.prometheus()
             return 200, text.encode("utf-8"), \
                 "text/plain; version=0.0.4; charset=utf-8", {}
-        payload = self.metrics.to_dict(self._gauges(), self.cache.stats())
+        payload = registry.to_dict()
         payload["engine"] = _telemetry.REGISTRY.to_dict()
         return 200, wire.encode_body(payload), "application/json", {}
 
@@ -649,9 +659,6 @@ class ReproService:
         loop = asyncio.get_running_loop()
         self._admitted += 1
         self._idle.clear()
-        _telemetry.REGISTRY.counter(
-            "repro_service_admitted_total",
-            "Requests admitted past admission control").inc(endpoint=endpoint)
         await self._slots.acquire()
         self._in_flight += 1
         generation = self.pool.generation
@@ -670,7 +677,7 @@ class ReproService:
                 pass  # loop already closed at shutdown; nothing to release
 
         future.add_done_callback(_release_when_done)
-        self.metrics.count_execution(endpoint)
+        self._executions.inc(endpoint=endpoint)
         submitted = _now()
         try:
             result = await self._pool_result(future, loop)
@@ -693,7 +700,7 @@ class ReproService:
         except asyncio.TimeoutError:
             if probe:
                 self.breaker.abort_probe()
-            self.metrics.timeouts += 1
+            self.registry.counter("repro_service_timeouts_total").inc()
             raise _Reject(504, wire.error_payload(
                 "Timeout",
                 f"request exceeded the {self.config.request_timeout:g}s "
@@ -757,7 +764,7 @@ class ReproService:
                 return cached, "hit"
             pending = self._pending.get(key)
             if pending is not None:
-                self.metrics.coalesced += 1
+                self.registry.counter("repro_service_coalesced_total").inc()
                 body = await asyncio.shield(pending)
                 return body, "coalesced"
         # Cache hits are served above even while degraded; only an actual

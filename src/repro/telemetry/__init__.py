@@ -3,8 +3,9 @@
 The profiler profiling itself.  Three pieces:
 
 * :data:`REGISTRY` -- one :class:`~repro.telemetry.registry.MetricsRegistry`
-  per process.  Hot paths keep plain integer tallies; run collectors and
-  the service daemon fold them into labeled series at boundaries.
+  per process.  Hot paths keep plain integer tallies; run collectors fold
+  them into labeled series at boundaries (the service daemon merges its
+  workers' deltas here and counts its own series in its own instance).
 * :data:`TRACER` -- one :class:`~repro.telemetry.spans.Tracer` per process,
   disabled by default.  ``with span("compile", workload=...):`` costs one
   attribute check while disabled.

@@ -17,6 +17,7 @@ metrics delta (and span wire dicts) back to the parent, which merges them
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
@@ -138,15 +139,15 @@ class RunCollector:
         self._before = None
 
 
+@dataclass
 class Captured:
     """What one :func:`capture` window observed."""
 
-    def __init__(self) -> None:
-        self.metrics: dict = {}
-        self.spans: List[dict] = []
+    metrics: dict = field(default_factory=dict)
+    spans: List[dict] = field(default_factory=list)
 
     def to_wire(self) -> dict:
-        return {"metrics": self.metrics, "spans": self.spans}
+        return dict(vars(self))
 
 
 @contextmanager

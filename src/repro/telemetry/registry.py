@@ -1,10 +1,11 @@
-"""Process-wide metrics registry: labeled counters, gauges and histograms.
+"""The metrics registry: labeled counters, gauges and histograms.
 
-The registry is the one place engine-, service- and CLI-level counters
-meet.  Hot paths never touch it -- they keep plain integer attributes
-(``Cache.mru_hits``, ``CoreTimingModel.delta_blocks_retired``, the
-compile-cache module counters) and a :class:`repro.telemetry.collect.RunCollector`
-folds the before/after deltas into labeled series at run boundaries.
+The one metrics system: engine and CLI counters meet in the process-wide
+``REGISTRY``; each service daemon owns an instance.  Hot paths never touch
+it -- they keep plain integer attributes (``Cache.mru_hits``,
+``CoreTimingModel.delta_blocks_retired``, the compile-cache module
+counters) and a :class:`repro.telemetry.collect.RunCollector` folds the
+before/after deltas into labeled series at run boundaries.
 
 Design constraints, in order:
 

@@ -15,6 +15,8 @@ in-process CLI modulo the stripped ``timings`` key.
 import json
 import os
 import re
+import threading
+import time
 import urllib.request
 
 import pytest
@@ -29,7 +31,6 @@ from repro.service import wire
 from repro.service.cache import ResultCache
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import BackgroundServer, ServiceConfig
-from repro.service.metrics import LatencyHistogram
 from repro.service.pool import WarmPool, WorkerCrash
 from repro.workloads import registry
 
@@ -50,6 +51,21 @@ def server():
 @pytest.fixture(scope="module")
 def client(server):
     return ServiceClient(server.address)
+
+
+#: The ``endpoint`` label of ``POST /run`` series, as ``/metrics`` renders it.
+RUN = '{endpoint="POST /run"}'
+
+
+def _value(metrics: dict, family: str, labels: str = ""):
+    """One series of a ``/metrics`` JSON family (``""``: the unlabeled one)."""
+    return metrics[family]["series"].get(labels, 0)
+
+
+def _states(metrics: dict, family: str) -> dict:
+    """A ``{state=...}``-labeled gauge family as a ``state -> value`` dict."""
+    return {re.fullmatch(r'\{state="(.*)"\}', labels).group(1): value
+            for labels, value in metrics[family]["series"].items()}
 
 
 def _post_raw(address: str, path: str, payload: dict,
@@ -115,15 +131,6 @@ def test_result_cache_evicts_least_recently_used():
 def test_result_cache_rejects_nonpositive_bound():
     with pytest.raises(ValueError, match="max_entries"):
         ResultCache(max_entries=0)
-
-
-def test_latency_histogram_buckets_are_cumulative():
-    histogram = LatencyHistogram(bounds=(0.1, 1.0))
-    for seconds in (0.05, 0.5, 0.5, 5.0):
-        histogram.observe(seconds)
-    assert histogram.to_dict() == {
-        "count": 4, "sum_seconds": 6.05,
-        "buckets": {"0.1": 1, "1": 3, "+Inf": 4}}
 
 
 # -- spec / request round trips -----------------------------------------------------------
@@ -318,13 +325,13 @@ def test_any_knob_change_misses_the_cache(server, client):
 def test_bypass_header_skips_lookup_but_refills(server, client):
     request = {"platform": "SpacemiT X60", "workload": "memset",
                "params": {"n": 96}, "spec": dict(_COUNTING)}
-    before = client.metrics()["executions"].get("POST /run", 0)
+    before = _value(client.metrics(), "repro_service_executions_total", RUN)
     assert client.run(request, with_meta=True).cache == "miss"
     assert client.run(request, bypass_cache=True,
                       with_meta=True).cache == "bypass"
     after = client.metrics()
-    assert after["executions"]["POST /run"] == before + 2
-    assert after["cache"]["bypasses"] >= 1
+    assert _value(after, "repro_service_executions_total", RUN) == before + 2
+    assert _states(after, "repro_result_cache")["bypasses"] >= 1
     # The bypass refilled the entry: the next lookup is a hit.
     assert client.run(request, with_meta=True).cache == "hit"
 
@@ -333,10 +340,12 @@ def test_identical_requests_execute_once(server, client):
     request = {"platform": "T-Head C910", "workload": "memset",
                "params": {"n": 128}, "spec": dict(_COUNTING)}
     first = client.run(request, with_meta=True)
-    executions = client.metrics()["executions"]["POST /run"]
+    executions = _value(client.metrics(), "repro_service_executions_total",
+                        RUN)
     second = client.run(request, with_meta=True)
     assert (first.cache, second.cache) == ("miss", "hit")
-    assert client.metrics()["executions"]["POST /run"] == executions
+    assert _value(client.metrics(), "repro_service_executions_total",
+                  RUN) == executions
     assert second.payload == first.payload
     # Every response -- hits included -- carries a distinct trace id.
     assert re.fullmatch(r"req-\d{6}", first.trace_id)
@@ -424,7 +433,7 @@ def test_plan_flood_is_rejected_with_retry_after():
         # The header and the structured error body carry the same value.
         assert float(header) == error.payload["error"]["retry_after"] \
             == error.retry_after
-        assert client.metrics()["rejected"] == 1
+        assert _value(client.metrics(), "repro_service_rejected_total") == 1
         # A single request still fits under the bound and fills the cache.
         single = client.run({"platform": "x60", "workload": "memset",
                              "spec": dict(_COUNTING)}, with_meta=True)
@@ -440,7 +449,7 @@ def test_request_timeout_is_a_504():
             client.run({"platform": "x60", "workload": "memset",
                         "spec": dict(_COUNTING)})
         assert (excinfo.value.status, excinfo.value.kind) == (504, "Timeout")
-        assert client.metrics()["timeouts"] == 1
+        assert _value(client.metrics(), "repro_service_timeouts_total") == 1
 
 
 def test_worker_crash_fails_in_flight_and_respawns_the_pool():
@@ -461,7 +470,8 @@ def test_worker_crash_fails_in_flight_and_respawns_the_pool():
                                 "params": {"n": 64},
                                 "spec": dict(_COUNTING)}, with_meta=True)
             assert reply.cache in ("miss", "hit")
-            assert client.metrics()["worker_restarts"] == 1
+            assert _states(client.metrics(),
+                           "repro_service_pool")["restarts"] == 1
     finally:
         registry._factories.pop("crash-on-run", None)
         registry._descriptions.pop("crash-on-run", None)
@@ -550,17 +560,22 @@ def test_cli_server_unreachable_daemon_fails_cleanly(capsys):
 def _normalized_metrics(metrics: dict) -> dict:
     """The deterministic projection of /metrics: latency histograms reduce
     to their counts (durations are host wall-clock), and the ``engine`` key
-    is dropped entirely -- the unified registry is process-global, so its
+    is dropped entirely -- the engine registry is process-global, so its
     series depend on whatever else ran in this pytest process (and its
     phase histograms carry wall-clock sums)."""
     normalized = dict(metrics)
     normalized.pop("engine", None)
-    normalized["latency_seconds"] = {
+    latency = metrics["repro_service_request_seconds"]
+    normalized["repro_service_request_seconds"] = dict(latency, series={
         endpoint: {"count": histogram["count"]}
-        for endpoint, histogram in metrics["latency_seconds"].items()}
-    cache = dict(metrics["cache"])
-    normalized["cache"] = cache
+        for endpoint, histogram in latency["series"].items()})
     return normalized
+
+
+def _service_families(registry_dict: dict) -> set:
+    return {name for name in registry_dict
+            if name.startswith("repro_service_")
+            or name == "repro_result_cache"}
 
 
 def test_metrics_golden(request):
@@ -587,21 +602,24 @@ def test_metrics_golden(request):
             ])
         client.healthz()
         metrics = client.metrics()
-        # The unified-registry series ride under "engine": run tallies from
-        # the executed requests plus the daemon's own admission accounting.
+        # The daemon's own series are top level; the process registry's
+        # engine tallies (run counts from the executed requests) ride
+        # under "engine" and hold no service family.
         engine = metrics["engine"]
         assert "repro_runs_total" in engine
-        assert "repro_service_admitted_total" in engine
-        assert "repro_result_cache" in engine
+        assert not _service_families(engine)
+        assert "repro_service_executions_total" in metrics
+        assert "repro_result_cache" in metrics
         normalized = json.dumps(_normalized_metrics(metrics),
                                 indent=2) + "\n"
         # The Prometheus rendering exposes the same counters.
         prometheus = client.metrics(format="prometheus")
         # 4 = miss + hit + bypass + the rejected bad request.
-        assert 'repro_requests_total{endpoint="POST /run"} 4' in prometheus
-        assert "repro_cache_hits_total 1" in prometheus
-        assert "repro_rejected_total 1" in prometheus
-        # ... and the unified registry is appended after the service families.
+        assert ('repro_service_requests_total{endpoint="POST /run"} 4'
+                in prometheus)
+        assert 'repro_result_cache{state="hits"} 1' in prometheus
+        assert "repro_service_rejected_total 1" in prometheus
+        # ... and the engine registry is appended after the daemon's.
         assert "# TYPE repro_runs_total counter" in prometheus
         assert "# TYPE repro_service_queue gauge" in prometheus
 
@@ -618,6 +636,106 @@ def test_metrics_golden(request):
     assert normalized == golden, (
         "/metrics diverged from tests/goldens/service_metrics.json; if the "
         "change is intentional, rerun with --update-goldens and review")
+
+
+def test_metrics_json_and_prometheus_render_the_same_families(server, client):
+    client.run({"platform": "x60", "workload": "memset",
+                "params": {"n": 32}, "spec": dict(_COUNTING)})
+    metrics = client.metrics()
+    prometheus = client.metrics(format="prometheus")
+    typed = re.findall(r"^# TYPE (\S+) ", prometheus, flags=re.MULTILINE)
+    assert len(typed) == len(set(typed)), "a family is rendered twice"
+    json_families = (set(metrics) - {"engine"}) | set(metrics["engine"])
+    assert set(typed) == json_families
+
+
+def test_each_daemon_counts_only_its_own_requests():
+    """Two daemons in one process: the second one's /metrics reports its
+    own requests only, and no family is served under two names."""
+    for _daemon in range(2):
+        config = ServiceConfig(port=0, workers=0, queue_limit=1,
+                               warm_kernels=False)
+        with BackgroundServer(config) as background:
+            client = ServiceClient(background.address)
+            client.run({"platform": "x60", "workload": "memset",
+                        "params": {"n": 48}, "spec": dict(_COUNTING)})
+            with pytest.raises(ServiceError) as excinfo:
+                client.plan([                        # deterministic 429
+                    {"platform": "x60", "workload": "memset",
+                     "spec": dict(_COUNTING, seed=3)},
+                    {"platform": "u74", "workload": "memset",
+                     "spec": dict(_COUNTING, seed=3)},
+                ])
+            assert excinfo.value.status == 429
+            metrics = client.metrics()
+    assert _value(metrics, "repro_service_rejected_total") == 1
+    assert _value(metrics, "repro_service_executions_total", RUN) == 1
+    assert not (set(metrics) - {"engine"}) & set(metrics["engine"])
+    assert not _service_families(metrics["engine"])
+
+
+class _BlockOnRun:
+    """``memset`` whose run waits for :attr:`release` before executing."""
+
+    name = "block-on-run"
+    description = "waits on an event mid-run (coalescing tests)"
+    release = threading.Event()
+
+    def __init__(self):
+        self._inner = registry.create("memset")
+
+    def __getattr__(self, attribute):
+        return getattr(self._inner, attribute)
+
+    def executable(self, *args):
+        assert self.release.wait(120), "the test never released the run"
+        return self._inner.executable(*args)
+
+
+def test_identical_in_flight_requests_are_coalesced():
+    """A request identical to one still executing awaits it instead of
+    executing again, and is served the same bytes."""
+    registry.register("block-on-run", _BlockOnRun)
+    _BlockOnRun.release.clear()
+    try:
+        config = ServiceConfig(port=0, workers=0, warm_kernels=False)
+        with BackgroundServer(config) as background:
+            client = ServiceClient(background.address)
+            request = {"platform": "x60", "workload": "block-on-run",
+                       "spec": dict(_COUNTING)}
+            replies = {}
+
+            def send(name):
+                replies[name] = _post_raw(background.address, "/run",
+                                          request)
+
+            first = threading.Thread(target=send, args=("a",))
+            first.start()
+            deadline = time.monotonic() + 60
+            while not background.service._pending:
+                assert time.monotonic() < deadline, "A never went in flight"
+                time.sleep(0.01)
+            second = threading.Thread(target=send, args=("b",))
+            second.start()
+            while _value(client.metrics(),
+                         "repro_service_coalesced_total") != 1:
+                assert time.monotonic() < deadline, "B was never coalesced"
+                time.sleep(0.01)
+            _BlockOnRun.release.set()
+            first.join(120)
+            second.join(120)
+            (status_a, body_a, headers_a) = replies["a"]
+            (status_b, body_b, headers_b) = replies["b"]
+            assert (status_a, status_b) == (200, 200)
+            assert (headers_a["X-Repro-Cache"],
+                    headers_b["X-Repro-Cache"]) == ("miss", "coalesced")
+            assert body_a == body_b
+            assert _value(client.metrics(), "repro_service_executions_total",
+                          RUN) == 1
+    finally:
+        _BlockOnRun.release.set()
+        registry._factories.pop("block-on-run", None)
+        registry._descriptions.pop("block-on-run", None)
 
 
 # -- capabilities ------------------------------------------------------------------------
@@ -732,11 +850,11 @@ def test_daemon_restart_serves_results_from_disk(tmp_path):
         reply = client.run(request, with_meta=True)
         assert reply.cache == "hit", "restart must start hot"
         assert json.dumps(reply.payload, sort_keys=True) == cold
-        stats = client.metrics()["cache"]
+        stats = _states(client.metrics(), "repro_result_cache")
         assert stats["disk_hits"] == 1
         assert stats["hits"] == 1 and stats["misses"] == 0
 
 
 def test_memory_only_daemon_metrics_have_no_disk_keys(client):
-    stats = client.metrics()["cache"]
+    stats = _states(client.metrics(), "repro_result_cache")
     assert "disk_hits" not in stats and "disk_misses" not in stats
