@@ -1,17 +1,21 @@
-"""Parallel run executor: fan profiling runs out over worker processes.
+"""The worker pool and the parallel run executor.
 
 Every modelled machine is deterministic and every :meth:`repro.api.Session.
 run` is independent (a session builds its own machines; compiled modules are
 memoized per process), so a plan of ``platform x workload x spec`` runs can
 execute in any order -- or in parallel -- and produce bit-identical results.
-:func:`run_many` exploits that: requests fan out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`, each worker warms its
-compile cache once (:func:`compile_source_cached` memoizes per process), and
-the results come back in request order regardless of completion order.
+:func:`run_many` exploits that: requests fan out over a :class:`WorkerPool`,
+each worker warms its compile cache once (:func:`compile_source_cached`
+memoizes per process), and the results come back in request order
+regardless of completion order.
 
-``Session.compare(..., workers=N)`` and the figure/table benchmark drivers
-are the in-tree consumers; the building blocks are public so external
-sweeps (platform matrices, parameter scans) can schedule their own plans.
+:class:`WorkerPool` is the one pool every parallel consumer drives: the
+``repro serve`` daemon, :func:`run_plan`/:func:`run_many` (and through them
+``Session.compare(..., workers=N)`` and ``repro sweep``).  It owns the
+process executor, the warm initializer (:func:`warm_worker` over a
+:func:`warmup_plan`), the generation-guarded ``BrokenProcessPool`` respawn
+and the ``pool.*`` fault points; :func:`run_shipped` is the one worker entry
+point and :func:`merge_shipped` folds what it ships back into the parent.
 
 Requests should carry workloads *by registry name* (plus factory params):
 names pickle trivially and each worker builds its own instance.  Concrete
@@ -22,10 +26,10 @@ any process is spawned.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -34,9 +38,15 @@ from repro import faults as _faults
 from repro.api.run import Run
 from repro.api.spec import ProfileSpec
 
-#: True only in a ``run_plan`` pool worker (set by the pool initializer), so
-#: the crash fault point can never kill the coordinating parent process.
-_IN_WORKER_PROCESS = False
+#: The exception pool futures raise when a worker process died (the inline
+#: pool raises it for an injected crash too).
+WorkerCrash = BrokenProcessPool
+
+#: Which pool the current thread executes request bodies for: ``role`` is
+#: ``"process"`` in a pool child, ``"inline"`` on a ``workers=0`` pool's
+#: thread, and unset everywhere else.  Set only by the pool initializers,
+#: so a serial plan or a warmup run in a caller's thread is never armed.
+_POOL_THREAD = threading.local()
 
 
 @dataclass(frozen=True)
@@ -118,11 +128,55 @@ class RunRequest:
         )
 
 
+def canonical_request(request: RunRequest) -> dict:
+    """The canonical wire form of *request*: platform alias resolved, spec
+    defaults applied, workload checked against the registry.
+
+    Equivalent spellings canonicalize identically, so the daemon, the sweep
+    engine and :func:`request_cache_key` address one run with one
+    ``cache_key("run", ...)``.  Raises ``ValueError`` (or the platform
+    lookup's error) for a request that cannot name a registered run.
+    """
+    from repro.platforms import platform_by_name
+    from repro.workloads import registry
+    canonical = request.to_dict()
+    canonical["platform"] = platform_by_name(canonical["platform"]).name
+    if canonical["workload"] not in registry:
+        raise ValueError(
+            f"unknown workload {canonical['workload']!r}; "
+            f"available: {', '.join(sorted(registry))}")
+    return canonical
+
+
 def _resolve_workload(request: RunRequest):
     if isinstance(request.workload, str):
         from repro.workloads import registry
         return registry.create(request.workload, **dict(request.params))
     return request.workload
+
+
+def _platform_key(platform: Union[str, object]) -> str:
+    return platform if isinstance(platform, str) else platform.name
+
+
+# -- worker side --------------------------------------------------------------------------
+
+
+def inject_worker_faults() -> None:
+    """The chaos hook every request body runs first.
+
+    ``pool.slow_worker`` sleeps wherever the body runs.  ``pool.worker_crash``
+    kills a pool child process outright, raises :data:`WorkerCrash` on an
+    inline pool's thread (the "worker" is the daemon itself), and does
+    nothing anywhere else -- a serial in-process plan must never die.
+    """
+    _faults.delay("pool.slow_worker")
+    if _faults.fires("pool.worker_crash"):
+        role = getattr(_POOL_THREAD, "role", None)
+        if role == "inline":
+            raise WorkerCrash("injected worker crash (inline pool)")
+        if role == "process":
+            os._exit(83)
 
 
 def execute_request(request: RunRequest) -> Run:
@@ -134,15 +188,7 @@ def execute_request(request: RunRequest) -> Run:
     """
     from repro import telemetry as _telemetry
     from repro.api.session import Session
-    # The crash fault may only ever kill a genuine multiprocessing child:
-    # _IN_WORKER_PROCESS alone is not enough, because warmup helpers can
-    # legitimately run in the main process (tests, inline pools) and must
-    # never leave it armed for os._exit.
-    if (_IN_WORKER_PROCESS
-            and multiprocessing.parent_process() is not None
-            and _faults.fires("executor.worker_crash")):
-        os._exit(83)
-    _faults.delay("executor.slow_worker")
+    inject_worker_faults()
     outcomes = _telemetry.REGISTRY.counter(
         "repro_executor_requests_total",
         "Executor run requests by outcome")
@@ -157,39 +203,35 @@ def execute_request(request: RunRequest) -> Run:
     return run
 
 
-def _execute_request_shipped(request: RunRequest):
-    """Worker body that ships the run's telemetry delta back to the parent.
+def run_shipped(body: Callable, argument: object, spans: bool = False):
+    """The one worker entry point: ``body(argument)`` under
+    :func:`repro.telemetry.capture`.
 
-    Returns ``(run, captured_wire)``: the registry delta this request
-    produced in the worker process, plus span wire dicts when the request's
-    spec asked for telemetry.  The parent merges both -- merging is safe
-    precisely because the worker is a different process.
+    Returns ``(result, wire)``: the body's result plus the registry delta it
+    produced (and span wire dicts when *spans*).  The parent folds *wire* in
+    with :func:`merge_shipped` -- only when the body ran in another process.
     """
     from repro import telemetry as _telemetry
-    with _telemetry.capture(spans=request.spec.telemetry) as captured:
-        run = execute_request(request)
-    return run, captured.to_wire()
+    with _telemetry.capture(spans=spans) as captured:
+        result = body(argument)
+    return result, captured.to_wire()
 
 
-def _merge_shipped(request: RunRequest, index: int, shipped: dict) -> None:
-    """Fold one worker's shipped telemetry into this (parent) process."""
+def merge_shipped(wire: dict, span_name: str, cat: str, **args) -> None:
+    """Fold one worker's shipped telemetry into this (parent) process; its
+    spans hang under a *span_name* root carrying *args*."""
     from repro import telemetry as _telemetry
-    _telemetry.REGISTRY.merge(shipped["metrics"])
-    if shipped["spans"]:
-        parent = _telemetry.record(
-            "run_many_worker", cat="run", index=index,
-            platform=_platform_key(request.platform),
-            workload=getattr(request.workload, "name", request.workload))
+    _telemetry.REGISTRY.merge(wire["metrics"])
+    if wire["spans"]:
+        parent = _telemetry.record(span_name, cat=cat, **args)
         if parent is not None:
-            _telemetry.TRACER.attach_wire(shipped["spans"], parent=parent)
+            _telemetry.TRACER.attach_wire(wire["spans"], parent=parent)
 
 
-def _platform_key(platform: Union[str, object]) -> str:
-    return platform if isinstance(platform, str) else platform.name
-
-
-def _warmup_plan(requests: Sequence[RunRequest]) -> List[tuple]:
-    """The distinct kernel sources a plan compiles, for per-worker warmup."""
+def warmup_plan(requests: Sequence[RunRequest]) -> List[tuple]:
+    """The distinct kernel sources *requests* compile, for per-worker
+    warmup (workloads without a KernelC source -- synthetic traces -- drop
+    out)."""
     warmups: List[tuple] = []
     seen = set()
     for request in requests:
@@ -207,11 +249,9 @@ def _warmup_plan(requests: Sequence[RunRequest]) -> List[tuple]:
     return warmups
 
 
-def _warm_worker(warmups: Sequence[tuple]) -> None:
-    """Pool initializer: precompile the plan's kernels into this worker's
-    process-wide compile cache, so first runs don't pay cold compiles."""
-    global _IN_WORKER_PROCESS
-    _IN_WORKER_PROCESS = True
+def warm_worker(warmups: Sequence[tuple]) -> None:
+    """Precompile *warmups* into this process's compile cache, so first
+    runs don't pay cold compiles."""
     from repro.compiler.cache import compile_source_cached, reset_stats
     from repro.platforms import platform_by_name
     for platform, source, filename, enable_vectorizer in warmups:
@@ -230,6 +270,83 @@ def _warm_worker(warmups: Sequence[tuple]) -> None:
     reset_stats()
 
 
+def _enter_process_worker(warmups: Sequence[tuple]) -> None:
+    _POOL_THREAD.role = "process"
+    warm_worker(warmups)
+
+
+def _enter_inline_worker() -> None:
+    _POOL_THREAD.role = "inline"
+
+
+class WorkerPool:
+    """The executor request bodies are submitted to.
+
+    ``workers > 0`` owns a ProcessPoolExecutor whose initializer warms each
+    worker; ``workers == 0`` executes inline on one thread of this process,
+    warming the process itself at construction.  :meth:`submit` returns a
+    plain :class:`concurrent.futures.Future`; a ``BrokenProcessPool``
+    failure is healed by :meth:`respawn`, which is generation-guarded so N
+    requests observing one crash trigger one respawn.
+    """
+
+    def __init__(self, workers: int, warmups: Sequence[tuple] = ()):
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0 (got {workers})")
+        self.workers = workers
+        self.warmups = tuple(warmups)
+        self.restarts = 0
+        self.generation = 0
+        self._executor: Optional[Executor] = None
+        self._spawn()
+
+    @property
+    def concurrency(self) -> int:
+        """How many requests can execute at once (inline mode: one)."""
+        return max(1, self.workers)
+
+    def _spawn(self) -> None:
+        if self.workers == 0:
+            from concurrent.futures import ThreadPoolExecutor
+            # Inline execution shares this process's compile caches.
+            warm_worker(self.warmups)
+            self._executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-inline-worker",
+                initializer=_enter_inline_worker)
+        else:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_enter_process_worker,
+                initargs=(self.warmups,))
+
+    def submit(self, fn: Callable, *args) -> Future:
+        return self._executor.submit(fn, *args)
+
+    def respawn(self, observed_generation: int) -> bool:
+        """Replace a broken pool, once per failure generation.
+
+        Callers pass the generation they submitted under; the first one to
+        report the crash swaps the executor, later reporters see the bumped
+        generation and return without double-restarting.
+        """
+        if observed_generation != self.generation:
+            return False
+        self.generation += 1
+        self.restarts += 1
+        broken, self._executor = self._executor, None
+        try:
+            broken.shutdown(wait=False)
+        except Exception:
+            pass
+        self._spawn()
+        return True
+
+    def shutdown(self, wait: bool = False) -> None:
+        """Stop the pool; by default without waiting for running bodies,
+        so a stalled worker cannot block a daemon's drain."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=wait)
+
+
 def _check_picklable(requests: Sequence[RunRequest]) -> None:
     for request in requests:
         try:
@@ -244,14 +361,11 @@ def _check_picklable(requests: Sequence[RunRequest]) -> None:
 
 def request_cache_key(request: RunRequest) -> Optional[str]:
     """The canonical ``result``-kind cache key of *request* (matching sweep
-    cell and daemon keys), or None when the request cannot be expressed on
-    the wire (object platforms/workloads)."""
+    cell and daemon keys), or None when the request has no canonical form
+    (object platforms/workloads, unregistered names)."""
     from repro.cache import keys as cache_keys
-    from repro.platforms import platform_by_name
     try:
-        canonical = request.to_dict()
-        canonical["platform"] = platform_by_name(canonical["platform"]).name
-        return cache_keys.cache_key("run", canonical)
+        return cache_keys.cache_key("run", canonical_request(request))
     except Exception:
         return None
 
@@ -285,8 +399,8 @@ def _crash_message(index: int, total: int, request: RunRequest,
     message = (
         f"a worker process died executing request {index} of {total} "
         f"(platform {_platform_key(request.platform)!r}, workload "
-        f"{workload!r}); the request was retried once on a fresh pool and "
-        f"the worker died again ({detail})")
+        f"{workload!r}); the request was retried once on a respawned pool "
+        f"and the worker died again ({detail})")
     if abandoned:
         message += "; the remaining requests were abandoned"
     return message
@@ -310,10 +424,10 @@ def run_plan(requests: Sequence[RunRequest],
     way).  Two behaviors layer on top:
 
     * A request whose worker process dies (``BrokenProcessPool``) is
-      retried exactly once on a fresh pool -- results already completed by
-      other workers are kept.  A second death surfaces as a clean
-      ``RuntimeError`` naming the request and its canonical cache key, or
-      as a :class:`RunFailure` under ``isolate_errors``.
+      retried exactly once on the respawned pool -- results already
+      completed by other workers are kept.  A second death surfaces as a
+      clean ``RuntimeError`` naming the request and its canonical cache
+      key, or as a :class:`RunFailure` under ``isolate_errors``.
     * ``isolate_errors=True`` converts any per-request exception into a
       :class:`RunFailure` instead of aborting the plan -- the sweep
       engine's per-cell isolation.
@@ -336,6 +450,8 @@ def run_plan(requests: Sequence[RunRequest],
             on_outcome(index, outcome)
 
     if workers <= 1 or len(requests) <= 1:
+        # Serial plans stay on the caller's thread: the tracer's span stack
+        # is thread-local, so an inline pool thread would re-parent spans.
         for index, request in enumerate(requests):
             try:
                 run = execute_request(request)
@@ -348,23 +464,22 @@ def run_plan(requests: Sequence[RunRequest],
         return list(results)
 
     _check_picklable(requests)
+    pool = WorkerPool(min(workers, len(requests)), warmup_plan(requests))
     retried: set = set()
     pending = list(range(len(requests)))
-    while pending:
-        batch = pending
-        batch_requests = [requests[index] for index in batch]
-        broken: Optional[tuple] = None
-        with ProcessPoolExecutor(
-                max_workers=min(workers, len(batch)),
-                initializer=_warm_worker,
-                initargs=(_warmup_plan(batch_requests),)) as pool:
-            futures = [pool.submit(_execute_request_shipped, request)
-                       for request in batch_requests]
-            for index, future in zip(batch, futures):
+    try:
+        while pending:
+            generation = pool.generation
+            broken: Optional[tuple] = None
+            futures = [pool.submit(run_shipped, execute_request,
+                                   requests[index],
+                                   requests[index].spec.telemetry)
+                       for index in pending]
+            for index, future in zip(pending, futures):
                 request = requests[index]
                 try:
                     run, shipped = future.result()
-                except BrokenProcessPool as error:
+                except WorkerCrash as error:
                     # The first broken future in submission order is the
                     # suspect; later futures may still hold completed work,
                     # so keep consuming instead of discarding the batch.
@@ -376,24 +491,31 @@ def run_plan(requests: Sequence[RunRequest],
                         raise
                     deliver(index, _failure_for(index, request, error))
                 else:
-                    _merge_shipped(request, index, shipped)
+                    merge_shipped(
+                        shipped, "run_many_worker", cat="run", index=index,
+                        platform=_platform_key(request.platform),
+                        workload=getattr(request.workload, "name",
+                                         request.workload))
                     deliver(index, run)
-        if broken is None:
-            break
-        index, error = broken
-        if index in retried:
-            if not isolate_errors:
-                raise RuntimeError(_crash_message(
-                    index, len(requests), requests[index],
-                    abandoned=True)) from error
-            deliver(index, RunFailure(
-                index=index, error_type="WorkerCrash",
-                message=_crash_message(index, len(requests), requests[index],
-                                       abandoned=False),
-                cache_key=request_cache_key(requests[index])))
-        else:
-            retried.add(index)
-        pending = [i for i in pending if results[i] is None]
+            if broken is None:
+                break
+            index, error = broken
+            if index in retried:
+                if not isolate_errors:
+                    raise RuntimeError(_crash_message(
+                        index, len(requests), requests[index],
+                        abandoned=True)) from error
+                deliver(index, RunFailure(
+                    index=index, error_type="WorkerCrash",
+                    message=_crash_message(index, len(requests),
+                                           requests[index], abandoned=False),
+                    cache_key=request_cache_key(requests[index])))
+            else:
+                retried.add(index)
+            pool.respawn(generation)
+            pending = [i for i in pending if results[i] is None]
+    finally:
+        pool.shutdown(wait=True)
     return list(results)
 
 
@@ -408,8 +530,9 @@ def run_many(requests: Sequence[RunRequest],
     order, which always matches the request order -- are bit-identical to
     the serial path.  ``workers=None`` uses one worker per CPU (capped at
     the plan size).  A worker process dying mid-plan (OOM kill, hard crash
-    in a workload) gets exactly one retry on a fresh pool; a second death
-    raises a ``RuntimeError`` naming the victim request and its canonical
-    cache key instead of surfacing a raw ``BrokenProcessPool`` traceback.
+    in a workload) gets exactly one retry on the respawned pool; a second
+    death raises a ``RuntimeError`` naming the victim request and its
+    canonical cache key instead of surfacing a raw ``BrokenProcessPool``
+    traceback.
     """
     return run_plan(requests, workers=workers)  # type: ignore[return-value]

@@ -276,27 +276,6 @@ class Session:
             self._machines[key] = machine
         return machine
 
-    def adopt_machine(self, machine, vendor_driver: Optional[bool] = None) -> None:
-        """Install a pre-built machine as this session's cached machine.
-
-        The warm pools in :mod:`repro.service` construct machines ahead of
-        demand and hand each one to exactly one request; adopting makes the
-        session use the pre-built machine instead of building its own.  The
-        machine must model this session's platform, and it must not have run
-        anything yet: a machine's *first* run is bit-identical to a fresh
-        machine's, but PMU/cache state persists across runs, so a reused
-        machine would break the byte-reproducibility the result cache
-        depends on.  It is cached under its own hart count (a single-hart
-        :class:`Machine` has one), so only runs of that width use it.
-        """
-        if machine.name != self.descriptor.name:
-            raise ValueError(
-                f"machine models {machine.name!r}, session is bound to "
-                f"{self.descriptor.name!r}"
-            )
-        key = (self._vendor_driver(vendor_driver), getattr(machine, "cpus", 1))
-        self._machines[key] = machine
-
     @property
     def platform(self) -> str:
         return self.descriptor.name

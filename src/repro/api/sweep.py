@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.api.executor import RunFailure, RunRequest, run_plan
+from repro.api.executor import RunFailure, RunRequest, canonical_request, run_plan
 from repro.api.journal import SweepJournal
 from repro.api.spec import ProfileSpec
 from repro.cache import keys as cache_keys
@@ -228,21 +228,6 @@ class SweepResult:
         return doc
 
 
-def canonical_cell(request: RunRequest) -> dict:
-    """Validate + canonicalize one request exactly like the daemon does
-    (platform alias resolved, spec defaults applied, workload checked), so
-    the sweep's content addresses match ``POST /run``'s."""
-    from repro.platforms import platform_by_name
-    from repro.workloads import registry
-    canonical = request.to_dict()
-    canonical["platform"] = platform_by_name(canonical["platform"]).name
-    if canonical["workload"] not in registry:
-        raise ValueError(
-            f"unknown workload {canonical['workload']!r}; "
-            f"available: {', '.join(sorted(registry))}")
-    return canonical
-
-
 def sweep(requests: Sequence[RunRequest],
           workers: Optional[int] = None,
           store=_DEFAULT_STORE,
@@ -275,7 +260,7 @@ def sweep(requests: Sequence[RunRequest],
                          "under the cache directory)")
     cells = []
     for index, request in enumerate(requests):
-        canonical = canonical_cell(request)
+        canonical = canonical_request(request)
         cells.append(SweepCell(index=index, request=request,
                                canonical=canonical,
                                key=cache_keys.cache_key("run", canonical)))

@@ -27,15 +27,11 @@ from typing import Dict, Optional, Tuple
 #: Every fault point the runtime knows how to trigger, with the behavior a
 #: matching clause buys.  ``repro.faults`` rejects any other name.
 FAULT_POINTS: Dict[str, str] = {
-    "executor.worker_crash":
-        "kill a run_many pool worker mid-request (os._exit)",
-    "executor.slow_worker":
-        "sleep inside execute_request before the run starts",
     "pool.worker_crash":
-        "kill a service pool worker mid-request (os._exit; the inline "
+        "kill a worker-pool process mid-request (os._exit; the inline "
         "workers=0 pool raises WorkerCrash instead)",
     "pool.slow_worker":
-        "sleep inside a service pool request body",
+        "sleep before any request body (run, compare, analyze) starts",
     "store.read_corrupt":
         "flip one bit of a disk-cache entry after reading it",
     "store.write_corrupt":

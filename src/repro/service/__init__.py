@@ -1,9 +1,10 @@
 """Profiling-as-a-service: the ``repro serve`` daemon and its client.
 
-The service turns the profiler into a long-lived process: warm worker
-pools (pre-built machines, warmed compile caches), a content-addressed
-result cache over the byte-reproducible run exports, bounded admission
-with backpressure, and stdlib-only HTTP on both ends.  See
+The service turns the profiler into a long-lived process: the shared
+:class:`~repro.api.executor.WorkerPool` (warmed compile caches, crash
+respawn), a content-addressed result cache over the byte-reproducible run
+exports, bounded admission with backpressure, and stdlib-only HTTP on both
+ends.  See
 ``docs/architecture.md`` ("Service layer") for the request lifecycle.
 """
 
@@ -15,7 +16,6 @@ from repro.service.daemon import (
     ServiceConfig,
     serve,
 )
-from repro.service.pool import WarmPool, warm_kernel_plan, warm_worker
 from repro.service.wire import cache_key, canonical_json
 
 __all__ = [
@@ -26,10 +26,7 @@ __all__ = [
     "ServiceConfig",
     "ServiceError",
     "ServiceReply",
-    "WarmPool",
     "cache_key",
     "canonical_json",
     "serve",
-    "warm_kernel_plan",
-    "warm_worker",
 ]

@@ -4,7 +4,7 @@ A dependency-free profiling service (``asyncio.start_server`` plus a
 hand-rolled HTTP/1.1 reader/writer -- the repo takes no third-party
 packages).  Request lifecycle::
 
-    client ──► admission ──► result cache ──► warm pool ──► cache fill ──► client
+    client ──► admission ──► result cache ──► worker pool ──► cache fill ──► client
                   │               │
                   │               └─ hit: serve cached bytes, no worker
                   └─ queue full: 429 + Retry-After
@@ -64,11 +64,19 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro import faults as _faults
 from repro import telemetry as _telemetry
-from repro.api.executor import RunRequest
-from repro.service import pool as pool_module
+from repro.api.executor import (
+    RunRequest,
+    WorkerCrash,
+    WorkerPool,
+    canonical_request,
+    execute_request,
+    inject_worker_faults,
+    merge_shipped,
+    run_shipped,
+    warmup_plan,
+)
 from repro.service import wire
 from repro.service.cache import ResultCache
-from repro.service.pool import WarmPool, WorkerCrash
 from repro.service.resilience import (
     PROBE,
     REFUSE_OPEN,
@@ -137,10 +145,8 @@ class ServiceConfig:
     request_timeout: float = 300.0
     #: Result-cache entry bound.
     cache_entries: int = 256
-    #: Platforms whose machines/kernels the pool initializer pre-warms.
+    #: Platforms whose registry kernels the pool initializer precompiles.
     warm_platforms: Tuple[str, ...] = ("SpacemiT X60",)
-    #: Hart counts to pre-build machines for, per warm platform.
-    warm_cpus: Tuple[int, ...] = (1,)
     #: Whether the initializer precompiles every registry kernel workload.
     warm_kernels: bool = True
     #: Optional disk-store root backing the result cache: filled entries
@@ -186,8 +192,47 @@ class _HttpRequest:
     body: bytes
 
 
+# -- worker request bodies ----------------------------------------------------------------
+#
+# Each returns only the deterministic, cacheable payload; the pool runs it
+# under run_shipped, which ships the request's telemetry alongside.
+
+
+def _run_body(payload: dict) -> dict:
+    """``POST /run``: one RunRequest -> one Run export."""
+    run = execute_request(RunRequest.from_dict(payload))
+    return {"run": run.deterministic_dict(), "renderings": run.renderings()}
+
+
+def _compare_body(payload: dict) -> dict:
+    """``POST /compare``: one multi-platform Comparison."""
+    from repro.api.run import strip_timings
+    from repro.api.session import Session
+    from repro.api.spec import ProfileSpec
+    inject_worker_faults()
+    comparison = Session.compare(
+        payload["platforms"], payload["workload"],
+        ProfileSpec.from_dict(payload.get("spec", {})),
+        workload_params=dict(payload.get("params", {})))
+    return {"comparison": strip_timings(comparison.to_dict()),
+            "report": comparison.report()}
+
+
+def _analyze_body(payload: dict) -> dict:
+    """``POST /analyze``: the static-analysis report."""
+    from repro.analysis.report import build_analyze_report
+    inject_worker_faults()
+    return {"analyze": build_analyze_report(
+        platform=payload["platform"],
+        cpus=int(payload.get("cpus", 1)),
+        workload=payload.get("workload"),
+        params=dict(payload.get("params", {})),
+        all_workloads=bool(payload.get("all", False)),
+    )}
+
+
 class ReproService:
-    """One daemon instance: server socket, cache, metrics, warm pool."""
+    """One daemon instance: server socket, cache, metrics, worker pool."""
 
     def __init__(self, config: ServiceConfig):
         self.config = config
@@ -210,14 +255,13 @@ class ReproService:
         self._latency = self.registry.histogram(
             "repro_service_request_seconds", "Request latency per endpoint",
             bounds=LATENCY_BUCKETS)
-        warm_configs = [(self._canonical_platform(name), True, cpus)
-                        for name in config.warm_platforms
-                        for cpus in config.warm_cpus]
-        kernel_plan = (pool_module.warm_kernel_plan(
-            [self._canonical_platform(name)
-             for name in config.warm_platforms])
-            if config.warm_kernels else ())
-        self.pool = WarmPool(config.workers, warm_configs, kernel_plan)
+        warmups = ()
+        if config.warm_kernels:
+            from repro.workloads import registry
+            warmups = warmup_plan([
+                RunRequest(self._canonical_platform(platform), name)
+                for platform in config.warm_platforms for name in registry])
+        self.pool = WorkerPool(config.workers, warmups)
         self._slots = asyncio.Semaphore(self.pool.concurrency)
         self._admitted = 0
         self._in_flight = 0
@@ -552,23 +596,14 @@ class ReproService:
         return payload
 
     def _canonical_run_request(self, payload: dict) -> dict:
-        """Validate + canonicalize one run request (platform alias, spec
-        defaults, workload existence) so equivalent spellings share a cache
-        key and bad requests fail with 400 before touching a worker."""
-        from repro.workloads import registry
+        """:func:`canonical_request` of one request body, so equivalent
+        spellings share a cache key; a bad request is a 400 before it
+        touches a worker."""
         try:
-            request = RunRequest.from_dict(payload)
-            canonical = request.to_dict()
-            canonical["platform"] = self._canonical_platform(
-                canonical["platform"])
-            if canonical["workload"] not in registry:
-                raise ValueError(
-                    f"unknown workload {canonical['workload']!r}; "
-                    f"available: {', '.join(sorted(registry))}")
+            return canonical_request(RunRequest.from_dict(payload))
         except (KeyError, ValueError, TypeError) as error:
             raise _Reject(400, wire.error_payload(
                 "BadRequest", str(error))) from None
-        return canonical
 
     def _bypass(self, request: _HttpRequest) -> bool:
         return request.headers.get(BYPASS_HEADER, "") not in ("", "0")
@@ -644,8 +679,9 @@ class ReproService:
     async def _execute_job(self, endpoint: str,
                            fn: Callable[[dict], dict],
                            payload: dict, key: Optional[str] = None,
-                           probe: bool = False) -> dict:
-        """Run one admitted job on the pool under slot + timeout control.
+                           probe: bool = False) -> Tuple[dict, dict]:
+        """Run one admitted job on the pool under slot + timeout control;
+        returns the body's ``(payload, shipped telemetry)``.
 
         The admission slot and the concurrency slot are both released when
         the worker *finishes* (future done callback), not when the await
@@ -663,7 +699,7 @@ class ReproService:
         self._in_flight += 1
         generation = self.pool.generation
         try:
-            future = self.pool.submit(fn, payload)
+            future = self.pool.submit(run_shipped, fn, payload)
         except Exception as error:
             self._release_job()
             self.pool.respawn(generation)
@@ -727,23 +763,6 @@ class ReproService:
             raise _Reject(500, wire.error_payload(
                 type(error).__name__, str(error))) from None
 
-    def _merge_worker_telemetry(self, endpoint: str,
-                                shipped: Optional[dict]) -> None:
-        """Fold a worker's shipped telemetry into the daemon's registry.
-
-        Only when the body ran in a separate worker process: inline mode
-        (``workers=0``) executes in this process, so its tallies already
-        landed in the daemon's registry and merging would double-count.
-        """
-        if not shipped or self.pool.workers == 0:
-            return
-        _telemetry.REGISTRY.merge(shipped["metrics"])
-        if shipped.get("spans"):
-            parent = _telemetry.record("service_worker", cat="service",
-                                       endpoint=endpoint)
-            if parent is not None:
-                _telemetry.TRACER.attach_wire(shipped["spans"], parent=parent)
-
     def _release_job(self) -> None:
         self._admitted = max(0, self._admitted - 1)
         self._in_flight = max(0, self._in_flight - 1)
@@ -786,10 +805,14 @@ class ReproService:
         if not bypass:
             self._pending[key] = waiter
         try:
-            result = await self._execute_job(endpoint, fn, canonical,
-                                             key=key, probe=verdict == PROBE)
-            self._merge_worker_telemetry(endpoint, result.get("telemetry"))
-            body = wire.encode_body(result["payload"])
+            payload, shipped = await self._execute_job(
+                endpoint, fn, canonical, key=key, probe=verdict == PROBE)
+            # Inline mode (workers=0) ran in this process, so its tallies
+            # already landed here; merging them would double-count.
+            if self.pool.workers:
+                merge_shipped(shipped, "service_worker", cat="service",
+                              endpoint=endpoint)
+            body = wire.encode_body(payload)
             self.cache.put(key, body)
             if not waiter.done():
                 waiter.set_result(body)
@@ -813,8 +836,7 @@ class ReproService:
         elif bypass:
             self._check_admission()
         body, cache_state = await self._execute_cached(
-            "POST /run", "run", pool_module.execute_run_payload,
-            canonical, bypass)
+            "POST /run", "run", _run_body, canonical, bypass)
         return 200, body, "application/json", {"X-Repro-Cache": cache_state}
 
     async def _handle_plan(self, request: _HttpRequest):
@@ -835,8 +857,7 @@ class ReproService:
         async def serve_one(canonical: dict):
             try:
                 return await self._execute_cached(
-                    "POST /plan", "run", pool_module.execute_run_payload,
-                    canonical, bypass)
+                    "POST /plan", "run", _run_body, canonical, bypass)
             except _Reject as reject:
                 return wire.encode_body(reject.payload), "error"
 
@@ -874,8 +895,7 @@ class ReproService:
         if bypass or wire.cache_key("compare", canonical) not in self.cache:
             self._check_admission()
         body, cache_state = await self._execute_cached(
-            "POST /compare", "compare", pool_module.execute_compare_payload,
-            canonical, bypass)
+            "POST /compare", "compare", _compare_body, canonical, bypass)
         return 200, body, "application/json", {"X-Repro-Cache": cache_state}
 
     async def _handle_analyze(self, request: _HttpRequest):
@@ -902,8 +922,7 @@ class ReproService:
         if bypass or wire.cache_key("analyze", canonical) not in self.cache:
             self._check_admission()
         body, cache_state = await self._execute_cached(
-            "POST /analyze", "analyze", pool_module.execute_analyze_payload,
-            canonical, bypass)
+            "POST /analyze", "analyze", _analyze_body, canonical, bypass)
         return 200, body, "application/json", {"X-Repro-Cache": cache_state}
 
 

@@ -4,9 +4,9 @@ Everything the service caches or sends is a JSON document.  The helpers
 here pin down the two properties the whole subsystem rests on:
 
 * **Canonical keys** -- the result cache is content-addressed: a request is
-  hashed over its *canonicalized* dict (round-tripped through
-  :class:`~repro.api.executor.RunRequest` / :class:`~repro.api.spec.
-  ProfileSpec`, platform aliases resolved), so two requests that mean the
+  hashed over its *canonicalized* dict
+  (:func:`~repro.api.executor.canonical_request`: platform aliases
+  resolved, spec defaults applied), so two requests that mean the
   same run hash the same no matter how the client spelled them (key order,
   defaulted vs explicit fields, ``x60`` vs ``SpacemiT X60``).
 * **Deterministic bodies** -- cached response bodies are serialized once,
@@ -25,11 +25,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.api.run import strip_timings as _strip_timings
 from repro.cache.keys import cache_key, canonical_json, encode_body
 
-__all__ = ["cache_key", "canonical_json", "encode_body", "error_payload",
-           "strip_timings"]
+__all__ = ["cache_key", "canonical_json", "encode_body", "error_payload"]
 
 # canonical_json / encode_body / cache_key live in repro.cache.keys now --
 # the disk store and the sweep engine address the same artifacts the
@@ -44,14 +42,3 @@ def error_payload(kind: str, message: str,
     if retry_after is not None:
         entry["retry_after"] = retry_after
     return {"error": entry}
-
-
-def strip_timings(payload: object) -> object:
-    """Drop every ``timings`` key, recursively.
-
-    Anything the cache stores must exclude wall-clock phase timings (nested
-    occurrences included -- a Comparison embeds one Run per platform).
-    Delegates to the canonical normalizer in :mod:`repro.api.run`, which the
-    golden suite and :meth:`~repro.api.run.Run.deterministic_dict` share.
-    """
-    return _strip_timings(payload)

@@ -545,7 +545,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_entries=args.cache_entries,
         cache_dir=args.cache_dir,
         warm_platforms=tuple(args.warm_platforms),
-        warm_cpus=tuple(args.warm_cpus),
         warm_kernels=not args.no_warm_kernels,
         drain_timeout=args.drain_timeout,
         breaker_threshold=args.breaker_threshold,
@@ -817,9 +816,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "only)")
     serve.add_argument("--warm-platforms", nargs="+",
                        default=["SpacemiT X60"],
-                       help="platforms whose machines each worker pre-builds")
-    serve.add_argument("--warm-cpus", nargs="+", type=int, default=[1],
-                       help="hart counts to pre-build machines for")
+                       help="platforms whose registry kernels each worker "
+                            "precompiles")
     serve.add_argument("--no-warm-kernels", action="store_true",
                        help="skip precompiling registry kernels at worker "
                             "spawn")

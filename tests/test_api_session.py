@@ -16,8 +16,7 @@ from repro.api import (
 )
 from repro.cpu.events import HwEvent
 from repro.miniperf.groups import SamplingNotSupportedError
-from repro.platforms import Machine, intel_i5_1135g7, sifive_u74, spacemit_x60
-from repro.smp import MultiHartMachine
+from repro.platforms import intel_i5_1135g7, sifive_u74, spacemit_x60
 from repro.workloads import registry
 from repro.workloads.kernels import DOT_PRODUCT_SOURCE, dot_args_builder
 from repro.workloads.registry import micro_calltree_workload
@@ -133,19 +132,6 @@ class TestSessionSynthetic:
         assert session.machine() is first
         stock = session.machine(vendor_driver=False)
         assert stock is not first
-
-    def test_adopted_machine_cached_under_its_hart_count(self):
-        session = Session(spacemit_x60())
-        pair = MultiHartMachine(spacemit_x60(), 2)
-        session.adopt_machine(pair)
-        assert session.smp_machine(2) is pair
-        assert session.machine() is not pair
-        single = Machine(spacemit_x60(), vendor_driver=False)
-        session.adopt_machine(single, vendor_driver=False)
-        assert session.machine(vendor_driver=False) is single
-        assert session.smp_machine(2, vendor_driver=False) is not single
-        with pytest.raises(ValueError, match="session is bound to"):
-            session.adopt_machine(Machine(sifive_u74()))
 
     def test_counting_spec_runs_stat_only(self):
         run = Session(sifive_u74()).run("micro-calltree", ProfileSpec().counting())

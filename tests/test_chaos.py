@@ -210,7 +210,7 @@ def test_sigkill_mid_sweep_then_resume_completes_the_plan(tmp_path):
     the plan, re-executing nothing that was journaled complete."""
     cache_dir = str(tmp_path / "cache")
     env = dict(os.environ, REPRO_CACHE_DIR=cache_dir,
-               REPRO_FAULTS="executor.slow_worker:ms=1500",
+               REPRO_FAULTS="pool.slow_worker:ms=1500",
                PYTHONPATH=os.pathsep.join(
                    [os.path.join(os.getcwd(), "src"),
                     os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep))

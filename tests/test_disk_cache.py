@@ -347,25 +347,16 @@ def test_aliasing_descriptors_get_distinct_modules_and_targets():
 
 
 def test_pool_warmup_does_not_inflate_cache_stats():
-    """Regression: pool initializers reset the tallies after warmup, so
-    cache_stats() attributes only request-driven compiles."""
-    from repro.api import executor
+    """Regression: the pool initializer resets the tallies after warmup, so
+    cache_stats() attributes only request-driven compiles -- for an ad-hoc
+    kernel and for the daemon's whole-registry plan alike."""
+    from repro.api.executor import RunRequest, warm_worker, warmup_plan
     from repro.compiler.cache import cache_stats, clear_memory_cache
+    from repro.workloads import registry
     clear_memory_cache()
     source = "long kernel(long n) { return n + 1; }\n"
-    try:
-        executor._warm_worker([("SpacemiT X60", source, "warm.c", True)])
-    finally:
-        # The initializer marks the process as a pool worker; this test
-        # runs it in the main process, so undo the marking.
-        executor._IN_WORKER_PROCESS = False
+    warm_worker([("SpacemiT X60", source, "warm.c", True)])
     assert cache_stats() == {"hits": 0, "misses": 0, "disk_hits": 0}
-
-
-def test_service_pool_warmup_does_not_inflate_cache_stats():
-    from repro.compiler.cache import cache_stats, clear_memory_cache
-    from repro.service.pool import warm_kernel_plan, warm_worker
-    clear_memory_cache()
-    warm_worker([("SpacemiT X60", True, 1)],
-                warm_kernel_plan(["SpacemiT X60"]))
+    warm_worker(warmup_plan([RunRequest("SpacemiT X60", name)
+                             for name in registry]))
     assert cache_stats() == {"hits": 0, "misses": 0, "disk_hits": 0}

@@ -12,10 +12,10 @@ import os
 import pytest
 
 from repro import faults
-from repro.api.executor import RunRequest
+from repro.api.executor import RunRequest, canonical_request
 from repro.api.journal import SweepJournal, plan_digest
 from repro.api.spec import ProfileSpec
-from repro.api.sweep import build_plan, canonical_cell, sweep
+from repro.api.sweep import build_plan, sweep
 from repro.cache.keys import RESULT_KIND, cache_key
 from repro.cache.store import DiskCache
 from repro.faults import FaultPlan, FaultSpec, InjectedFault
@@ -57,6 +57,9 @@ def test_parse_multi_clause_spec():
     ("store.read_corrupt:bogus=1", "bad fault setting"),
     ("store.read_corrupt:rate=0.5:rate=0.5", "duplicate fault setting"),
     ("store.read_corrupt;store.read_corrupt", "appears twice"),
+    # The run_many-only twins of pool.* were folded into them.
+    *[(f"executor.{point}", "unknown fault point")
+      for point in ("worker_crash", "slow_worker")],
 ])
 def test_parse_rejects_malformed_specs(spec, match):
     with pytest.raises(ValueError, match=match):
@@ -228,7 +231,7 @@ def boom_workload():
 
 def _cell_key(platform, workload):
     request = build_plan([platform], [workload])[0]
-    return cache_key("run", canonical_cell(request))
+    return cache_key("run", canonical_request(request))
 
 
 def test_sweep_isolates_failing_cells(tmp_path, boom_workload):
@@ -273,7 +276,7 @@ def test_resume_skips_journaled_cells_and_retries_errors(tmp_path):
     # Fill the store for the first cell the way an interrupted sweep would
     # have: execute it alone, then hand-write the 2-cell plan's journal.
     first_only = sweep([plan[0]], workers=0, store=DiskCache(store.root))
-    keys = [cache_key("run", canonical_cell(request)) for request in plan]
+    keys = [cache_key("run", canonical_request(request)) for request in plan]
     journal = SweepJournal.for_plan(store.root, keys)
     journal.record(keys[0], "executed")
     journal.record(keys[1], "error",
@@ -291,7 +294,7 @@ def test_resume_serves_journaled_cells_even_under_bypass(tmp_path):
     store = DiskCache(str(tmp_path / "rb"))
     plan = build_plan(["x60"], ["memset"])
     sweep(plan, workers=0, store=DiskCache(store.root))
-    keys = [cache_key("run", canonical_cell(request)) for request in plan]
+    keys = [cache_key("run", canonical_request(request)) for request in plan]
     journal = SweepJournal.for_plan(store.root, keys)
     journal.record(keys[0], "executed")
     result = sweep(plan, workers=0, store=store, resume=True,
@@ -334,11 +337,11 @@ def test_journal_file_is_valid_jsonl(tmp_path):
                                          keys[1]: "hit"}
 
 
-# -- executor fault points ----------------------------------------------------------------
+# -- worker-pool fault points -------------------------------------------------------------
 
 
 def test_slow_worker_fault_delays_but_preserves_results():
-    faults.install("executor.slow_worker:ms=1")
+    faults.install("pool.slow_worker:ms=1")
     request = RunRequest(platform="SpacemiT X60", workload="memset",
                          params={"n": 64},
                          spec=ProfileSpec(analyses=("stat",)))
@@ -350,20 +353,20 @@ def test_slow_worker_fault_delays_but_preserves_results():
 
 
 def test_worker_crash_point_is_inert_outside_worker_processes():
-    # In the parent process the executor crash point must never fire --
-    # otherwise the test process itself would die.  That must hold even
-    # when a warmup helper ran in-process and left _IN_WORKER_PROCESS set
-    # (regression: an earlier suite file doing exactly that armed this
-    # test to os._exit the whole pytest process).
-    from repro.api import executor
-    faults.install("executor.worker_crash")
+    # In the parent process the crash point must never fire -- otherwise
+    # the test process itself would die.  That must hold even after an
+    # inline pool ran in this process (regression: a process-global "in a
+    # worker" flag left behind by in-process pool use armed this test to
+    # os._exit the whole pytest process).
+    from repro.api.executor import WorkerPool, execute_request
     request = RunRequest(platform="SpacemiT X60", workload="memset",
                          params={"n": 64},
                          spec=ProfileSpec(analyses=("stat",)))
-    saved = executor._IN_WORKER_PROCESS
-    executor._IN_WORKER_PROCESS = True
+    pool = WorkerPool(0)
     try:
-        run = executor.execute_request(request)
+        pool.submit(execute_request, request).result(timeout=120)
     finally:
-        executor._IN_WORKER_PROCESS = saved
+        pool.shutdown()
+    faults.install("pool.worker_crash")
+    run = execute_request(request)
     assert run.deterministic_dict()["stat"]["counts"]

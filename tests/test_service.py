@@ -24,14 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ProfileSpec, Session
-from repro.api.executor import RunRequest, run_many
+from repro.api.executor import RunRequest, WorkerCrash, WorkerPool, run_many
+from repro.api.run import Run, strip_timings
 from repro.api.spec import ANALYSES, DEFAULT_EVENTS
 from repro.cpu.events import HwEvent
 from repro.service import wire
 from repro.service.cache import ResultCache
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import BackgroundServer, ServiceConfig
-from repro.service.pool import WarmPool, WorkerCrash
 from repro.workloads import registry
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
@@ -96,7 +96,7 @@ def test_cache_key_separates_endpoint_namespaces():
 def test_strip_timings_is_recursive():
     payload = {"timings": 1, "runs": [{"timings": 2, "keep": 3}],
                "nested": {"timings": 4, "deep": [{"timings": 5}]}}
-    assert wire.strip_timings(payload) == {
+    assert strip_timings(payload) == {
         "runs": [{"keep": 3}], "nested": {"deep": [{}]}}
 
 
@@ -237,7 +237,51 @@ def test_run_many_worker_death_raises_clean_error():
         registry._descriptions.pop("crash-on-run", None)
 
 
-# -- warm pool ----------------------------------------------------------------------------
+class _CrashOnce:
+    """A workload whose first run anywhere kills its worker process; every
+    later run profiles ``memset``.  The marker file makes "first" hold
+    across processes (``O_CREAT | O_EXCL`` succeeds exactly once)."""
+
+    name = "crash-once"
+    kind = "kernel"
+    description = "dies on its first run, then runs memset (retry tests)"
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def executable(self, machine, task, spec):
+        try:
+            os.close(os.open(self.marker,
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return registry.create("memset").executable(machine, task, spec)
+        os._exit(3)
+
+
+def test_run_many_worker_dying_once_is_retried_on_the_respawned_pool(
+        tmp_path):
+    marker = str(tmp_path / "crashed-once")
+    registry.register("crash-once", lambda: _CrashOnce(marker))
+    try:
+        spec = ProfileSpec(analyses=("stat",))
+        memsets = [RunRequest(platform=platform, workload="memset", spec=spec)
+                   for platform in ("SpacemiT X60", "SiFive U74")]
+        plan = [memsets[0],
+                RunRequest(platform="SpacemiT X60", workload="crash-once",
+                           spec=spec),
+                memsets[1]]
+        runs = run_many(plan, workers=2)
+        assert os.path.exists(marker), "the crashing first attempt never ran"
+        assert all(isinstance(run, Run) for run in runs)
+        serial = run_many(memsets, workers=1)
+        assert [runs[0].deterministic_dict(), runs[2].deterministic_dict()] \
+            == [run.deterministic_dict() for run in serial]
+    finally:
+        registry._factories.pop("crash-once", None)
+        registry._descriptions.pop("crash-once", None)
+
+
+# -- worker pool --------------------------------------------------------------------------
 
 
 def _exit_hard(_payload):
@@ -249,7 +293,7 @@ def _echo(payload):
 
 
 def test_warm_pool_respawns_once_per_generation():
-    pool = WarmPool(workers=1)
+    pool = WorkerPool(workers=1)
     try:
         generation = pool.generation
         with pytest.raises(WorkerCrash):
@@ -264,7 +308,7 @@ def test_warm_pool_respawns_once_per_generation():
 
 def test_warm_pool_rejects_negative_workers():
     with pytest.raises(ValueError, match="workers must be >= 0"):
-        WarmPool(workers=-1)
+        WorkerPool(workers=-1)
 
 
 # -- daemon end-to-end: determinism ------------------------------------------------------
@@ -487,7 +531,7 @@ def _cli(capsys, argv):
 
 
 def _strip_timings_text(out: str) -> str:
-    payload = wire.strip_timings(json.loads(out))
+    payload = strip_timings(json.loads(out))
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -754,7 +798,7 @@ def test_capabilities_lists_platforms_workloads_endpoints(client):
 
 
 def _bare_service(**overrides):
-    """A ReproService without warm pools -- for unit-testing hint math."""
+    """A ReproService without pool warmup -- for unit-testing hint math."""
     from repro.service.daemon import ReproService
     defaults = dict(port=0, workers=0, warm_platforms=(),
                     warm_kernels=False)

@@ -11,12 +11,11 @@ import json
 
 import pytest
 
-from repro.api.executor import RunRequest
+from repro.api.executor import RunRequest, canonical_request
 from repro.api.spec import ProfileSpec
 from repro.api.sweep import (
     TRAJECTORY_SCHEMA,
     build_plan,
-    canonical_cell,
     sweep,
 )
 from repro.cache.keys import RESULT_KIND, cache_key
@@ -62,16 +61,16 @@ def test_build_plan_rejects_unknown_axis():
 
 
 def test_canonical_cell_resolves_aliases_to_one_key():
-    short = canonical_cell(RunRequest(platform="x60", workload="memset"))
-    full = canonical_cell(RunRequest(platform="SpacemiT X60",
-                                     workload="memset"))
+    short = canonical_request(RunRequest(platform="x60", workload="memset"))
+    full = canonical_request(RunRequest(platform="SpacemiT X60",
+                                        workload="memset"))
     assert short == full
     assert cache_key("run", short) == cache_key("run", full)
 
 
 def test_canonical_cell_rejects_unknown_workload():
     with pytest.raises(ValueError, match="unknown workload"):
-        canonical_cell(RunRequest(platform="x60", workload="nope"))
+        canonical_request(RunRequest(platform="x60", workload="nope"))
 
 
 # -- incremental execution ----------------------------------------------------------------

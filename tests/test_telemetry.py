@@ -11,8 +11,8 @@ Three layers, matching the package:
 * the determinism pins: the same workload+spec produces an *identical*
   structural span tree and identical counter values in two fresh
   processes and across ``PYTHONHASHSEED`` values.  (Subprocesses, not
-  in-process re-runs: compile caches and machine pools deliberately warm
-  up within one process, so only the first run of a process is the
+  in-process re-runs: compile caches deliberately warm up within one
+  process, so only the first run of a process is the
   canonical one.)
 """
 
