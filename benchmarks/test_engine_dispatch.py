@@ -25,6 +25,7 @@ from repro.api import ProfileSpec, Session
 from repro.compiler.frontend import compile_source
 from repro.compiler.targets import target_for_platform
 from repro.compiler.transforms import build_roofline_pipeline
+from repro.cpu.core import BlockDelta
 from repro.platforms import Machine, spacemit_x60
 from repro.runtime import RooflineRuntime
 from repro.vm import ExecutionEngine, Memory
@@ -45,7 +46,7 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_MIN_DISPATCH_SPEEDUP", "1.2"))
 #: Required block-delta-vs-per-op retirement speedup of the counting-mode
 #: matmul-tiled Session run: 1.5x everywhere (locally and in the CI
 #: perf-regression lane, which pins it explicitly via
-#: REPRO_MIN_RETIRE_SPEEDUP), against a measured ~2.2x margin.
+#: REPRO_MIN_RETIRE_SPEEDUP), against a measured ~2.0x margin.
 MIN_RETIRE_SPEEDUP = float(os.environ.get("REPRO_MIN_RETIRE_SPEEDUP", "1.5"))
 
 
@@ -102,11 +103,18 @@ def test_dispatch_rate_fast(benchmark):
 def _retire_per_op(machine) -> None:
     """Route *machine*'s batched retirement through a per-op
     ``Machine.execute`` loop: fast dispatch still builds the batches, but
-    every op retires (and walks the cache) through ``CoreTimingModel.retire``.
-    Only valid with block deltas off, so batches hold plain ops."""
+    every op retires (and walks the plain cache hierarchy) through
+    ``CoreTimingModel.retire``; a ``BlockDelta`` sentinel retires as its
+    ``ops``.  The cache switch sits inside the batch hook because
+    ``Session.run`` sets it from the spec after this patch is applied."""
     def execute_batch(ops, task=None, mem_accesses=None):
+        machine.set_cache_fast_path(False)
         for op in ops:
-            machine.execute(op, task)
+            if op.__class__ is BlockDelta:
+                for inner in op.ops:
+                    machine.execute(inner, task)
+            else:
+                machine.execute(op, task)
     machine.execute_batch = execute_batch
 
 
@@ -115,13 +123,11 @@ def _session_counting_run(per_op: bool):
     op individually (see :func:`_retire_per_op`)."""
     session = Session("SpacemiT X60")
     machine = session.machine(True)
-    spec = ProfileSpec().counting()
     if per_op:
         _retire_per_op(machine)
-        spec = spec.without_block_delta().without_fast_cache()
     workload = registry.create("matmul-tiled", n=RETIRE_MATMUL_N)
     start = time.perf_counter()
-    run = session.run(workload, spec)
+    run = session.run(workload, ProfileSpec().counting())
     elapsed = time.perf_counter() - start
     return run, machine, elapsed
 
@@ -130,7 +136,7 @@ def test_block_delta_retirement_beats_per_op(output_dir):
     """Counting-mode Session run: block-delta + batched retirement vs per-op.
 
     Writes BENCH_retire.json (ops/sec for both modes) and enforces the
-    1.5x speedup floor (REPRO_MIN_RETIRE_SPEEDUP; measured margin ~2.2x).
+    1.5x speedup floor (REPRO_MIN_RETIRE_SPEEDUP; measured margin ~2.0x).
     """
     # Interleave and keep the best of three to shed scheduler noise.
     fast_times, slow_times = [], []

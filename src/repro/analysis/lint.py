@@ -26,9 +26,9 @@ silently suppress nothing while looking intentional.
 
 The linter is purely syntactic and intentionally dumb: it flags *sites*,
 not data flow.  The sites where the pattern is deliberate (an identity-keyed
-per-process cache that never escapes, the one wall-clock phase-timing field
-goldens strip) carry suppressions with their justification, which doubles
-as documentation of why the use is safe.
+per-process cache that never escapes, the one wall-clock read in
+``repro.telemetry.clock``) carry suppressions with their justification,
+which doubles as documentation of why the use is safe.
 """
 
 from __future__ import annotations

@@ -17,19 +17,7 @@ the real tool.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-
-def _wall_seconds() -> float:
-    """Host wall-clock, for the diagnostic phase timings only.
-
-    ``run.timings`` reports compile/execute/analyses wall time to stderr on
-    ``--timings``; it never feeds modelled time, samples or golden output
-    (the golden suite strips it).  Every timing read funnels through here so
-    the wall-clock exposure stays a single audited site.
-    """
-    return perf_counter()  # repro-lint: allow[wall-clock] -- diagnostic phase timings; stripped from goldens, never modelled time
 
 from repro import telemetry as _telemetry
 from repro.api.run import Comparison, Run
@@ -95,13 +83,14 @@ def _resolve_workload(workload: Union[str, Workload]) -> Workload:
 def _phase(timings: Dict[str, float], name: str, analysis: str):
     """One run phase: its telemetry span plus its share of ``run.timings``.
 
-    The only reader of :func:`_wall_seconds`; a phase that raises adds no
-    time.
+    ``run.timings`` is host wall time (:func:`repro.telemetry.clock`),
+    reported on ``--timings`` and stripped from goldens; a phase that raises
+    adds no time.
     """
-    start = _wall_seconds()
+    start = _telemetry.clock()
     with _telemetry.span(name, analysis=analysis):
         yield
-    timings[name] += _wall_seconds() - start
+    timings[name] += _telemetry.clock() - start
 
 
 def _threads_for(workload: Workload, spec: ProfileSpec):
@@ -286,23 +275,21 @@ class Session:
     # -- running ------------------------------------------------------------------------
 
     def run(self, workload: Union[str, Workload],
-            spec: Optional[ProfileSpec] = None,
-            cpus: Optional[int] = None,
-            fast_dispatch: Optional[bool] = None) -> Run:
+            spec: Optional[ProfileSpec] = None) -> Run:
         """Profile *workload* according to *spec* and return a uniform Run.
 
-        One phase loop -- stat, sampling, hotspots/flame graphs, roofline --
-        runs over a machine-specific backend.  ``cpus`` (or ``spec.cpus``)
-        selects it: 1 measures with ``miniperf`` on a single-hart
-        :class:`Machine`; more harts route through the SMP subsystem
-        (:mod:`repro.smp`) for system-wide counting, per-hart sample streams,
-        merged, hart-labelled flame graphs and aggregate roofline roofs.
+        Every knob of the run lives in *spec*.  One phase loop -- stat,
+        sampling, hotspots/flame graphs, roofline -- runs over a
+        machine-specific backend.  ``spec.cpus`` selects it: 1 measures with
+        ``miniperf`` on a single-hart :class:`Machine`; more harts route
+        through the SMP subsystem (:mod:`repro.smp`) for system-wide
+        counting, per-hart sample streams, merged, hart-labelled flame
+        graphs and aggregate roofline roofs.
 
-        ``fast_dispatch`` (or ``spec.fast_dispatch``, default on) selects the
-        execution engine compiled-kernel workloads run on -- the predecoded
-        batch-retiring engine or the reference interpreter.  Both backends
-        honour it; results are bit-identical either way, only wall-clock
-        time differs.
+        ``spec.fast_dispatch`` (default on) selects the fast paths or every
+        reference path -- engine, retirement and cache walk, for the PMU
+        runs and the roofline phases alike.  Both backends honour it;
+        results are bit-identical either way, only wall-clock time differs.
 
         Analyses that the platform cannot deliver (e.g. sampling on a part
         whose counters cannot raise overflow interrupts, a roofline for a
@@ -312,10 +299,6 @@ class Session:
         paper's Table 1 predicts.
         """
         spec = spec or ProfileSpec()
-        if cpus is not None and cpus != spec.cpus:
-            spec = spec.replace(cpus=cpus)
-        if fast_dispatch is not None and fast_dispatch != spec.fast_dispatch:
-            spec = spec.replace(fast_dispatch=fast_dispatch)
         workload = _resolve_workload(workload)
         vendor_driver = self._vendor_driver(spec.vendor_driver)
         tool = self.miniperf(vendor_driver)
@@ -339,7 +322,7 @@ class Session:
                 run.errors[key] = str(error)
                 run.failures[key] = error
             return run
-        machine.set_cache_fast_path(spec.fast_cache)
+        machine.set_cache_fast_path(spec.fast_dispatch)
         backend_type = _SmpBackend if spec.cpus > 1 else _HartBackend
         backend = backend_type(tool, machine, workload, spec)
         timings = {"compile": 0.0, "execute": 0.0, "analyses": 0.0}

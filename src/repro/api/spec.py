@@ -52,28 +52,17 @@ class ProfileSpec:
         :class:`repro.smp.MultiHartMachine` and runs system-wide, with
         per-hart counts and cpu-tagged sample streams.
     fast_dispatch:
-        Whether compiled kernels execute on the predecoded, batch-retiring
-        engine and synthetic traces retire in batches (the default), or on
-        the reference interpreter and per-op retirement.  Counters,
-        multiplex times, sample streams and SMP schedules are bit-identical
-        either way (the differential suite pins this down); the reference
-        path exists for exactly those equivalence runs.
-    block_delta:
-        Whether the engine retires memory-free, branch-free basic blocks
-        through precomputed :class:`~repro.cpu.core.BlockDelta` signatures
-        (default on; fast-dispatch only).  Bit-identical results either
-        way -- a sentinel an armed overflow falls inside retires op by op;
-        the switch exists for differential runs.
-    fast_cache:
-        Whether the machine's cache hierarchy uses its same-line
-        short-circuits (default on).  Bit-identical results either way;
-        the switch exists for differential runs.
-    verify_ir:
-        Whether compiled-kernel pipelines run the IR verifier after *every*
-        transform pass (default off: one post-pipeline verification).  A
-        debug aid for localising which pass broke an invariant; also
-        switchable globally via the ``REPRO_VERIFY_IR`` environment
-        variable.
+        The one switch between the fast paths (the default) and their
+        references.  ``True`` runs compiled kernels on the predecoded,
+        batch-retiring engine with block-delta retirement, synthetic traces
+        retire in batches, and the cache hierarchy takes its same-line
+        short-circuits.  ``False`` selects every reference path at once: the
+        reference interpreter, per-op retirement and the plain cache walk,
+        for the PMU runs and the roofline phases alike.  Counters, multiplex
+        times, sample streams, SMP schedules and roofline results are
+        bit-identical either way (the differential suite pins this down);
+        the reference paths exist for exactly those equivalence runs.  Per-
+        pass IR verification is not a spec knob: set ``REPRO_VERIFY_IR=1``.
     analyses:
         Which of :data:`ANALYSES` to derive.  ``stat`` counts (no samples);
         ``hotspots`` and ``flamegraph`` need one sampling recording (shared);
@@ -90,9 +79,6 @@ class ProfileSpec:
     repeats: int = 1
     cpus: int = 1
     fast_dispatch: bool = True
-    block_delta: bool = True
-    fast_cache: bool = True
-    verify_ir: bool = False
     analyses: Tuple[str, ...] = ("hotspots", "flamegraph")
     #: Whether this run records structured spans (``--trace``).  Excluded
     #: from :meth:`to_dict` -- the wire format and every cache key must not
@@ -129,36 +115,9 @@ class ProfileSpec:
         """Profile on *cpus* harts (1 = the single-hart fast path)."""
         return self.replace(cpus=cpus)
 
-    def with_fast_dispatch(self, enabled: bool = True) -> "ProfileSpec":
-        return self.replace(fast_dispatch=enabled)
-
-    def without_fast_dispatch(self) -> "ProfileSpec":
-        """Run compiled kernels on the reference interpreter (differential runs)."""
-        return self.replace(fast_dispatch=False)
-
-    def with_block_delta(self, enabled: bool = True) -> "ProfileSpec":
-        return self.replace(block_delta=enabled)
-
-    def without_block_delta(self) -> "ProfileSpec":
-        """Retire every op individually through the batcher (differential runs)."""
-        return self.replace(block_delta=False)
-
-    def with_fast_cache(self, enabled: bool = True) -> "ProfileSpec":
-        return self.replace(fast_cache=enabled)
-
-    def without_fast_cache(self) -> "ProfileSpec":
-        """Walk the full cache hierarchy on every access (differential runs)."""
-        return self.replace(fast_cache=False)
-
     def without_fast_paths(self) -> "ProfileSpec":
-        """Disable every fast path at once: the reference interpreter with
-        per-op-equivalent retirement and the plain cache walk."""
-        return self.replace(fast_dispatch=False, block_delta=False,
-                            fast_cache=False)
-
-    def with_ir_verification(self, enabled: bool = True) -> "ProfileSpec":
-        """Run the IR verifier between every pipeline pass (debug aid)."""
-        return self.replace(verify_ir=enabled)
+        """Select every reference path (see :attr:`fast_dispatch`)."""
+        return self.replace(fast_dispatch=False)
 
     def with_analyses(self, *analyses: str) -> "ProfileSpec":
         return self.replace(analyses=tuple(analyses))
@@ -211,9 +170,6 @@ class ProfileSpec:
             "repeats": self.repeats,
             "cpus": self.cpus,
             "fast_dispatch": self.fast_dispatch,
-            "block_delta": self.block_delta,
-            "fast_cache": self.fast_cache,
-            "verify_ir": self.verify_ir,
             "analyses": list(self.analyses),
         }
 

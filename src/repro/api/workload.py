@@ -139,8 +139,7 @@ class CompiledKernelWorkload:
         # module and one warm lowering cache.
         descriptor = machine.descriptor
         module = compile_source_cached(self.source, self.filename, descriptor,
-                                       spec.enable_vectorizer,
-                                       verify_ir=spec.verify_ir)
+                                       spec.enable_vectorizer)
         target = target_for_platform(descriptor)
 
         def run() -> None:
@@ -149,8 +148,7 @@ class CompiledKernelWorkload:
                 args = list(self.args_builder(memory))
                 engine = ExecutionEngine(module, machine, target, task=task,
                                          memory=memory,
-                                         fast_dispatch=spec.fast_dispatch,
-                                         block_delta=spec.block_delta)
+                                         fast_dispatch=spec.fast_dispatch)
                 engine.run(self.function, args)
 
         return run
@@ -165,8 +163,7 @@ class CompiledKernelWorkload:
             descriptor,
             enable_vectorizer=spec.enable_vectorizer,
             vendor_driver=spec.vendor_driver is not False,
-            block_delta=spec.block_delta,
-            fast_cache=spec.fast_cache,
+            fast_dispatch=spec.fast_dispatch,
         )
         return runner.run_source(self.source, self.function, self.args_builder,
                                  repeats=spec.repeats, filename=self.filename)

@@ -104,18 +104,17 @@ def module_cache_key(source: str, filename: str,
 
 def compile_source_cached(source: str, filename: str,
                           descriptor: PlatformDescriptor,
-                          enable_vectorizer: bool,
-                          verify_ir: bool = False) -> Module:
+                          enable_vectorizer: bool) -> Module:
     """Compile *source* through the default pipeline, memoized per full
     lowering configuration (memory first, then the disk store).
 
-    ``verify_ir`` (or the ``REPRO_VERIFY_IR`` environment flag) runs the IR
-    verifier between pipeline passes instead of once at the end; on a cache
-    hit -- memory or disk -- the cached module is re-verified once, so the
-    flag still gives a verified module without recompiling.
+    The ``REPRO_VERIFY_IR`` environment flag runs the IR verifier between
+    pipeline passes instead of once at the end; on a cache hit -- memory or
+    disk -- the cached module is re-verified once, so the flag still gives a
+    verified module without recompiling.
     """
     global _CACHE_HITS, _CACHE_MISSES, _DISK_HITS
-    verify_each = verify_ir or verify_ir_requested()
+    verify_each = verify_ir_requested()
     key = module_cache_key(source, filename, descriptor, enable_vectorizer)
     store = default_store()
     module = _MODULE_CACHE.get(key)

@@ -8,12 +8,12 @@ transformation cannot silently corrupt instrumentation counts.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.compiler.ir.module import Function, Module
 from repro.compiler.ir.verifier import VerificationError, verify_module
+from repro.telemetry import clock
 
 
 @dataclass
@@ -77,9 +77,9 @@ class PassManager:
         """
         self.results = []
         for pass_ in self._passes:
-            start = time.perf_counter()  # repro-lint: allow[wall-clock] -- per-pass compile timings are diagnostics, never part of modelled time or golden output
+            start = clock()
             changed = self._run_one(pass_, module)
-            elapsed = time.perf_counter() - start  # repro-lint: allow[wall-clock] -- per-pass compile timings are diagnostics, never part of modelled time or golden output
+            elapsed = clock() - start
             self.results.append(
                 PassResult(
                     pass_name=pass_.name,

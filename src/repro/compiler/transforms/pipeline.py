@@ -22,8 +22,8 @@ from repro.compiler.transforms.roofline_pass import RooflineInstrumentationPass
 from repro.compiler.transforms.simplifycfg import SimplifyCfgPass
 from repro.compiler.transforms.vectorize import LoopVectorizePass
 
-#: Environment flag forcing per-pass IR verification in every pipeline
-#: (equivalent to ``ProfileSpec.verify_ir=True``, but global).
+#: Environment flag forcing per-pass IR verification in every pipeline --
+#: the one switch for it outside an explicit ``PassManager(verify_each=)``.
 VERIFY_IR_ENV = "REPRO_VERIFY_IR"
 
 

@@ -157,8 +157,7 @@ class RooflineRunner:
                  enable_vectorizer: bool = True,
                  instrument_first: bool = False,
                  vendor_driver: bool = True,
-                 block_delta: bool = True,
-                 fast_cache: bool = True):
+                 fast_dispatch: bool = True):
         self.descriptor = descriptor
         self.roofs = roofs or theoretical_roofs(descriptor)
         self.vector_width = (
@@ -169,11 +168,9 @@ class RooflineRunner:
         # The two-phase flow is hardware-agnostic (no PMU events are opened),
         # but the machines it builds should still model the configured kernel.
         self.vendor_driver = vendor_driver
-        # Fast-path toggles for the machines/engines the runner builds
-        # (bit-identical results; differential suites turn them off so the
-        # roofline phases also run against the reference paths).
-        self.block_delta = block_delta
-        self.fast_cache = fast_cache
+        # ``False`` runs both phases on every reference path -- interpreter,
+        # per-op retirement, plain cache walk -- with bit-identical results.
+        self.fast_dispatch = fast_dispatch
 
     # -- compilation -------------------------------------------------------------------------
 
@@ -192,7 +189,7 @@ class RooflineRunner:
     def _execute(self, module: Module, function: str, args_builder: ArgsBuilder,
                  instrumented: bool, repeats: int) -> (Machine, RooflineRuntime):
         machine = Machine(self.descriptor, vendor_driver=self.vendor_driver)
-        machine.set_cache_fast_path(self.fast_cache)
+        machine.set_cache_fast_path(self.fast_dispatch)
         target = target_for_platform(self.descriptor)
         task = machine.create_task(function)
         runtime = RooflineRuntime(module, machine, instrumented=instrumented)
@@ -201,7 +198,7 @@ class RooflineRunner:
             args = list(args_builder(memory))
             engine = ExecutionEngine(module, machine, target, task=task,
                                      memory=memory, external_handlers=[runtime],
-                                     block_delta=self.block_delta)
+                                     fast_dispatch=self.fast_dispatch)
             engine.run(function, args)
         return machine, runtime
 

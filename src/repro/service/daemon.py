@@ -59,7 +59,6 @@ import json
 import signal
 from collections import deque
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro import faults as _faults
@@ -83,17 +82,6 @@ from repro.service.resilience import (
     REFUSE_QUARANTINED,
     CircuitBreaker,
 )
-
-
-def _now() -> float:
-    """Host wall-clock, for served-latency metrics only.
-
-    Latency histograms and Retry-After hints are observability, not model
-    state: nothing here feeds modelled time, cached bodies or any golden
-    output (the metrics goldens normalize latency fields).  Every clock
-    read in the service funnels through this one audited site.
-    """
-    return perf_counter()  # repro-lint: allow[wall-clock] -- served-latency metrics and Retry-After hints only; never modelled time or cached bytes
 
 
 #: Upper bound on accepted request bodies (a plan of a few thousand requests
@@ -278,7 +266,7 @@ class ReproService:
             window=config.breaker_window,
             cooldown=config.breaker_cooldown,
             quarantine_after=config.quarantine_after,
-            clock=_now)
+            clock=_telemetry.clock)
         self._draining = False
         self._closed = False
         #: Set while no requests are admitted; the drain waits on it.
@@ -430,7 +418,7 @@ class ReproService:
         status, body = 500, wire.encode_body(
             wire.error_payload("Internal", "unhandled service error"))
         content_type, extra = "application/json", {}
-        started = _now()
+        started = _telemetry.clock()
         endpoint = "unknown"
         self._request_seq += 1
         trace_id = f"req-{self._request_seq:06d}"
@@ -452,7 +440,7 @@ class ReproService:
             body = wire.encode_body(wire.error_payload(
                 type(error).__name__, str(error)))
             self.registry.counter("repro_service_errors_total").inc()
-        elapsed = _now() - started
+        elapsed = _telemetry.clock() - started
         self._requests.inc(endpoint=endpoint)
         self._latency.observe(elapsed, endpoint=endpoint)
         # Interleaved asyncio requests would corrupt a span stack, so each
@@ -714,12 +702,12 @@ class ReproService:
 
         future.add_done_callback(_release_when_done)
         self._executions.inc(endpoint=endpoint)
-        submitted = _now()
+        submitted = _telemetry.clock()
         try:
             result = await self._pool_result(future, loop)
             # Completed executions feed the observed service rate that
             # sizes Retry-After hints under load.
-            self._service_seconds.append(_now() - submitted)
+            self._service_seconds.append(_telemetry.clock() - submitted)
             if key is not None:
                 self.breaker.record_success(key, probe=probe)
             return result

@@ -17,8 +17,8 @@ stop that:
   request; a successful probe closes it, a crash re-opens it for another
   cooldown.
 
-The breaker is deliberately clock-injectable (the daemon passes its one
-audited wall-clock reader) and synchronous -- it is only ever touched from
+The breaker is deliberately clock-injectable (the daemon passes the repo's
+one audited wall-clock reader, :func:`repro.telemetry.clock`) and synchronous -- it is only ever touched from
 the daemon's event-loop thread.
 """
 

@@ -29,7 +29,7 @@ from .registry import (
     prometheus_family_header,
     render_labels,
 )
-from .spans import Span, Tracer
+from .spans import Span, Tracer, clock
 
 #: The process-wide metrics registry.
 REGISTRY = MetricsRegistry()
@@ -63,7 +63,7 @@ def enabled() -> bool:
 
 __all__ = [
     "Captured", "MetricsRegistry", "REGISTRY", "RunCollector", "Span",
-    "TRACER", "Tracer", "capture", "disable", "enable", "enabled",
+    "TRACER", "Tracer", "capture", "clock", "disable", "enable", "enabled",
     "escape_label_value", "format_metric_value", "prometheus_family_header",
     "record", "render_labels", "span",
 ]

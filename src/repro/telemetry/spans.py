@@ -10,7 +10,9 @@ Span *structure* is deterministic: nesting, names, categories, args and the
 from the wall clock, so two runs of the same workload produce identical
 span trees (the determinism suite pins this).  Wall-clock timestamps ride
 along in separate ``wall_start_us``/``wall_dur_us`` fields used only for
-trace rendering; :func:`_wall_us` is the single audited clock read.
+trace rendering.  :func:`clock` is the repo's single audited wall-clock
+read: span timestamps, phase and pass timings, served latency and sweep
+elapsed time all go through it.
 """
 
 from __future__ import annotations
@@ -20,9 +22,20 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional
 
 
+def clock() -> float:
+    """Host wall-clock seconds, for observability only.
+
+    Every reader -- span timestamps, ``run.timings``, per-pass compile
+    times, served latency and Retry-After hints, sweep elapsed time --
+    reports host time; none feeds modelled time, cache keys or golden
+    output (the goldens strip timings).
+    """
+    return perf_counter()  # repro-lint: allow[wall-clock] -- the one audited clock read: observability only, never modelled time, cache keys or golden output
+
+
 def _wall_us() -> int:
     """Microsecond wall timestamp for trace rendering (non-structural)."""
-    return int(perf_counter() * 1_000_000)  # repro-lint: allow[wall-clock] -- telemetry boundary: span timestamps render traces only, never modelled time or golden output
+    return int(clock() * 1_000_000)
 
 
 class Span:

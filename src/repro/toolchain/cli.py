@@ -50,13 +50,15 @@ machine (per-hart columns, cpu-tagged samples, hart-labelled flame graphs);
 ``-a``/``--all-cpus`` uses every hart of the board, like ``perf stat -a``.
 ``--json`` on stat/record/roofline/compare (and capabilities/platforms)
 emits the machine-consumable export of the same run.
-``--no-fast-dispatch`` on stat/record/flamegraph/compare runs compiled
-kernels on the reference interpreter instead of the predecoded
-batch-retiring engine -- bit-identical output, only slower (it exists for
-differential runs; the roofline flow manages its own engines and does not
-take the flag); ``--no-block-delta`` and ``--no-fast-cache`` likewise
-disable block-delta retirement caching and the cache hierarchy's same-line
-short-circuits.
+``--no-fast-dispatch`` on stat/record/flamegraph/compare selects every
+reference path at once -- the reference interpreter instead of the
+predecoded batch-retiring engine, per-op retirement instead of block deltas,
+and the plain cache walk instead of the same-line short-circuits, for the
+PMU runs and (on compare --roofline) the roofline phases alike.  Output is
+bit-identical, only slower; the flag exists for differential runs.
+Each subcommand builds one ProfileSpec from its flags and sends that same
+spec down the local and the ``--server`` path.  Per-pass IR verification is
+the ``REPRO_VERIFY_IR=1`` environment flag, not a CLI option.
 ``--workers N`` on compare fans the per-platform runs out over N worker
 processes (bit-identical Comparison, in platform order); ``--timings`` on
 stat/compare prints wall-clock compile/execute/analyses phase timings to
@@ -192,17 +194,11 @@ def _workload(args: argparse.Namespace):
     return registry.create(args.workload, **_workload_params(args))
 
 
-def _fast_dispatch(args: argparse.Namespace) -> bool:
-    return not getattr(args, "no_fast_dispatch", False)
-
-
-def _fast_paths(args: argparse.Namespace) -> dict:
-    """ProfileSpec fast-path toggles from the shared dispatch flags."""
-    return {
-        "fast_dispatch": _fast_dispatch(args),
-        "block_delta": not getattr(args, "no_block_delta", False),
-        "fast_cache": not getattr(args, "no_fast_cache", False),
-    }
+def _spec(args: argparse.Namespace, **fields) -> ProfileSpec:
+    """The one ProfileSpec a subcommand runs, locally or via --server."""
+    return ProfileSpec(fast_dispatch=not getattr(args, "no_fast_dispatch",
+                                                 False),
+                       cpus=_cpus(args), **fields)
 
 
 def _print_timings(args: argparse.Namespace, *runs) -> None:
@@ -239,7 +235,7 @@ def _remote_request(args: argparse.Namespace, spec: ProfileSpec) -> dict:
         "platform": args.platform,
         "workload": args.workload,
         "params": _workload_params(args),
-        "spec": spec.with_cpus(_cpus(args)).to_dict(),
+        "spec": spec.to_dict(),
         "vendor_driver": not args.no_vendor_driver,
     }
 
@@ -267,10 +263,10 @@ def _remote_run(args: argparse.Namespace, spec: ProfileSpec, label: str,
 
 
 def cmd_stat(args: argparse.Namespace) -> int:
-    spec = ProfileSpec(**_fast_paths(args)).counting()
+    spec = _spec(args).counting()
     if args.server:
         return _remote_run(args, spec, "stat", "stat", ["stat"])
-    run = _session(args).run(_workload(args), spec, cpus=_cpus(args))
+    run = _session(args).run(_workload(args), spec)
     if "stat" in run.errors:
         print(f"stat failed: {run.errors['stat']}", file=sys.stderr)
         return 1
@@ -285,13 +281,12 @@ def cmd_stat(args: argparse.Namespace) -> int:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    spec = ProfileSpec(sample_period=args.period,
-                       analyses=("hotspots", "flamegraph"),
-                       **_fast_paths(args))
+    spec = _spec(args, sample_period=args.period,
+                 analyses=("hotspots", "flamegraph"))
     if args.server:
         return _remote_run(args, spec, "record", "sampling",
                            ["recording", "hotspots"])
-    run = _session(args).run(_workload(args), spec, cpus=_cpus(args))
+    run = _session(args).run(_workload(args), spec)
     if "sampling" in run.errors:
         print(f"record failed: {run.errors['sampling']}", file=sys.stderr)
         return 1
@@ -307,9 +302,8 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 
 def cmd_flamegraph(args: argparse.Namespace) -> int:
-    spec = ProfileSpec(sample_period=args.period, analyses=("flamegraph",),
-                       **_fast_paths(args))
-    run = _session(args).run(_workload(args), spec, cpus=_cpus(args))
+    spec = _spec(args, sample_period=args.period, analyses=("flamegraph",))
+    run = _session(args).run(_workload(args), spec)
     if "sampling" in run.errors:
         print(f"flamegraph failed: {run.errors['sampling']}", file=sys.stderr)
         return 1
@@ -324,8 +318,8 @@ def cmd_flamegraph(args: argparse.Namespace) -> int:
 
 
 def cmd_roofline(args: argparse.Namespace) -> int:
-    spec = ProfileSpec(analyses=("roofline",),
-                       enable_vectorizer=not args.no_vectorize)
+    spec = _spec(args, analyses=("roofline",),
+                 enable_vectorizer=not args.no_vectorize)
     run = _session(args).run(_workload(args), spec)
     if "roofline" in run.errors:
         print(f"roofline failed: {run.errors['roofline']}", file=sys.stderr)
@@ -356,10 +350,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         else:
             print(f"warning: --roofline ignored; workload {workload.name!r} "
                   "has no compiled kernel", file=sys.stderr)
-    spec = ProfileSpec(sample_period=args.period, analyses=analyses,
-                       vendor_driver=not args.no_vendor_driver,
-                       cpus=1 if args.cpus is None else args.cpus,
-                       **_fast_paths(args))
+    spec = _spec(args, sample_period=args.period, analyses=analyses,
+                 vendor_driver=not args.no_vendor_driver)
     if args.server:
         from repro.service.client import ServiceError
         try:
@@ -439,8 +431,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             print(f"metrics failed: {error}", file=sys.stderr)
             return 1
         return 0
-    spec = ProfileSpec(**_fast_paths(args)).counting()
-    run = _session(args).run(_workload(args), spec, cpus=_cpus(args))
+    spec = _spec(args).counting()
+    run = _session(args).run(_workload(args), spec)
     if "stat" in run.errors:
         print(f"metrics failed: {run.errors['stat']}", file=sys.stderr)
         return 1
@@ -473,8 +465,7 @@ def _parse_axis(raw: str) -> tuple:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a cartesian plan through the persistent result cache."""
-    import time
-
+    from repro import telemetry
     from repro.api.sweep import build_plan, sweep
     from repro.cache.store import default_store
 
@@ -489,10 +480,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               "every cell will execute", file=sys.stderr)
     # Sweep elapsed time is reporting-only telemetry for the trajectory
     # file; it never feeds modelled time or cached bytes.
-    started = time.monotonic()  # repro-lint: allow[wall-clock] -- trajectory reporting only
+    started = telemetry.clock()
     result = sweep(plan, workers=args.workers, store=store,
                    bypass_cache=args.bypass_cache, resume=args.resume)
-    elapsed = time.monotonic() - started  # repro-lint: allow[wall-clock] -- trajectory reporting only
+    elapsed = telemetry.clock() - started
     doc = result.write_trajectory(args.out, elapsed_seconds=elapsed)
     if args.json:
         print(json.dumps(doc, indent=2))
@@ -638,18 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_dispatch(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--no-fast-dispatch", action="store_true",
-                         help="run compiled kernels on the reference "
-                              "interpreter instead of the predecoded "
-                              "batch-retiring engine (bit-identical results, "
-                              "slower; for differential runs)")
-        sub.add_argument("--no-block-delta", action="store_true",
-                         help="disable block-delta retirement caching "
-                              "(bit-identical results, slower; for "
-                              "differential runs)")
-        sub.add_argument("--no-fast-cache", action="store_true",
-                         help="disable the cache hierarchy's same-line "
-                              "short-circuits (bit-identical results, "
-                              "slower; for differential runs)")
+                         help="select every reference path: the reference "
+                              "interpreter, per-op retirement and the plain "
+                              "cache walk (bit-identical results, slower; "
+                              "for differential runs)")
 
     identify = subparsers.add_parser("identify", help="cpuid-based identification")
     add_platform(identify)

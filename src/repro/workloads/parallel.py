@@ -99,16 +99,6 @@ def _drain(bodies: Sequence[Tuple[str, ThreadBody]], machine: Machine,
             pass
 
 
-def _fast_dispatch(spec) -> bool:
-    """The spec's engine selection (default on, like the engine itself)."""
-    return getattr(spec, "fast_dispatch", True)
-
-
-def _block_delta(spec) -> bool:
-    """The spec's block-delta retirement toggle (default on)."""
-    return getattr(spec, "block_delta", True)
-
-
 @dataclass
 class MatmulParallelWorkload:
     """``matmul-parallel``: one n x n matmul sharded by output-row blocks."""
@@ -133,16 +123,13 @@ class MatmulParallelWorkload:
         def body(machine: Machine, task: Task) -> Iterator[None]:
             module = compile_source_cached(MATMUL_ROWS_SOURCE, "matmul_rows.c",
                                            machine.descriptor,
-                                           spec.enable_vectorizer,
-                                           verify_ir=getattr(spec, "verify_ir",
-                                                             False))
+                                           spec.enable_vectorizer)
             target = target_for_platform(machine.descriptor)
             memory = Memory()
             base_args = self._allocate(memory)
             engine = ExecutionEngine(module, machine, target, task=task,
                                      memory=memory,
-                                     fast_dispatch=_fast_dispatch(spec),
-                                     block_delta=_block_delta(spec))
+                                     fast_dispatch=spec.fast_dispatch)
             # The engine is the quantum generator: it yields every `quantum`
             # executed IR instructions, so preemption lands mid-function.
             yield from engine.run_yielding("matmul_rows",
@@ -200,8 +187,7 @@ class MatmulParallelWorkload:
             descriptor,
             enable_vectorizer=spec.enable_vectorizer,
             vendor_driver=spec.vendor_driver is not False,
-            block_delta=_block_delta(spec),
-            fast_cache=getattr(spec, "fast_cache", True),
+            fast_dispatch=spec.fast_dispatch,
         )
         def args_builder(memory: Memory) -> Sequence[object]:
             return self._allocate(memory) + [0, self.n]
@@ -246,9 +232,7 @@ class StreamTriadMtWorkload:
         def body(machine: Machine, task: Task) -> Iterator[None]:
             module = compile_source_cached(TRIAD_SLICE_SOURCE, "triad.c",
                                            machine.descriptor,
-                                           spec.enable_vectorizer,
-                                           verify_ir=getattr(spec, "verify_ir",
-                                                             False))
+                                           spec.enable_vectorizer)
             target = target_for_platform(machine.descriptor)
             memory = Memory()
             if index:
@@ -259,8 +243,7 @@ class StreamTriadMtWorkload:
             c = memory.alloc_float_array(_random_floats(self.n, 14 + index))
             engine = ExecutionEngine(module, machine, target, task=task,
                                      memory=memory,
-                                     fast_dispatch=_fast_dispatch(spec),
-                                     block_delta=_block_delta(spec))
+                                     fast_dispatch=spec.fast_dispatch)
             for _ in range(self.passes):
                 # Quantum yields mid-pass, plus one boundary per pass (the
                 # slice walks are what the LLC-contention model interleaves).
@@ -312,8 +295,7 @@ class StreamTriadMtWorkload:
             descriptor,
             enable_vectorizer=spec.enable_vectorizer,
             vendor_driver=spec.vendor_driver is not False,
-            block_delta=_block_delta(spec),
-            fast_cache=getattr(spec, "fast_cache", True),
+            fast_dispatch=spec.fast_dispatch,
         )
         def args_builder(memory: Memory) -> Sequence[object]:
             a = memory.alloc_float_array([0.0] * self.n)
@@ -370,7 +352,7 @@ class ForkJoinCalltreeWorkload:
                 seed=spec.seed + 101 * index,
                 instruction_factor=instruction_factor_for(machine.descriptor.arch),
                 address_offset=index * THREAD_ADDRESS_STRIDE,
-                batched=_fast_dispatch(spec),
+                batched=spec.fast_dispatch,
             )
             for _ in range(self.repeats):
                 executor.run(tree, invocations=1)

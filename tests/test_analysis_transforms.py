@@ -364,17 +364,13 @@ class TestVerifyEachWiring:
         monkeypatch.setenv(VERIFY_IR_ENV, "0")
         assert not verify_ir_requested()
 
-    def test_spec_carries_verify_ir_through_compile_cache(self):
-        from repro.api import ProfileSpec
+    def test_env_flag_verifies_through_compile_cache(self, monkeypatch):
         from repro.compiler.cache import compile_source_cached
+        from repro.compiler.transforms.pipeline import VERIFY_IR_ENV
         from repro.platforms import spacemit_x60
 
-        spec = ProfileSpec()
-        assert spec.verify_ir is False
-        verifying = spec.with_ir_verification()
-        assert verifying.verify_ir is True
-        assert verifying.to_dict()["verify_ir"] is True
+        monkeypatch.setenv(VERIFY_IR_ENV, "1")
         # A verified compile produces the same (cached, certified) module.
         module = compile_source_cached(DOT_SOURCE, "dot.c", spacemit_x60(),
-                                       True, verify_ir=True)
+                                       True)
         assert module.get_function("dot") is not None

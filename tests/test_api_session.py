@@ -229,6 +229,24 @@ class TestSessionKernels:
         # Session machine + the two roofline phase machines, all stock.
         assert seen and all(flag is False for flag in seen)
 
+    def test_reference_spec_reaches_roofline_engines(self, monkeypatch):
+        seen = []
+        from repro.vm import engine as engine_module
+        original = engine_module.ExecutionEngine.__init__
+
+        def spy(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            seen.append((self.fast_dispatch, self.machine.hierarchy.fast_path))
+
+        monkeypatch.setattr(engine_module.ExecutionEngine, "__init__", spy)
+        Session(spacemit_x60()).run(
+            registry.create("dot-product", n=128),
+            ProfileSpec(analyses=("roofline",)).without_fast_paths())
+        # Both roofline phases: the reference interpreter on a machine that
+        # walks its cache hierarchy plainly.
+        assert len(seen) == 2
+        assert all(state == (False, False) for state in seen)
+
 
 class TestCompare:
     def test_compare_two_platforms_with_flame_diff(self):
@@ -306,7 +324,7 @@ def _traced_run(platform, cpus):
     """One run under span capture: the run, its spans and its metrics."""
     with telemetry.capture(spans=True) as captured:
         run = Session(platform).run(registry.create("dot-product", n=128),
-                                    PARITY_SPEC, cpus=cpus)
+                                    PARITY_SPEC.with_cpus(cpus))
     return run, captured
 
 

@@ -188,9 +188,11 @@ def test_counting_identical_with_fast_paths_off(name, platform):
 
 
 def test_fast_lane_canary_matmul_differential():
-    """Fast-lane canary of the sweep: counting + sampling, matmul-tiled, X60
-    (the full workload x platform matrix runs in the slow lane)."""
-    for spec in (COUNTING_SPEC, SAMPLING_SPEC):
+    """Fast-lane canary of the sweep: counting, sampling and the roofline
+    phases, matmul-tiled, X60 (the full workload x platform matrix runs in
+    the slow lane)."""
+    for spec in (COUNTING_SPEC, SAMPLING_SPEC,
+                 ProfileSpec().counting().with_roofline()):
         fast = _sweep_run("SpacemiT X60", "matmul-tiled", spec, fast=True)
         slow = _sweep_run("SpacemiT X60", "matmul-tiled", spec, fast=False)
         assert _comparable_dict(fast) == _comparable_dict(slow)

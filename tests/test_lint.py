@@ -2,6 +2,7 @@
 repo-wide cleanliness gate CI runs (``repro lint`` over ``src/repro``)."""
 
 import os
+import re
 import textwrap
 
 import pytest
@@ -145,6 +146,20 @@ def test_repo_source_tree_lints_clean():
     inline suppression."""
     violations = lint_paths([SRC_REPRO])
     assert violations == [], "\n".join(v.format() for v in violations)
+
+
+def test_wall_clock_reads_funnel_through_one_site():
+    """With every suppression stripped, ``wall-clock`` fires only in
+    ``telemetry/spans.py``: the rest of the tree reads host time through
+    ``repro.telemetry.clock``."""
+    suppression = re.compile(r"\s*#\s*repro-lint:.*$", re.MULTILINE)
+    sites = set()
+    for path in iter_python_files([SRC_REPRO]):
+        with open(path, encoding="utf-8") as handle:
+            source = suppression.sub("", handle.read())
+        if any(v.rule == "wall-clock" for v in lint_source(source, path)):
+            sites.add(os.path.relpath(path, SRC_REPRO).replace(os.sep, "/"))
+    assert sites == {"telemetry/spans.py"}
 
 
 def test_cli_lint_exits_nonzero_on_violations(tmp_path, capsys):

@@ -147,9 +147,6 @@ _spec_strategy = st.builds(
     repeats=st.integers(min_value=1, max_value=4),
     cpus=st.integers(min_value=1, max_value=8),
     fast_dispatch=st.booleans(),
-    block_delta=st.booleans(),
-    fast_cache=st.booleans(),
-    verify_ir=st.booleans(),
     analyses=st.lists(st.sampled_from(ANALYSES), max_size=len(ANALYSES),
                       unique=True).map(tuple),
 )
@@ -445,6 +442,11 @@ def test_bad_requests_are_400s(server, client):
         {"platform": "x60", "workload": "memset", "spec": {"bogus": 1}},
         {"platform": "x60", "workload": "memset",
          "spec": {"analyses": ["nope"]}},
+        # fast_dispatch is the one fast-path key; the others are unknown.
+        {"platform": "x60", "workload": "memset",
+         "spec": {"block_delta": False}},
+        {"platform": "x60", "workload": "memset",
+         "spec": {"verify_ir": True}},
     ]
     for payload in cases:
         with pytest.raises(ServiceError) as excinfo:

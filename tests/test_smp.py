@@ -316,11 +316,6 @@ class TestSessionSmp:
         assert len(payload["stat"]["per_hart"]) == 2
         assert payload["schedule"]["cpus"] == 2
 
-    def test_cpus_argument_overrides_spec(self):
-        session = Session("T-Head C910")
-        run = session.run("micro-calltree", FAST_SPEC.counting(), cpus=2)
-        assert run.cpus == 2 and len(run.stat.per_hart) == 2
-
     def test_u74_smp_degrades_exactly_like_single_hart(self):
         session = Session("SiFive U74")
         spec = ProfileSpec(sample_period=2_000, cpus=2,

@@ -45,12 +45,12 @@ def test_build_plan_is_the_cartesian_product():
 
 def test_build_plan_axes_expand_spec_knobs_in_sorted_order():
     plan = build_plan(["x60"], ["memset"],
-                      axes={"enable_vectorizer": [True, False],
-                            "block_delta": [True, False]})
+                      axes={"fast_dispatch": [True, False],
+                            "enable_vectorizer": [True, False]})
     assert len(plan) == 4
-    # Axis names apply sorted (block_delta before enable_vectorizer), each
+    # Axis names apply sorted (enable_vectorizer before fast_dispatch), each
     # in its given value order.
-    assert [(request.spec.block_delta, request.spec.enable_vectorizer)
+    assert [(request.spec.enable_vectorizer, request.spec.fast_dispatch)
             for request in plan] == [
         (True, True), (True, False), (False, True), (False, False)]
 
