@@ -10,7 +10,7 @@ memory footprints and vector widths.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 
@@ -84,9 +84,12 @@ VECTOR_OP_CLASSES = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MachineOp:
     """A single retired machine operation.
+
+    Ops are immutable values (equality and hashing compare every field), so
+    one instance may be shared by every batch that retires it.
 
     Attributes
     ----------
@@ -118,11 +121,26 @@ class MachineOp:
     target: int = 0
     pc: int = 0
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
+    def __init__(self, opclass: OpClass, size_bytes: int = 0,
+                 address: Optional[int] = None, lanes: int = 1,
+                 taken: bool = False, target: int = 0, pc: int = 0) -> None:
+        if size_bytes < 0:
             raise ValueError("size_bytes must be non-negative")
-        if self.lanes < 1:
+        if lanes < 1:
             raise ValueError("lanes must be >= 1")
+        # A frozen dataclass's own __init__ goes through object.__setattr__
+        # per field; the slot descriptors' setters skip the attribute lookup
+        # and about halve the cost of building an op (the VM engine builds
+        # one per memory access, a synthetic trace one per load and store).
+        (set_opclass, set_size_bytes, set_address, set_lanes, set_taken,
+         set_target, set_pc) = _FIELD_SETTERS
+        set_opclass(self, opclass)
+        set_size_bytes(self, size_bytes)
+        set_address(self, address)
+        set_lanes(self, lanes)
+        set_taken(self, taken)
+        set_target(self, target)
+        set_pc(self, pc)
 
     @property
     def is_memory(self) -> bool:
@@ -169,6 +187,11 @@ class MachineOp:
         if self.opclass is OpClass.VECTOR_ALU:
             return self.lanes
         return 0
+
+
+#: The slot setters of :class:`MachineOp`, in field order.
+_FIELD_SETTERS = tuple(getattr(MachineOp, f.name).__set__
+                       for f in fields(MachineOp))
 
 
 def op_is_memory(opclass: OpClass) -> bool:

@@ -13,12 +13,13 @@ call chains.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.machine_ops import MachineOp, OpClass
 from repro.kernel.task import Task
@@ -41,7 +42,6 @@ class InstructionMix:
     stores: float = 0.08
     branches: float = 0.15
     fp: float = 0.0
-    calls: float = 0.0
     working_set_bytes: int = 64 * 1024
     locality: float = 0.7
     branch_taken_fraction: float = 0.6
@@ -88,16 +88,71 @@ class SyntheticWorkload:
     def function(self, name: str) -> SyntheticFunction:
         return self.functions[name]
 
-    def scaled(self, factor: float) -> "SyntheticWorkload":
-        clone = SyntheticWorkload(self.name, self.entry,
-                                  dict(self.functions), factor)
-        return clone
-
 
 #: Instruction-mix entry -> the op class it emits ("branches" is built apart).
 _MIX_OPCLASS = {"int_alu": OpClass.INT_ALU, "int_mul": OpClass.INT_MUL,
                 "loads": OpClass.LOAD, "stores": OpClass.STORE,
                 "fp": OpClass.FP_MUL}
+
+#: How :meth:`TraceExecutor._fill` emits a kind: an interned op per slot, an
+#: interned ``(not taken, taken)`` pair per slot, or a fresh load/store.
+_PLAIN, _BRANCH, _MEMORY = 0, 1, 2
+
+
+class _OpTable:
+    """The ops of one function that do not depend on the random stream.
+
+    Body slot *s* sits at ``pc_base + (s % 64) * 4``, so every ALU, multiply
+    and fp op is one of 64 values per kind and every branch one of 64 pairs;
+    only loads and stores carry a fresh address and are built per op.  The
+    ops are immutable, so one instance serves every segment that retires it.
+    """
+
+    __slots__ = ("mix", "bounds", "codes", "rows", "working_set", "pc_base",
+                 "call", "ret")
+
+    def __init__(self, function: SyntheticFunction):
+        mix = function.mix
+        # crc32, not hash(): str hashing is randomised per process
+        # (PYTHONHASHSEED), and synthetic pcs must be reproducible across
+        # processes for the golden-file CLI tests (and any cross-run diff).
+        pc_base = ((zlib.crc32(function.name.encode("utf-8")) & 0xFFFF) * 0x100
+                   + 0x0100_0000)
+        kinds, weights = zip(*mix.normalised())
+        bounds = list(accumulate(weights))
+        # A kind is the first whose cumulative weight reaches the draw, and
+        # the last kind if rounding leaves the draw above every bound.  An
+        # infinite last bound gives that index without a clamp: bisection
+        # reads the last bound only once the answer is the last index or
+        # past the end, which the clamp mapped to the last index too.
+        bounds[-1] = math.inf
+        pcs = [pc_base + slot * 4 for slot in range(64)]
+        codes: List[int] = []
+        rows: List[object] = []
+        for kind in kinds:
+            opclass = _MIX_OPCLASS.get(kind)
+            if opclass is OpClass.LOAD or opclass is OpClass.STORE:
+                codes.append(_MEMORY)
+                rows.append(opclass)
+            elif opclass is not None:
+                codes.append(_PLAIN)
+                rows.append(tuple(MachineOp(opclass, pc=pc) for pc in pcs))
+            else:
+                codes.append(_BRANCH)
+                rows.append(tuple(
+                    (MachineOp(OpClass.BRANCH, taken=False, target=pc + 16,
+                               pc=pc),
+                     MachineOp(OpClass.BRANCH, taken=True, target=pc + 16,
+                               pc=pc))
+                    for pc in pcs))
+        self.mix = mix
+        self.bounds = bounds
+        self.codes = codes
+        self.rows = rows
+        self.working_set = max(64, mix.working_set_bytes)
+        self.pc_base = pc_base
+        self.call = MachineOp(OpClass.CALL, taken=True, pc=pc_base)
+        self.ret = MachineOp(OpClass.RET, taken=True, pc=pc_base + 4)
 
 
 class TraceExecutor:
@@ -107,6 +162,16 @@ class TraceExecutor:
     a segment share one call chain: one ``Machine.execute_batch`` call each,
     or op by op through ``Machine.execute`` without ``batched`` (the per-op
     reference).  The op stream depends only on the seed either way.
+
+    Generation costs about as much as its random draws.  The first run of a
+    function builds its :class:`_OpTable`, kept for the executor's lifetime
+    and keyed by function name (rebuilt if a later tree gives the name
+    another mix), and :meth:`_fill` appends interned table ops; only loads
+    and stores build a new :class:`MachineOp`.  Each body slot draws its
+    kind; a load or store then draws whether it is sequential and, if not, a
+    random offset in the working set; a branch draws whether it is
+    predictable and, if not, whether it is taken.  A function's heap base is
+    allocated at its first load or store, in trace order.
     """
 
     def __init__(self, machine: Machine, task: Task, seed: int = 42,
@@ -117,6 +182,7 @@ class TraceExecutor:
         self.random = random.Random(seed)
         self.instruction_factor = instruction_factor
         self.batched = batched
+        self._tables: Dict[str, _OpTable] = {}
         self._base_addresses: Dict[str, int] = {}
         # Parallel workloads give every software thread its own offset so
         # per-thread working sets occupy disjoint address ranges (threads of
@@ -127,19 +193,11 @@ class TraceExecutor:
 
     # -- address generation -------------------------------------------------------------
 
-    def _address_for(self, function: SyntheticFunction) -> int:
-        base = self._base_addresses.get(function.name)
-        if base is None:
-            base = self._next_base
-            self._base_addresses[function.name] = base
-            self._next_base += max(function.mix.working_set_bytes, 4096) * 2
-            self._sequential_cursor[function.name] = 0
-        working_set = max(64, function.mix.working_set_bytes)
-        if self.random.random() < function.mix.locality:
-            cursor = self._sequential_cursor[function.name]
-            self._sequential_cursor[function.name] = (cursor + 8) % working_set
-            return base + cursor
-        return base + (self.random.randrange(working_set) & ~0x7)
+    def _allocate_base(self, function: SyntheticFunction) -> int:
+        base = self._next_base
+        self._base_addresses[function.name] = base
+        self._next_base += max(function.mix.working_set_bytes, 4096) * 2
+        return base
 
     # -- execution -------------------------------------------------------------------------
 
@@ -165,17 +223,12 @@ class TraceExecutor:
                       function: SyntheticFunction, factor: float) -> None:
         task = self.task
         task.push_frame(function.name)
-        # Slot s of the body is at pc_base + (s % 64) * 4.  crc32, not
-        # hash(): str hashing is randomised per process (PYTHONHASHSEED), and
-        # synthetic pcs must be reproducible across processes for the
-        # golden-file CLI tests (and any cross-run diff).
-        pc_base = ((zlib.crc32(function.name.encode("utf-8")) & 0xFFFF) * 0x100
-                   + 0x0100_0000)
-        segment = [MachineOp(OpClass.CALL, taken=True, pc=pc_base)]
+        table = self._tables.get(function.name)
+        if table is None or table.mix is not function.mix:
+            table = self._tables[function.name] = _OpTable(function)
+        segment = [table.call]
         try:
             ops = max(1, int(function.ops_per_call * factor))
-            kinds, weights = zip(*function.mix.normalised())
-            bounds = list(accumulate(weights))
             # Interleave child calls evenly through the body; calls
             # scheduled past the body length happen after it.
             calls = [name for name, count in function.callees
@@ -184,36 +237,52 @@ class TraceExecutor:
             slot = 0
             for position, callee_name in enumerate(calls, 1):
                 end = min(position * stride, ops)
-                segment.extend(self._make_op(function, kinds, bounds,
-                                             body_slot, pc_base)
-                               for body_slot in range(slot, end))
+                self._fill(segment, function, table, slot, end)
                 slot = end
                 self._retire(segment)
                 self._run_function(workload, workload.function(callee_name),
                                    factor)
-            segment.extend(self._make_op(function, kinds, bounds, body_slot,
-                                         pc_base)
-                           for body_slot in range(slot, ops))
+            self._fill(segment, function, table, slot, ops)
         finally:
-            segment.append(MachineOp(OpClass.RET, taken=True, pc=pc_base + 4))
+            segment.append(table.ret)
             self._retire(segment)
             task.pop_frame()
 
-    def _make_op(self, function: SyntheticFunction, kinds: Sequence[str],
-                 bounds: Sequence[float], slot: int, pc_base: int) -> MachineOp:
-        # The first kind whose cumulative weight reaches the draw (the last
-        # kind if rounding leaves the draw above every bound).
-        index = bisect_left(bounds, self.random.random())
-        kind = kinds[min(index, len(kinds) - 1)]
-        pc = pc_base + (slot % 64) * 4
-        opclass = _MIX_OPCLASS.get(kind)
-        if opclass is OpClass.LOAD or opclass is OpClass.STORE:
-            return MachineOp(opclass, size_bytes=8,
-                             address=self._address_for(function), pc=pc)
-        if opclass is not None:
-            return MachineOp(opclass, pc=pc)
+    def _fill(self, segment: List[MachineOp], function: SyntheticFunction,
+              table: _OpTable, start: int, end: int) -> None:
+        """Append body slots ``start..end-1`` of *function* to *segment*."""
+        draw = self.random.random
+        randrange = self.random.randrange
+        append = segment.append
+        bounds, codes, rows = table.bounds, table.codes, table.rows
+        working_set, pc_base = table.working_set, table.pc_base
         mix = function.mix
-        predictable = self.random.random() < mix.branch_predictability
-        taken = ((slot % 8) != 0 if predictable
-                 else self.random.random() < mix.branch_taken_fraction)
-        return MachineOp(OpClass.BRANCH, taken=taken, target=pc + 16, pc=pc)
+        locality = mix.locality
+        predictability = mix.branch_predictability
+        taken_fraction = mix.branch_taken_fraction
+        name = function.name
+        base = self._base_addresses.get(name)   # None before the first access
+        cursor = self._sequential_cursor.get(name, 0)
+        for slot in range(start, end):
+            index = bisect_left(bounds, draw())
+            code = codes[index]
+            if code == _PLAIN:
+                append(rows[index][slot & 63])
+            elif code == _MEMORY:
+                if base is None:
+                    base = self._allocate_base(function)
+                if draw() < locality:
+                    address = base + cursor
+                    cursor = (cursor + 8) % working_set
+                else:
+                    address = base + (randrange(working_set) & ~0x7)
+                append(MachineOp(rows[index], size_bytes=8, address=address,
+                                 pc=pc_base + (slot & 63) * 4))
+            else:
+                pair = rows[index][slot & 63]
+                if draw() < predictability:
+                    append(pair[(slot & 7) != 0])
+                else:
+                    append(pair[draw() < taken_fraction])
+        if base is not None:
+            self._sequential_cursor[name] = cursor

@@ -1,5 +1,7 @@
 """Tests for the ISA layer: machine ops, privilege, CSR file."""
 
+import pickle
+
 import pytest
 
 from repro.isa import (
@@ -69,6 +71,19 @@ class TestMachineOps:
         assert MachineOp(OpClass.INT_ALU).int_op_count == 1
         assert MachineOp(OpClass.VECTOR_ALU, lanes=4).int_op_count == 4
         assert MachineOp(OpClass.FP_ADD).int_op_count == 0
+
+    def test_ops_are_immutable_values(self):
+        # Synthetic traces share one op instance across every segment that
+        # retires it, so no field may change after construction.
+        op = MachineOp(OpClass.LOAD, size_bytes=8, address=0x1000, pc=0x40)
+        for name in ("opclass", "size_bytes", "address", "lanes", "taken",
+                     "target", "pc"):
+            with pytest.raises(AttributeError):
+                setattr(op, name, 0)
+        same = load(8, address=0x1000, pc=0x40)
+        assert op == same and hash(op) == hash(same)
+        assert op != load(8, address=0x1008, pc=0x40)
+        assert pickle.loads(pickle.dumps(op)) == op
 
 
 class TestPrivilege:
