@@ -120,6 +120,12 @@ class RooflineRuntime:
     def handles(self, name: str) -> bool:
         return name in self._HANDLED
 
+    def observes_machine(self, name: str) -> bool:
+        """Only the loop begin/end notifications read the machine (its
+        clock and instruction count), so only they need every op the
+        program executed before the call already retired."""
+        return name in (RUNTIME_NOTIFY_BEGIN, RUNTIME_NOTIFY_END)
+
     def call(self, name: str, args: List[object]) -> object:
         if name == RUNTIME_IS_INSTRUMENTED:
             return 1 if self.instrumented else 0

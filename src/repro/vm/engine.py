@@ -19,27 +19,24 @@ Dispatch architecture
 The engine has two dispatch strategies over the same semantics:
 
 * **Fast dispatch** (the default): each function is *predecoded* once, on
-  first entry, into per-basic-block lists of closure-compiled executor
-  thunks.  All the per-step decisions the naive interpreter repeats on every
-  dynamic instruction -- the ``isinstance`` chain over instruction classes,
-  operand classification (constant vs. SSA value), opcode/predicate table
-  lookups, integer wrap parameters, ``struct`` format selection for memory
-  accesses, vector-annotation checks and the target lowering itself -- are
-  resolved at predecode time and captured in the closures.  Target lowerings
-  are memoized per ``(instruction, taken, vector_width)`` through
-  :meth:`~repro.compiler.targets.base.TargetLowering.lower_cached`, with the
-  effective address of memory ops patched into the cached template at
-  execution time.
+  first entry, into generated Python -- one function per basic block, one
+  ``compile()`` per function (see :class:`_Codegen`).  What the reference
+  interpreter decides per dynamic instruction (instruction class, operand
+  kind, opcode, integer wrap, ``struct`` format, vector gate, the target
+  lowering memoized by ``TargetLowering.lower_cached``) is decided once
+  and written into the source.
 
-  Retired machine ops are not handed to the machine one at a time either:
-  they accumulate in a pending buffer that is flushed in chunks through
-  :meth:`~repro.platforms.machine.Machine.execute_batch` -- at call
-  boundaries (external handlers read the machine clock), at function return
-  (before the task's stack frame pops, so samples attribute correctly) and
-  when the buffer reaches a size threshold.  ``execute_batch`` aggregates
-  event-bus publications up to each armed overflow and retires the op that
-  reaches it individually; final counter values, bus totals, sample counts
-  and sample contents are bit-identical to the per-op path.
+  Retired machine ops accumulate in a pending buffer that is flushed in
+  chunks through :meth:`~repro.platforms.machine.Machine.execute_batch` --
+  before internal calls and before external calls that observe the
+  machine, at function return (before the task's stack frame pops, so
+  samples attribute correctly) and at a size threshold.  An external
+  handler may declare ``observes_machine(name) -> bool``; a handler without
+  it is assumed to observe, builtin math does not, and the decision is made
+  once per call site.  ``execute_batch`` aggregates event-bus publications
+  up to each armed overflow and retires the op that reaches it
+  individually; counters, bus totals and samples are bit-identical to the
+  per-op path.
 
   On top of the batching, basic blocks that retire no addressed memory ops,
   no conditional branches, no calls and no vector-gated ops are classified
@@ -101,7 +98,7 @@ from repro.compiler.ir.instructions import (
 from repro.analysis.blockdelta import STATIC_DELTA_KEY
 from repro.analysis.blockdelta import target_key as _static_target_key
 from repro.compiler.ir.module import BasicBlock, Function, Module
-from repro.compiler.ir.types import FloatType, IntType, Type
+from repro.compiler.ir.types import FloatType, IntType, PointerType, Type
 from repro.compiler.ir.values import Constant, UndefValue, Value
 from repro.compiler.targets.base import TargetLowering
 from repro.compiler.transforms.vectorize import VECTOR_WIDTH_KEY
@@ -209,50 +206,517 @@ class _Ret:
         self.value = value
 
 
-class _PendingCall:
-    """Sentinel returned by every compiled internal-call step.
-
-    The block loop sees it and delegates to the call machinery
-    (``yield from``), so a preemption inside the callee propagates all the
-    way up through the caller's frames.
-    """
-
-    __slots__ = ("callee", "args", "dest")
-
-    def __init__(self, callee: "Function", args: List[object],
-                 dest: Optional[Instruction]):
-        self.callee = callee
-        self.args = args
-        self.dest = dest
+_RET_NONE = _Ret(None)
 
 
 class _DecodedBlock:
-    """A basic block predecoded into executor thunks."""
+    """A basic block predecoded into one generated function, ``run(values)
+    -> successor | _Ret`` (a generator function when ``is_gen``).  ``delta``
+    is the precomputed retirement signature (BlockDelta) of a memory-free,
+    branch-free, call-free block: such a block is generated without
+    accounting and the loop appends the sentinel per execution."""
 
-    __slots__ = ("name", "steps", "terminator", "phi_nodes", "phi_sources",
-                 "phi_accounts", "instr_count", "delta")
+    __slots__ = ("name", "run", "is_gen", "phi_nodes", "instr_count", "delta")
 
     def __init__(self, name: str):
         self.name = name
-        self.steps: List[Callable[[dict], None]] = []
-        self.terminator: Optional[Callable[[dict], object]] = None
+        self.run: Optional[Callable] = None
+        self.is_gen = False
         self.phi_nodes: List[Phi] = []
-        # Predecessor decoded block -> per-phi operand getters.
-        self.phi_sources: Dict["_DecodedBlock", List[Callable[[dict], object]]] = {}
-        self.phi_accounts: Optional[List[Callable[[], None]]] = None
         self.instr_count = 0
-        # Precomputed retirement signature (BlockDelta) of a memory-free,
-        # branch-free, call-free block; None when the block must account per
-        # op.  When set, the steps are compiled without account thunks and
-        # one sentinel is appended to the pending stream per execution.
         self.delta = None
 
 
-class _DecodedFunction:
-    __slots__ = ("entry",)
+def _int_divide(opcode: str, a: int, b: int, half: int, mask: int) -> int:
+    """``sdiv``/``srem``/``udiv``/``urem``, wrapped; a zero divisor gives 0."""
+    if opcode[0] == "u":
+        a, b = a & mask, b & mask
+    if b == 0:
+        return 0
+    if opcode == "udiv":
+        result = a // b
+    elif opcode == "urem":
+        result = a % b
+    else:
+        quotient = abs(a) // abs(b)
+        if (a < 0) != (b < 0):
+            quotient = -quotient
+        result = quotient if opcode == "sdiv" else a - b * quotient
+    return (result + half & mask) - half
 
-    def __init__(self, entry: _DecodedBlock):
-        self.entry = entry
+
+_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^",
+            "shl": "<<", "ashr": ">>", "fadd": "+", "fsub": "-", "fmul": "*",
+            "eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">",
+            "sge": ">=", "ult": "<", "ule": "<=", "ugt": ">", "uge": ">=",
+            "oeq": "==", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">="}
+
+#: The engine objects every generated factory binds first, in this order.
+_FIXED_PARAMS = ("pending_append, pending_extend, pending_mem_append, stats, "
+                 "MachineOp, Ret, RET_NONE, flush, dispatch, call, stack_alloc, "
+                 "general")
+
+
+class _Codegen:
+    """Python source for one function: one ``def`` per basic block.
+
+    A block's function takes the frame's ``values`` and returns its
+    successor's :class:`_DecodedBlock` after assigning the successor's phis
+    in parallel (or returns a :class:`_Ret`); one that makes an internal
+    call is a generator.  SSA values are Python locals, written to
+    ``values`` only when another block or a phi edge reads them.  The
+    source is a factory whose parameters bind the objects it refers to.
+    """
+
+    def __init__(self, engine: "ExecutionEngine", function: Function,
+                 dmap: Dict[BasicBlock, _DecodedBlock]):
+        self.engine = engine
+        self.function = function
+        self.dmap = dmap
+        self.objects: List[object] = []
+        self.shared: Dict[object, str] = {}
+        self.names: Dict[Value, str] = {}
+        self.kinds: Dict[Value, Optional[str]] = {}
+        self.slots: Dict[Type, Optional[tuple]] = {}
+        self.source: List[str] = []
+        self.temps = 0
+        # Values another block or a phi edge reads; a use before the
+        # definition in the same block reads the previous execution's.
+        home: Dict[Value, tuple] = {}
+        bodies = []
+        for block in function.blocks:
+            body: List[Instruction] = []
+            for inst in block.instructions:
+                if not isinstance(inst, Phi):
+                    home[inst] = (block, len(body))
+                    body.append(inst)
+                    if inst.is_terminator:
+                        break
+            bodies.append((block, body))
+        self.stored: Dict[Value, bool] = {}
+        for block, body in bodies:
+            for index, inst in enumerate(body):
+                for operand in inst.operands:
+                    where = home.get(operand, (block, -1))
+                    if where[0] is not block or where[1] >= index:
+                        self.stored[operand] = True
+            for phi in block.phis():
+                for value, pred in phi.incoming:
+                    if home.get(value, (pred,))[0] is not pred:
+                        self.stored[value] = True
+
+    # .. names .................................................................................
+
+    def bind(self, obj: object, shared: bool = False) -> str:
+        """A factory parameter bound to *obj* (one per object when *shared*)."""
+        if shared and obj in self.shared:
+            return self.shared[obj]
+        name = f"k{len(self.objects)}"
+        self.objects.append(obj)
+        if shared:
+            self.shared[obj] = name
+        return name
+
+    def emit(self, line: str) -> None:
+        self.lines.append(self.indent + line)
+
+    def assign(self, expr: str, name: Optional[str] = None) -> str:
+        """Emit ``name = expr`` (a fresh temporary by default); the name."""
+        if name is None:
+            self.temps += 1
+            name = f"t{self.temps}"
+        self.emit(f"{name} = {expr}")
+        return name
+
+    def literal(self, obj: object) -> str:
+        if obj is None or obj.__class__ in (bool, int) or (
+                obj.__class__ is float and math.isfinite(obj)):
+            return f"({obj!r})" if repr(obj).startswith("-") else repr(obj)
+        return self.bind(obj)
+
+    # .. operands ..............................................................................
+
+    def kind(self, value: Value) -> Optional[str]:
+        """``"i"``/``"f"`` when *value*'s definition always gives a Python
+        int/float, else None."""
+        if value not in self.kinds:
+            self.kinds[value] = None
+            kind = None
+            if isinstance(value, Constant):
+                kind = {int: "i", float: "f"}.get(value.value.__class__)
+            elif isinstance(value, (UndefValue, CompareOp, GetElementPtr, Alloca)):
+                kind = "i"
+            elif isinstance(value, BinaryOp):
+                kind = "f" if value.is_float_op else "i"
+            elif isinstance(value, Load):
+                kind = ("f" if isinstance(value.type, FloatType) else "i"
+                        if isinstance(value.type, (IntType, PointerType)) else None)
+            elif isinstance(value, Cast):
+                kind = ("i" if value.opcode in ("sext", "zext", "trunc", "fptosi")
+                        else "f" if value.opcode in ("fpext", "fptrunc", "sitofp")
+                        else self.kind(value.value))
+            elif isinstance(value, Select):
+                kind = self.kind(value.true_value)
+                if kind != self.kind(value.false_value):
+                    kind = None
+            self.kinds[value] = kind
+        return self.kinds[value]
+
+    def operand(self, value: Optional[Value], want: Optional[str] = None,
+                lazy: bool = False) -> str:
+        """*value* as a name or literal, coerced to int (*want* ``"i"``) or
+        float (``"f"``).  A value of another block is read from ``values``
+        on first use -- inline when *lazy*, so an untaken arm is never read.
+        """
+        coerce = {"i": "int", "f": "float"}.get(want)
+        if value is None:
+            return "None"
+        if isinstance(value, (Constant, UndefValue)):
+            const = value.value if isinstance(value, Constant) else 0
+            try:
+                return self.literal(const if coerce is None else
+                                    int(const) if want == "i" else float(const))
+            except (TypeError, ValueError, OverflowError):
+                return f"{coerce}({self.bind(const)})"
+        if isinstance(value, Function):
+            expr = self.bind(value, shared=True)
+        elif value in self.avail:
+            expr = self.avail[value]
+        elif lazy:
+            expr = f"values[{self.bind(value, shared=True)}]"
+        else:
+            expr = self.avail[value] = self.assign(
+                f"values[{self.bind(value, shared=True)}]", self.local(value))
+        if coerce is None or self.kind(value) == want:
+            return expr
+        if lazy:
+            return f"{coerce}({expr})"
+        if (value, want) not in self.avail:
+            self.avail[value, want] = self.assign(f"{coerce}({expr})")
+        return self.avail[value, want]
+
+    def local(self, value: Value) -> str:
+        return self.names.setdefault(value, f"v{len(self.names)}")
+
+    def define(self, inst: Instruction, expr: str,
+               wrap: Optional[IntType] = None) -> None:
+        """Assign *inst*'s local (wrapped to *wrap*), stored when read elsewhere."""
+        name = self.avail[inst] = self.local(inst)
+        if wrap is None:
+            self.assign(expr, name)
+        else:
+            self.wrapped(expr, wrap, name)
+        if inst in self.stored:
+            self.emit(f"values[{self.bind(inst, shared=True)}] = {name}")
+        self.avail.pop((inst, "i"), None)
+        self.avail.pop((inst, "f"), None)
+
+    def wrapped(self, expr: str, type_: Type, name: Optional[str] = None) -> str:
+        """*expr* wrapped to *type_*'s two's-complement range, in *name*."""
+        assert isinstance(type_, IntType)
+        if type_.bits == 1:
+            return self.assign(f"({expr}) & 1", name)
+        half = 1 << (type_.bits - 1)
+        name = self.assign(expr, name)
+        self.emit(f"if not {-half} <= {name} < {half}:")
+        self.emit(f"    {name} = ({name} + {half} & {2 * half - 1}) - {half}")
+        return name
+
+    # .. accounting ............................................................................
+
+    def lowering(self, inst: Instruction, taken: bool = False) -> tuple:
+        width = self.engine._effective_vector_width(inst)
+        return self.engine.target.lower_cached(
+            inst, taken=taken, pc=self.engine._pc_of.get(inst, 0),
+            vector_width=width), width
+
+    def flush_run(self) -> None:
+        """Emit the merged constant lowerings accumulated so far."""
+        if len(self.run) == 1:
+            self.emit(f"pending_append({self.bind(self.run[0])})")
+        elif self.run:
+            self.emit(f"pending_extend({self.bind(tuple(self.run))})")
+        self.run = []
+
+    def open_gate(self, width: int) -> str:
+        """Count a lane of a vector-annotated instruction; the condition
+        under which this execution retires the group's vector op."""
+        self.flush_run()
+        cell = self.bind([0])
+        count = self.assign(f"{cell}[0] + 1")
+        self.emit(f"{cell}[0] = {count}")
+        return f"not {count} % {width}"
+
+    def account(self, ops: tuple, width: int, gate: Optional[str] = None) -> None:
+        if ops and not width:
+            self.run.extend(ops)
+            self.constant += len(ops)
+        elif ops:
+            self.emit(f"if {gate or self.open_gate(width)}:")
+            self.emit(f"    pending_extend({self.bind(ops)})")
+            self.emit(f"    stats.machine_ops += {len(ops)}")
+
+    def account_plain(self, inst: Instruction, taken: bool = False) -> None:
+        if self.accounted:
+            self.account(*self.lowering(inst, taken))
+
+    def account_memory(self, inst: Instruction, address: str) -> None:
+        ops, width = self.lowering(inst) if self.accounted else ((), 0)
+        if not ops:
+            return      # register-promoted access: nothing retires
+        indent = self.indent
+        gate = self.open_gate(width) if width else self.flush_run()
+        if gate:
+            self.emit(f"if {gate}:")
+            self.indent += "    "
+        if len(ops) == 1 and ops[0].is_memory:
+            op = ops[0]
+            self.emit(f"pending_append(MachineOp({self.bind(op.opclass, True)}, "
+                      f"{op.size_bytes}, {address}, {op.lanes}, {op.taken}, "
+                      f"{self.literal(op.target)}, {op.pc}))")
+            if op.size_bytes > 0:
+                self.emit(f"pending_mem_append(({address}, {op.size_bytes}, "
+                          f"{op.is_store}))")
+            if gate:
+                self.emit("stats.machine_ops += 1")
+            else:
+                self.constant += 1
+        else:
+            # Several ops per access: lowered per execution, so the address
+            # lands wherever the target puts it.
+            self.emit(f"general({self.bind(inst)}, {address}, "
+                      f"{self.engine._pc_of.get(inst, 0)}, {width})")
+        self.indent = indent
+
+    def leave(self, line: str) -> None:
+        """Close one exit path: pending constants, the op count, *line*."""
+        self.flush_run()
+        if self.constant:
+            self.emit(f"stats.machine_ops += {self.constant}")
+        self.emit(line)
+
+    # .. blocks ................................................................................
+
+    def block(self, block: BasicBlock, body: List[Instruction],
+              terminator: Optional[Instruction], accounted: bool) -> bool:
+        """Generate *block*'s function; whether it is a generator."""
+        machine = self.engine.machine is not None
+        self.lines: List[str] = []
+        self.indent = "        "
+        self.avail: Dict[object, str] = {}
+        self.run: List[MachineOp] = []
+        self.constant = 0
+        self.is_gen = False
+        self.current = block
+        self.accounted = machine        # phi accounts fire even in delta blocks
+        for phi in block.phis():
+            self.account_plain(phi)
+        self.accounted = machine and accounted
+        if all(self.instruction(inst) for inst in body):
+            self.terminator(block, terminator)
+        self.source.append(f"    def {self.bind(self.dmap[block], True)}_run(values):")
+        self.source.extend(self.lines)
+        return self.is_gen
+
+    def terminator(self, block: BasicBlock, inst: Optional[Instruction]) -> None:
+        if inst is None:
+            message = (f"block {block.name} in @{self.function.name} fell "
+                       "through without a terminator")
+            self.leave(f"raise RuntimeError({message!r})")
+        elif isinstance(inst, Ret):
+            self.account_plain(inst, taken=True)
+            self.leave("return RET_NONE" if inst.value is None
+                       else f"return Ret({self.operand(inst.value)})")
+        elif isinstance(inst, Jump):
+            self.account_plain(inst, taken=True)
+            self.jump(inst.target)
+        else:
+            condition = self.operand(inst.condition)
+            lowered = [self.lowering(inst, taken) if self.accounted else ((), 0)
+                       for taken in (True, False)]
+            width = lowered[0][1]
+            gate = (self.open_gate(width)
+                    if width and (lowered[0][0] or lowered[1][0]) else None)
+            saved = self.run, self.constant, self.avail
+            self.emit(f"if {condition}:")
+            indent = self.indent
+            for succ, ops, inner in ((inst.then_block, lowered[0][0], "    "),
+                                     (inst.else_block, lowered[1][0], "")):
+                self.run, self.constant, self.avail = (
+                    list(saved[0]), saved[1], dict(saved[2]))
+                self.indent = indent + inner
+                self.account(ops, width, gate)
+                self.jump(succ)
+            self.indent = indent
+
+    def jump(self, succ: BasicBlock) -> None:
+        """Assign *succ*'s phis for this edge, in parallel, and return it."""
+        phis = succ.phis()
+        if phis:
+            sources = [self.operand(phi.incoming_for(self.current), lazy=True)
+                       for phi in phis]
+            self.emit(", ".join(f"values[{self.bind(phi, True)}]" for phi in phis)
+                      + " = " + ", ".join(sources))
+        self.leave(f"return {self.bind(self.dmap[succ], True)}")
+
+    def instruction(self, inst: Instruction) -> bool:
+        """Emit one non-terminator; False when the rest is unreachable."""
+        if isinstance(inst, BinaryOp):
+            self.define(inst, *self.binary(inst))
+        elif isinstance(inst, CompareOp):
+            self.define(inst, f"1 if {self.compare(inst)} else 0")
+        elif isinstance(inst, (Load, Store)):
+            self.memory(inst)
+            return True
+        elif isinstance(inst, Alloca):
+            self.define(inst, f"stack_alloc({max(1, inst.allocated_bytes)})")
+        elif isinstance(inst, GetElementPtr):
+            base, scale = self.operand(inst.base, "i"), inst.element_bytes
+            if isinstance(inst.index, Constant) and inst.index.value.__class__ is int:
+                self.define(inst, f"{base} + {self.literal(inst.index.value * scale)}")
+            else:
+                self.define(inst, f"{base} + {self.operand(inst.index, 'i')} * {scale}")
+        elif isinstance(inst, Call):
+            self.call(inst)
+            return True
+        elif isinstance(inst, Cast):
+            self.define(inst, *self.cast(inst))
+        elif isinstance(inst, Select):
+            self.define(inst, f"{self.operand(inst.true_value, lazy=True)} if "
+                              f"{self.operand(inst.condition)} else "
+                              f"{self.operand(inst.false_value, lazy=True)}")
+        else:
+            message = f"cannot execute instruction {inst.opcode}"
+            self.leave(f"raise RuntimeError({message!r})")
+            return False
+        self.account_plain(inst)
+        return True
+
+    def memory(self, inst: Instruction) -> None:
+        """A load or store.  An ``alloca``'d slot always lies inside the
+        stack segment, so its accesses index the segment directly."""
+        address = self.operand(inst.pointer, "i")
+        type_ = inst.type if isinstance(inst, Load) else inst.value.type
+        slot = None
+        pointer = inst.pointer
+        if (isinstance(pointer, Alloca)
+                and type_.size_bytes() <= max(1, pointer.allocated_bytes)):
+            if type_ not in self.slots:
+                codec = self.engine.memory.stack_slot(type_)
+                self.slots[type_] = codec and [self.bind(obj) for obj in codec]
+            slot = self.slots[type_]
+        offset = f"{address} - {Memory.STACK_BASE}"
+        if isinstance(inst, Load) and slot:
+            self.define(inst, f"{slot[0]}({slot[2]}, {offset})[0]")
+        elif isinstance(inst, Load):
+            loader = self.bind(self.engine.memory.load_fn(type_))
+            self.define(inst, f"{loader}({address})")
+        elif slot:
+            value = self.operand(inst.value, "f" if isinstance(type_, FloatType) else "i")
+            if isinstance(type_, IntType):
+                value = self.wrapped(value, type_)
+            self.emit(f"{slot[1]}({slot[2]}, {offset}, {value})")
+        else:
+            storer = self.bind(self.engine.memory.store_fn(type_))
+            self.emit(f"{storer}({address}, {self.operand(inst.value)})")
+        self.account_memory(inst, address)
+
+    def binary(self, inst: BinaryOp) -> tuple:
+        """``(expr, type to wrap to or None)`` computing *inst*."""
+        opcode = inst.opcode
+        if inst.is_float_op:
+            lhs, rhs = self.operand(inst.lhs, "f"), self.operand(inst.rhs, "f")
+            if opcode in _SYMBOLS:
+                return f"{lhs} {_SYMBOLS[opcode]} {rhs}", None
+            return f"{self.bind(_FLOAT_BINOPS[opcode], True)}({lhs}, {rhs})", None
+        type_ = inst.type
+        assert isinstance(type_, IntType)
+        bits = type_.bits
+        mask = (1 << bits) - 1
+        lhs, rhs = self.operand(inst.lhs, "i"), self.operand(inst.rhs, "i")
+        if opcode in ("sdiv", "srem", "udiv", "urem"):
+            half = 1 << (bits - 1) if bits > 1 else 0
+            return (f"{self.bind(_int_divide, True)}({opcode!r}, {lhs}, {rhs}, "
+                    f"{half}, {mask})"), None
+        if opcode in ("shl", "lshr", "ashr"):
+            const = inst.rhs.value if isinstance(inst.rhs, Constant) else None
+            amount = (const % bits if const.__class__ is int else f"{rhs} % {bits}")
+            if opcode == "lshr":
+                return f"({lhs} & {mask}) >> ({amount})", type_
+            return f"{lhs} {_SYMBOLS[opcode]} ({amount})", type_
+        return f"{lhs} {_SYMBOLS[opcode]} {rhs}", type_
+
+    def compare(self, inst: CompareOp) -> str:
+        predicate = inst.predicate
+        want = "f" if inst.opcode == "fcmp" else "i"
+        lhs, rhs = self.operand(inst.lhs, want), self.operand(inst.rhs, want)
+        if predicate == "one":          # ordered: false when either is NaN
+            return f"{lhs} < {rhs} or {lhs} > {rhs}"
+        if predicate[0] == "u":
+            bits = inst.lhs.type.bits if isinstance(inst.lhs.type, IntType) else 64
+            lhs, rhs = (f"({x} & {(1 << bits) - 1})" for x in (lhs, rhs))
+        return f"{lhs} {_SYMBOLS[predicate]} {rhs}"
+
+    def cast(self, inst: Cast) -> tuple:
+        """``(expr, type to wrap to or None)`` computing *inst*."""
+        opcode, to_type = inst.opcode, inst.type
+        if opcode in ("sext", "zext", "trunc"):
+            return self.operand(inst.value, "i"), to_type
+        if opcode == "fptosi":
+            return f"int({self.operand(inst.value)})", to_type
+        if opcode == "sitofp":
+            return f"float({self.operand(inst.value, 'i')})", None
+        if opcode in ("bitcast", "inttoptr", "ptrtoint"):
+            return self.operand(inst.value), None
+        if opcode not in ("fpext", "fptrunc"):
+            raise RuntimeError(f"unhandled cast opcode {opcode}")
+        value = self.operand(inst.value, "f")
+        if isinstance(to_type, FloatType) and to_type.bits == 32:
+            pack, unpack = (self.bind(_F32_STRUCT.pack, True),
+                            self.bind(_F32_STRUCT.unpack, True))
+            return f"{unpack}({pack}({value}))[0]", None
+        return value, None
+
+    def call(self, inst: Call) -> None:
+        """Arguments, the call's account, the flush it needs, the call."""
+        engine = self.engine
+        args = ", ".join(self.operand(arg) for arg in inst.operands)
+        self.account_plain(inst)
+        self.flush_run()
+        callee = inst.callee
+        if isinstance(callee, str) and engine.module.has_function(callee):
+            callee = engine.module.get_function(callee)
+        if isinstance(callee, Function) and not callee.is_declaration:
+            observes = True
+            self.is_gen = True
+            expr = f"(yield from call({self.bind(callee, True)}, [{args}]))"
+        else:
+            name = callee if isinstance(callee, str) else callee.name
+            observes = engine._observes_machine(name)
+            expr = f"dispatch({name!r}, [{args}])"
+        if observes and engine.machine is not None:
+            self.emit("flush()")
+        if inst.type.is_void:
+            self.emit(expr)
+        else:
+            self.define(inst, expr)
+
+    def build(self) -> List[Callable]:
+        """Compile the function once; its block functions, in block order."""
+        engine = self.engine
+        params = ", ".join([_FIXED_PARAMS] + [f"k{i}" for i in range(len(self.objects))])
+        blocks = ", ".join(self.shared[d] + "_run" for d in self.dmap.values())
+        source = "\n".join([f"def factory({params}):", *self.source,
+                            f"    return ({blocks},)"])
+        namespace: Dict[str, object] = {}
+        exec(compile(source, f"<predecoded @{self.function.name}>", "exec"),
+             namespace)
+        pending = engine._pending
+        return namespace["factory"](
+            pending.append, pending.extend, engine._pending_mem.append,
+            engine.stats, MachineOp, _Ret, _RET_NONE, engine._flush,
+            engine._dispatch_external, engine._call_function,
+            engine.memory.stack_alloc, engine._account_general, *self.objects)
 
 
 class ExecutionEngine:
@@ -274,10 +738,12 @@ class ExecutionEngine:
         pre-allocate and later inspect arrays.
     external_handlers:
         Objects with ``handles(name) -> bool`` and ``call(name, args)``
-        methods consulted (in order) for calls to declared-only functions.
-        The roofline runtime registers itself this way.
+        methods consulted (in order) for calls to declared-only functions,
+        and optionally ``observes_machine(name) -> bool``: an entry point
+        that does not read the machine lets the fast path skip the flush
+        before calling it.  The roofline runtime registers itself this way.
     fast_dispatch:
-        Use the predecode + closure-dispatch execution path (default).  The
+        Run each function as generated per-block Python (default).  The
         slow path is the reference interpreter used by equivalence tests.
     block_delta:
         Retire memory-free, branch-free, call-free basic blocks through
@@ -318,19 +784,17 @@ class ExecutionEngine:
         self.memory = memory if memory is not None else Memory()
         self.external_handlers: List[object] = list(external_handlers or [])
         self.stats = ExecutionStats()
-        self._vector_counters: Dict[int, int] = {}
-        self._pc_of: Dict[int, int] = {}
+        self._vector_counters: Dict[Instruction, int] = {}
+        self._pc_of: Dict[Instruction, int] = {}
         self._assign_pcs()
         self.fast_dispatch = fast_dispatch
         self.block_delta = block_delta
-        # Fast-dispatch state: the pending retired-op buffer (plus the
-        # stream-ordered addressed memory accesses it contains, handed to the
-        # hierarchy's batched access_lines) and the per-function predecode
-        # cache.
+        # Fast-dispatch state: pending retired ops, the addressed accesses
+        # among them in stream order (for the hierarchy's batched
+        # access_lines) and each function's generated entry block.
         self._pending: List[MachineOp] = []
         self._pending_mem: List[tuple] = []
-        self._suppress_accounts = False
-        self._decoded: Dict[Function, _DecodedFunction] = {}
+        self._decoded: Dict[Function, _DecodedBlock] = {}
         # Both dispatch paths decrement the shared fuel cell at block
         # boundaries and yield when it runs out.
         self._fuel: List[int] = [0]
@@ -342,11 +806,13 @@ class ExecutionEngine:
         for function in self.module:
             for block in function.blocks:
                 for inst in block.instructions:
-                    self._pc_of[id(inst)] = pc  # repro-lint: allow[no-id] -- per-engine pc map key; pcs come from a deterministic module walk, ids never order or escape
+                    self._pc_of[inst] = pc
                     pc += 4
 
     def register_external_handler(self, handler: object) -> None:
         self.external_handlers.append(handler)
+        # Call sites already generated decided their flushes without it.
+        self._decoded.clear()
 
     # -- public API -------------------------------------------------------------------------
 
@@ -437,7 +903,7 @@ class ExecutionEngine:
         if self.task is not None:
             entry_pc = 0
             if function.blocks and function.entry_block.instructions:
-                entry_pc = self._pc_of[id(function.entry_block.instructions[0])]  # repro-lint: allow[no-id] -- per-engine pc map key; pcs come from a deterministic module walk, ids never order or escape
+                entry_pc = self._pc_of[function.entry_block.instructions[0]]
             self.task.push_frame(function.name, pc=entry_pc,
                                  source_file=function.source_file)
         self.stats.calls += 1
@@ -473,17 +939,17 @@ class ExecutionEngine:
     def _run_frame_predecoded(self, frame: _Frame):
         """The fast path's block loop (a generator, like the reference one).
 
-        Runs the frame's predecoded blocks.  A compiled internal-call step
-        returns a :class:`_PendingCall` that is delegated to
-        :meth:`_call_function` (``yield from``), so a preemption inside the
-        callee propagates up through the caller's frames.  The shared fuel
-        cell is decremented by each block's instruction count -- when it
-        runs out, pending ops are flushed and control is yielded.
+        Runs the frame's generated block functions; a block that makes an
+        internal call is itself a generator and is delegated to (``yield
+        from``), so a preemption inside the callee propagates up through
+        the caller's frames.  The shared fuel cell is decremented by each
+        block's instruction count -- when it runs out, pending ops are
+        flushed and control is yielded.
         """
         function = frame.function
-        decoded = self._decoded.get(function)
-        if decoded is None:
-            decoded = self._decode_function(function)
+        block = self._decoded.get(function)
+        if block is None:
+            block = self._decode_function(function)
         values = frame.values
         stats = self.stats
         per_fn = stats.per_function_instructions
@@ -492,35 +958,19 @@ class ExecutionEngine:
         flush = self._flush
         threshold = self._FLUSH_THRESHOLD
         fuel = self._fuel
-        call = self._call_function
-        block = decoded.entry
-        prev: Optional[_DecodedBlock] = None
+        # Phis read the incoming edge's value; entering the function there
+        # is no edge, so the entry block's phis are None.
+        for phi in block.phi_nodes:
+            values[phi] = None
         try:
             while True:
-                phis = block.phi_nodes
-                if phis:
-                    getters = block.phi_sources.get(prev)
-                    if getters is None:
-                        for phi in phis:
-                            values[phi] = None
-                    else:
-                        incoming = [g(values) for g in getters]
-                        for phi, value in zip(phis, incoming):
-                            values[phi] = value
-                    accounts = block.phi_accounts
-                    if accounts is not None:
-                        for account in accounts:
-                            account()
                 count = block.instr_count
                 stats.ir_instructions += count
                 per_fn[fname] = per_fn.get(fname, 0) + count
-                for step in block.steps:
-                    marker = step(values)
-                    if marker is not None:
-                        result = yield from call(marker.callee, marker.args)
-                        if marker.dest is not None:
-                            values[marker.dest] = result
-                nxt = block.terminator(values)
+                if block.is_gen:
+                    nxt = yield from block.run(values)
+                else:
+                    nxt = block.run(values)
                 delta = block.delta
                 if delta is not None:
                     pending.append(delta)
@@ -534,7 +984,6 @@ class ExecutionEngine:
                     yield
                 elif len(pending) >= threshold:
                     flush()
-                prev = block
                 block = nxt
         except KeyError as exc:
             key = exc.args[0] if exc.args else None
@@ -634,69 +1083,34 @@ class ExecutionEngine:
 
     # -- predecoding --------------------------------------------------------------------------
 
-    def _decode_function(self, function: Function) -> _DecodedFunction:
+    def _decode_function(self, function: Function) -> _DecodedBlock:
+        """Generate and compile *function*'s blocks; its entry block."""
         with _span("predecode", cat="engine", function=function.name,
                    blocks=len(function.blocks)):
             dmap = {block: _DecodedBlock(block.name) for block in function.blocks}
+            gen = _Codegen(self, function, dmap)
             for block in function.blocks:
-                self._decode_block(function, block, dmap)
-            decoded = _DecodedFunction(dmap[function.entry_block])
-            self._decoded[function] = decoded
-            return decoded
+                self._decode_block(block, gen)
+            for decoded, run in zip(dmap.values(), gen.build()):
+                decoded.run = run
+            entry = self._decoded[function] = dmap[function.entry_block]
+            return entry
 
-    def _decode_block(self, function: Function, block: BasicBlock,
-                      dmap: Dict[BasicBlock, _DecodedBlock]) -> None:
-        d = dmap[block]
-        phis = block.phis()
-        if phis:
-            d.phi_nodes = phis
-            preds: List[BasicBlock] = []
-            for phi in phis:
-                for _value, pred in phi.incoming:
-                    if pred not in preds:
-                        preds.append(pred)
-            for pred in preds:
-                d.phi_sources[dmap[pred]] = [
-                    self._compile_operand(phi.incoming_for(pred)) for phi in phis
-                ]
-            accounts = [self._compile_plain_account(phi) for phi in phis]
-            if any(account is not None for account in accounts):
-                d.phi_accounts = [a for a in accounts if a is not None]
-
+    def _decode_block(self, block: BasicBlock, gen: _Codegen) -> None:
+        d = gen.dmap[block]
+        d.phi_nodes = block.phis()
         body: List[Instruction] = []
         terminator: Optional[Instruction] = None
-        count = 0
         for inst in block.instructions:
             if isinstance(inst, Phi):
                 continue
-            count += 1
             if isinstance(inst, (Branch, Jump, Ret)):
                 terminator = inst
                 break
             body.append(inst)
-        d.instr_count = count
-        delta = self._classify_block_delta(block, body, terminator)
-        if delta is not None:
-            # The delta carries the whole block's constant retirement
-            # signature; compile the executor thunks accounting-free.
-            d.delta = delta
-            self._suppress_accounts = True
-        try:
-            d.steps = [self._compile_inst(inst) for inst in body]
-            if terminator is None:
-                block_name, function_name = block.name, function.name
-
-                def fell_through(values: dict) -> object:
-                    raise RuntimeError(
-                        f"block {block_name} in @{function_name} fell through "
-                        "without a terminator"
-                    )
-
-                d.terminator = fell_through
-            else:
-                d.terminator = self._compile_terminator(terminator, dmap)
-        finally:
-            self._suppress_accounts = False
+        d.instr_count = len(body) + (terminator is not None)
+        d.delta = self._classify_block_delta(block, body, terminator)
+        d.is_gen = gen.block(block, body, terminator, d.delta is None)
 
     def _classify_block_delta(self, block: BasicBlock, body: List[Instruction],
                               terminator: Optional[Instruction]):
@@ -741,7 +1155,7 @@ class ExecutionEngine:
         for inst in body:
             if isinstance(inst, Call) or self._effective_vector_width(inst):
                 return None
-            lowered = lower(inst, pc=pc_of.get(id(inst), 0))  # repro-lint: allow[no-id] -- per-engine pc map key; pcs come from a deterministic module walk, ids never order or escape
+            lowered = lower(inst, pc=pc_of.get(inst, 0))
             for op in lowered:
                 if op.is_memory:
                     return None
@@ -749,7 +1163,7 @@ class ExecutionEngine:
         if self._effective_vector_width(terminator):
             return None
         ops.extend(lower(terminator, taken=True,
-                         pc=pc_of.get(id(terminator), 0)))  # repro-lint: allow[no-id] -- per-engine pc map key; pcs come from a deterministic module walk, ids never order or escape
+                         pc=pc_of.get(terminator, 0)))
         if not ops:
             return None
         delta = self.machine.core.block_delta_for(ops)
@@ -787,23 +1201,6 @@ class ExecutionEngine:
                 f"engine says {'eligible' if runtime_eligible else 'ineligible'}"
             )
 
-    # .. operand access ........................................................................
-
-    def _compile_operand(self, value: Optional[Value]) -> Callable[[dict], object]:
-        if value is None:
-            return lambda values: None
-        if isinstance(value, Constant):
-            const = value.value
-            return lambda values: const
-        if isinstance(value, UndefValue):
-            return lambda values: 0
-        if isinstance(value, Function):
-            function = value
-            return lambda values: function
-        return lambda values, key=value: values[key]
-
-    # .. accounting closures ...................................................................
-
     def _effective_vector_width(self, inst: Instruction) -> int:
         """The vector group size the accounting path uses for *inst* (0 = scalar)."""
         annotated = inst.metadata.get(VECTOR_WIDTH_KEY, 0)
@@ -813,413 +1210,27 @@ class ExecutionEngine:
                 return width
         return 0
 
-    def _guard_account(self, width: int, emit: Callable) -> Callable:
-        """Gate *emit* on the vector-lane counter.
+    def _observes_machine(self, name: str) -> bool:
+        """Whether a call to external *name* may read the machine (and so
+        needs every pending op retired first)."""
+        for handler in self.external_handlers:
+            if handler.handles(name):
+                observes = getattr(handler, "observes_machine", None)
+                return observes is None or bool(observes(name))
+        return name not in _BUILTIN_MATH
 
-        A scalar instruction (``width`` 0) retires on every execution, so
-        *emit* is returned as is.  For a vector-annotated instruction the
-        returned thunk fires *emit* only on every ``width``-th execution, the
-        executions in between being lanes of the one retired vector op.  All
-        accounting thunks share this gate so the lane rule lives in exactly
-        one place.
-        """
-        if width == 0:
-            return emit
-        counter = [0]
-
-        def account_vector(*args) -> None:
-            count = counter[0] + 1
-            counter[0] = count
-            if count % width:
-                return
-            emit(*args)
-        return account_vector
-
-    def _compile_plain_account(self, inst: Instruction,
-                               taken: bool = False) -> Optional[Callable[[], None]]:
-        """Accounting thunk for instructions whose lowering needs no address.
-
-        Returns ``None`` when nothing would ever be retired (no machine, or
-        an empty lowering such as a phi or a bitcast), or when the enclosing
-        block retires through a precomputed :class:`~repro.cpu.core.
-        BlockDelta` (the delta already carries these ops).
-        """
-        if self.machine is None or self._suppress_accounts:
-            return None
-        pc = self._pc_of.get(id(inst), 0)  # repro-lint: allow[no-id] -- per-engine pc map key; pcs come from a deterministic module walk, ids never order or escape
-        width = self._effective_vector_width(inst)
-        ops = self.target.lower_cached(inst, taken=taken, pc=pc, vector_width=width)
-        n = len(ops)
-        if n == 0:
-            return None
-        pending = self._pending
-        stats = self.stats
-
-        def emit() -> None:
-            pending.extend(ops)
-            stats.machine_ops += n
-        return self._guard_account(width, emit)
-
-    def _compile_branch_account(self, inst: Branch) -> Optional[Callable[[bool], None]]:
-        if self.machine is None:
-            return None
-        pc = self._pc_of.get(id(inst), 0)  # repro-lint: allow[no-id] -- per-engine pc map key; pcs come from a deterministic module walk, ids never order or escape
-        width = self._effective_vector_width(inst)
-        ops_taken = self.target.lower_cached(inst, taken=True, pc=pc,
-                                             vector_width=width)
-        ops_not = self.target.lower_cached(inst, taken=False, pc=pc,
-                                           vector_width=width)
-        if not ops_taken and not ops_not:
-            return None
-        pending = self._pending
-        stats = self.stats
-
-        def emit(taken: bool) -> None:
-            ops = ops_taken if taken else ops_not
-            pending.extend(ops)
-            stats.machine_ops += len(ops)
-        return self._guard_account(width, emit)
-
-    def _compile_memory_account(self, inst: Instruction) -> Optional[Callable[[int], None]]:
-        """Accounting thunk for loads/stores: cached lowering, address patched."""
-        if self.machine is None:
-            return None
-        pc = self._pc_of.get(id(inst), 0)  # repro-lint: allow[no-id] -- per-engine pc map key; pcs come from a deterministic module walk, ids never order or escape
-        width = self._effective_vector_width(inst)
-        ops = self.target.lower_cached(inst, pc=pc, vector_width=width)
-        if not ops:
-            return None        # register-promoted access: nothing retires
-        pending = self._pending
-        pending_mem = self._pending_mem
-        stats = self.stats
-        if len(ops) == 1 and ops[0].is_memory:
-            template = ops[0]
-            opclass = template.opclass
-            size_bytes = template.size_bytes
-            lanes = template.lanes
-            op_taken = template.taken
-            op_target = template.target
-            op_pc = template.pc
-            is_store = template.is_store
-            if size_bytes > 0:
-                def emit(address: int) -> None:
-                    pending.append(MachineOp(opclass, size_bytes, address,
-                                             lanes, op_taken, op_target, op_pc))
-                    pending_mem.append((address, size_bytes, is_store))
-                    stats.machine_ops += 1
-            else:
-                def emit(address: int) -> None:
-                    pending.append(MachineOp(opclass, size_bytes, address,
-                                             lanes, op_taken, op_target, op_pc))
-                    stats.machine_ops += 1
-            return self._guard_account(width, emit)
-
-        # Exotic lowering (several ops per access): fall back to lowering per
-        # execution so the address lands wherever the target puts it.
-        target = self.target
-
-        def emit_general(address: int) -> None:
-            lowered = target.lower(inst, address=address, pc=pc,
-                                   vector_width=width)
-            pending.extend(lowered)
-            for op in lowered:
-                # Mirror retire_batch's addressed-memory predicate so the
-                # batched access stream stays aligned with the op stream.
-                if op.is_memory and op.address is not None and op.size_bytes > 0:
-                    pending_mem.append((op.address, op.size_bytes, op.is_store))
-            stats.machine_ops += len(lowered)
-        return self._guard_account(width, emit_general)
-
-    # .. instruction compilation ................................................................
-
-    def _wrap_value_step(self, inst: Instruction,
-                         compute: Callable[[dict], object],
-                         account: Optional[Callable[[], None]]) -> Callable[[dict], None]:
-        if account is None:
-            def step(values: dict) -> None:
-                values[inst] = compute(values)
-        else:
-            def step(values: dict) -> None:
-                values[inst] = compute(values)
-                account()
-        return step
-
-    def _compile_inst(self, inst: Instruction) -> Callable[[dict], None]:
-        if isinstance(inst, BinaryOp):
-            compute = self._compile_binary(inst)
-            return self._wrap_value_step(inst, compute,
-                                         self._compile_plain_account(inst))
-        if isinstance(inst, CompareOp):
-            compute = self._compile_compare(inst)
-            return self._wrap_value_step(inst, compute,
-                                         self._compile_plain_account(inst))
-        if isinstance(inst, Load):
-            return self._compile_load(inst)
-        if isinstance(inst, Store):
-            return self._compile_store(inst)
-        if isinstance(inst, Alloca):
-            size = max(1, inst.allocated_bytes)
-            stack_alloc = self.memory.stack_alloc
-            return self._wrap_value_step(inst, lambda values: stack_alloc(size),
-                                         self._compile_plain_account(inst))
-        if isinstance(inst, GetElementPtr):
-            base_get = self._compile_operand(inst.base)
-            index_get = self._compile_operand(inst.index)
-            element_bytes = inst.element_bytes
-
-            def compute_gep(values: dict) -> int:
-                return int(base_get(values)) + int(index_get(values)) * element_bytes
-            return self._wrap_value_step(inst, compute_gep,
-                                         self._compile_plain_account(inst))
-        if isinstance(inst, Call):
-            return self._compile_call(inst)
-        if isinstance(inst, Cast):
-            compute = self._compile_cast(inst)
-            return self._wrap_value_step(inst, compute,
-                                         self._compile_plain_account(inst))
-        if isinstance(inst, Select):
-            cond_get = self._compile_operand(inst.condition)
-            true_get = self._compile_operand(inst.true_value)
-            false_get = self._compile_operand(inst.false_value)
-
-            def compute_select(values: dict) -> object:
-                return true_get(values) if cond_get(values) else false_get(values)
-            return self._wrap_value_step(inst, compute_select,
-                                         self._compile_plain_account(inst))
-        opcode = inst.opcode
-
-        def unexecutable(values: dict) -> None:
-            raise RuntimeError(f"cannot execute instruction {opcode}")
-        return unexecutable
-
-    def _compile_binary(self, inst: BinaryOp) -> Callable[[dict], object]:
-        lhs_get = self._compile_operand(inst.lhs)
-        rhs_get = self._compile_operand(inst.rhs)
-        opcode = inst.opcode
-        if inst.is_float_op:
-            fn = _FLOAT_BINOPS.get(opcode)
-            if fn is None:
-                raise RuntimeError(f"unhandled binary opcode {opcode}")
-            return lambda values: fn(float(lhs_get(values)), float(rhs_get(values)))
-        type_ = inst.type
-        assert isinstance(type_, IntType)
-        wrap = type_.wrap
-        bits = type_.bits
-        mask = (1 << bits) - 1
-        if opcode == "add":
-            return lambda values: wrap(int(lhs_get(values)) + int(rhs_get(values)))
-        if opcode == "sub":
-            return lambda values: wrap(int(lhs_get(values)) - int(rhs_get(values)))
-        if opcode == "mul":
-            return lambda values: wrap(int(lhs_get(values)) * int(rhs_get(values)))
-        if opcode == "sdiv":
-            def sdiv(values: dict) -> int:
-                a, b = int(lhs_get(values)), int(rhs_get(values))
-                if b == 0:
-                    return 0
-                quotient = abs(a) // abs(b)
-                return wrap(-quotient if (a < 0) != (b < 0) else quotient)
-            return sdiv
-        if opcode == "udiv":
-            def udiv(values: dict) -> int:
-                b = int(rhs_get(values)) & mask
-                if b == 0:
-                    return 0
-                return wrap((int(lhs_get(values)) & mask) // b)
-            return udiv
-        if opcode == "srem":
-            def srem(values: dict) -> int:
-                a, b = int(lhs_get(values)), int(rhs_get(values))
-                if b == 0:
-                    return 0
-                quotient = abs(a) // abs(b)
-                signed = -quotient if (a < 0) != (b < 0) else quotient
-                return wrap(a - b * signed)
-            return srem
-        if opcode == "urem":
-            def urem(values: dict) -> int:
-                b = int(rhs_get(values)) & mask
-                if b == 0:
-                    return 0
-                return wrap((int(lhs_get(values)) & mask) % b)
-            return urem
-        if opcode == "and":
-            return lambda values: wrap(int(lhs_get(values)) & int(rhs_get(values)))
-        if opcode == "or":
-            return lambda values: wrap(int(lhs_get(values)) | int(rhs_get(values)))
-        if opcode == "xor":
-            return lambda values: wrap(int(lhs_get(values)) ^ int(rhs_get(values)))
-        if opcode == "shl":
-            return lambda values: wrap(
-                int(lhs_get(values)) << (int(rhs_get(values)) % bits))
-        if opcode == "lshr":
-            return lambda values: wrap(
-                (int(lhs_get(values)) & mask) >> (int(rhs_get(values)) % bits))
-        if opcode == "ashr":
-            return lambda values: wrap(
-                int(lhs_get(values)) >> (int(rhs_get(values)) % bits))
-        raise RuntimeError(f"unhandled binary opcode {opcode}")
-
-    def _compile_compare(self, inst: CompareOp) -> Callable[[dict], int]:
-        lhs_get = self._compile_operand(inst.lhs)
-        rhs_get = self._compile_operand(inst.rhs)
-        predicate = inst.predicate
-        if inst.opcode == "fcmp":
-            cmp = _FCMP_PREDICATES[predicate]
-            return lambda values: int(cmp(float(lhs_get(values)),
-                                          float(rhs_get(values))))
-        table = {
-            "eq": lambda a, b: a == b, "ne": lambda a, b: a != b,
-            "slt": lambda a, b: a < b, "sle": lambda a, b: a <= b,
-            "sgt": lambda a, b: a > b, "sge": lambda a, b: a >= b,
-            "ult": lambda a, b: a < b, "ule": lambda a, b: a <= b,
-            "ugt": lambda a, b: a > b, "uge": lambda a, b: a >= b,
-        }
-        cmp = table[predicate]
-        if predicate.startswith("u"):
-            bits = inst.lhs.type.bits if isinstance(inst.lhs.type, IntType) else 64
-            mask = (1 << bits) - 1
-            return lambda values: int(cmp(int(lhs_get(values)) & mask,
-                                          int(rhs_get(values)) & mask))
-        return lambda values: int(cmp(int(lhs_get(values)), int(rhs_get(values))))
-
-    def _compile_cast(self, inst: Cast) -> Callable[[dict], object]:
-        value_get = self._compile_operand(inst.value)
-        opcode = inst.opcode
-        to_type = inst.type
-        if opcode in ("sext", "zext", "trunc"):
-            assert isinstance(to_type, IntType)
-            wrap = to_type.wrap
-            return lambda values: wrap(int(value_get(values)))
-        if opcode in ("fpext", "fptrunc"):
-            if isinstance(to_type, FloatType) and to_type.bits == 32:
-                pack = _F32_STRUCT.pack
-                unpack = _F32_STRUCT.unpack
-                return lambda values: unpack(pack(float(value_get(values))))[0]
-            return lambda values: float(value_get(values))
-        if opcode == "sitofp":
-            return lambda values: float(int(value_get(values)))
-        if opcode == "fptosi":
-            assert isinstance(to_type, IntType)
-            wrap = to_type.wrap
-            return lambda values: wrap(int(value_get(values)))
-        if opcode in ("bitcast", "inttoptr", "ptrtoint"):
-            return value_get
-        raise RuntimeError(f"unhandled cast opcode {opcode}")
-
-    def _compile_load(self, inst: Load) -> Callable[[dict], None]:
-        pointer_get = self._compile_operand(inst.pointer)
-        loader = self.memory.load_fn(inst.type)
-        account = self._compile_memory_account(inst)
-        if account is None:
-            def step(values: dict) -> None:
-                values[inst] = loader(int(pointer_get(values)))
-        else:
-            def step(values: dict) -> None:
-                address = int(pointer_get(values))
-                values[inst] = loader(address)
-                account(address)
-        return step
-
-    def _compile_store(self, inst: Store) -> Callable[[dict], None]:
-        value_get = self._compile_operand(inst.value)
-        pointer_get = self._compile_operand(inst.pointer)
-        storer = self.memory.store_fn(inst.value.type)
-        account = self._compile_memory_account(inst)
-        if account is None:
-            def step(values: dict) -> None:
-                storer(int(pointer_get(values)), value_get(values))
-        else:
-            def step(values: dict) -> None:
-                address = int(pointer_get(values))
-                storer(address, value_get(values))
-                account(address)
-        return step
-
-    def _compile_call(self, inst: Call) -> Callable[[dict], None]:
-        arg_getters = [self._compile_operand(operand) for operand in inst.operands]
-        account = self._compile_plain_account(inst)
-        flush = self._flush
-        store_result = not inst.type.is_void
-
-        callee = inst.callee
-        callee_fn: Optional[Function] = None
-        if isinstance(callee, Function):
-            callee_fn = callee
-        elif isinstance(callee, str) and self.module.has_function(callee):
-            callee_fn = self.module.get_function(callee)
-
-        if callee_fn is not None and not callee_fn.is_declaration:
-            dest = inst if store_result else None
-
-            def step(values: dict) -> _PendingCall:
-                args = [g(values) for g in arg_getters]
-                if account is not None:
-                    account()
-                flush()
-                # The block loop performs the call, so a preemption inside
-                # the callee propagates through the caller's frames.
-                return _PendingCall(callee_fn, args, dest)
-            return step
-
-        name = callee if isinstance(callee, str) else callee.name
-        dispatch = self._dispatch_external
-
-        def step_external(values: dict) -> None:
-            args = [g(values) for g in arg_getters]
-            if account is not None:
-                account()
-            flush()
-            result = dispatch(name, args)
-            if store_result:
-                values[inst] = result
-        return step_external
-
-    def _compile_terminator(self, inst: Instruction,
-                            dmap: Dict[BasicBlock, _DecodedBlock]) -> Callable[[dict], object]:
-        if isinstance(inst, Branch):
-            cond_get = self._compile_operand(inst.condition)
-            account = self._compile_branch_account(inst)
-            then_block = dmap[inst.then_block]
-            else_block = dmap[inst.else_block]
-            if account is None:
-                def branch(values: dict) -> object:
-                    return then_block if cond_get(values) else else_block
-                return branch
-
-            def branch_accounted(values: dict) -> object:
-                condition = bool(cond_get(values))
-                account(condition)
-                return then_block if condition else else_block
-            return branch_accounted
-        if isinstance(inst, Jump):
-            account = self._compile_plain_account(inst, taken=True)
-            target_block = dmap[inst.target]
-            if account is None:
-                return lambda values: target_block
-
-            def jump(values: dict) -> object:
-                account()
-                return target_block
-            return jump
-        assert isinstance(inst, Ret)
-        account = self._compile_plain_account(inst, taken=True)
-        value_get = (self._compile_operand(inst.value)
-                     if inst.value is not None else None)
-        if account is None:
-            if value_get is None:
-                return lambda values: _Ret(None)
-            return lambda values: _Ret(value_get(values))
-        if value_get is None:
-            def ret_void(values: dict) -> object:
-                account()
-                return _Ret(None)
-            return ret_void
-
-        def ret(values: dict) -> object:
-            account()
-            return _Ret(value_get(values))
-        return ret
+    def _account_general(self, inst: Instruction, address: int, pc: int,
+                         width: int) -> None:
+        """Retire a memory access whose lowering is several ops, lowered
+        per execution so the address lands wherever the target puts it."""
+        lowered = self.target.lower(inst, address=address, pc=pc,
+                                    vector_width=width)
+        self._pending.extend(lowered)
+        # retire_batch's addressed-memory predicate keeps the streams aligned.
+        self._pending_mem.extend(
+            (op.address, op.size_bytes, op.is_store) for op in lowered
+            if op.is_memory and op.address is not None and op.size_bytes > 0)
+        self.stats.machine_ops += len(lowered)
 
     # -- instruction execution (reference path) -------------------------------------------------
 
@@ -1401,13 +1412,12 @@ class ExecutionEngine:
             # annotated instruction; the other executions are lanes of it.
             width = min(int(annotated), self.target.vector_sp_lanes)
             if width > 1:
-                key = id(inst)  # repro-lint: allow[no-id] -- per-engine lane counter key; ids never order or escape
-                count = self._vector_counters.get(key, 0) + 1
-                self._vector_counters[key] = count
+                count = self._vector_counters.get(inst, 0) + 1
+                self._vector_counters[inst] = count
                 if count % width != 0:
                     return
                 vector_width = width
-        pc = self._pc_of.get(id(inst), 0)  # repro-lint: allow[no-id] -- per-engine pc map key; pcs come from a deterministic module walk, ids never order or escape
+        pc = self._pc_of.get(inst, 0)
         ops = self.target.lower(inst, address=address, taken=taken, pc=pc,
                                 vector_width=vector_width)
         task = self.task

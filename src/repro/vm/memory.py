@@ -9,7 +9,7 @@ agree with each other.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.ir.types import FloatType, IntType, PointerType, Type
 
@@ -22,13 +22,25 @@ _INT_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
 _FLOAT_FORMATS = {32: "f", 64: "d"}
 
 
+def _codec(type_: Type) -> Optional[struct.Struct]:
+    """The little-endian ``struct`` of a scalar type (None for i1)."""
+    if isinstance(type_, IntType):
+        fmt = _INT_FORMATS.get(type_.bits)
+    elif isinstance(type_, FloatType):
+        fmt = _FLOAT_FORMATS.get(type_.bits)
+    else:
+        fmt = "q" if isinstance(type_, PointerType) else None
+    return struct.Struct("<" + fmt) if fmt else None
+
+
 class Memory:
     """A bump-allocated heap plus a per-call stack region.
 
     The heap starts at ``HEAP_BASE`` and grows upward; stack frames are
     carved from a separate region so that freeing a frame on return is a
     single pointer reset.  All addresses are stable for the lifetime of the
-    Memory object, which the cache simulator relies on.
+    Memory object, which the cache simulator relies on.  Both segments are
+    zero-filled on demand, never all ``STACK_SIZE`` bytes up front.
     """
 
     HEAP_BASE = 0x0001_0000
@@ -39,7 +51,7 @@ class Memory:
         self.heap_size = heap_size
         self._heap = bytearray()
         self._heap_top = self.HEAP_BASE
-        self._stack = bytearray(self.STACK_SIZE)
+        self._stack = bytearray()
         self._stack_top = self.STACK_BASE
         self._allocations: Dict[int, int] = {}
 
@@ -80,12 +92,21 @@ class Memory:
             top += align - (top % align)
         address = top
         self._stack_top = top + size
-        if self._stack_top - self.STACK_BASE > self.STACK_SIZE:
+        used = self._stack_top - self.STACK_BASE
+        if used > self.STACK_SIZE:
             raise MemoryError_("stack overflow in modelled program")
+        if used > len(self._stack):
+            self._grow_stack(used)
         return address
 
     def pop_stack_frame(self, token: int) -> None:
         self._stack_top = token
+
+    def _grow_stack(self, end: int) -> None:
+        """Zero-fill the stack segment to *end* bytes or more (doubling)."""
+        stack = self._stack
+        target = min(self.STACK_SIZE, max(end, 2 * len(stack), 4096))
+        stack.extend(bytes(target - len(stack)))
 
     # -- raw byte access ------------------------------------------------------------------
 
@@ -93,7 +114,10 @@ class Memory:
         if self.HEAP_BASE <= address and address + size <= self.HEAP_BASE + len(self._heap):
             return self._heap, address - self.HEAP_BASE
         if self.STACK_BASE <= address and address + size <= self.STACK_BASE + self.STACK_SIZE:
-            return self._stack, address - self.STACK_BASE
+            offset = address - self.STACK_BASE
+            if offset + size > len(self._stack):
+                self._grow_stack(offset + size)
+            return self._stack, offset
         raise MemoryError_(f"unmapped access of {size} bytes at {address:#x}")
 
     def read_bytes(self, address: int, size: int) -> bytes:
@@ -108,35 +132,26 @@ class Memory:
 
     def load_typed(self, address: int, type_: Type):
         """Load a value of *type_* from *address*."""
-        if isinstance(type_, IntType):
-            if type_.bits == 1:
-                return self.read_bytes(address, 1)[0] & 1
-            fmt = _INT_FORMATS[type_.bits]
-            return struct.unpack_from("<" + fmt, self.read_bytes(address, type_.bits // 8))[0]
-        if isinstance(type_, FloatType):
-            fmt = _FLOAT_FORMATS[type_.bits]
-            return struct.unpack_from("<" + fmt, self.read_bytes(address, type_.bits // 8))[0]
-        if isinstance(type_, PointerType):
-            return struct.unpack_from("<q", self.read_bytes(address, 8))[0]
-        raise MemoryError_(f"cannot load value of type {type_}")
+        if isinstance(type_, IntType) and type_.bits == 1:
+            return self.read_bytes(address, 1)[0] & 1
+        codec = _codec(type_)
+        if codec is None:
+            raise MemoryError_(f"cannot load value of type {type_}")
+        return codec.unpack(self.read_bytes(address, codec.size))[0]
 
     def store_typed(self, address: int, type_: Type, value) -> None:
-        """Store *value* of *type_* at *address*."""
+        """Store *value* of *type_* at *address* (integers wrapped first)."""
+        if isinstance(type_, IntType) and type_.bits == 1:
+            self.write_bytes(address, bytes([int(value) & 1]))
+            return
+        codec = _codec(type_)
+        if codec is None:
+            raise MemoryError_(f"cannot store value of type {type_}")
         if isinstance(type_, IntType):
-            if type_.bits == 1:
-                self.write_bytes(address, bytes([int(value) & 1]))
-                return
-            fmt = _INT_FORMATS[type_.bits]
-            self.write_bytes(address, struct.pack("<" + fmt, type_.wrap(int(value))))
-            return
-        if isinstance(type_, FloatType):
-            fmt = _FLOAT_FORMATS[type_.bits]
-            self.write_bytes(address, struct.pack("<" + fmt, float(value)))
-            return
-        if isinstance(type_, PointerType):
-            self.write_bytes(address, struct.pack("<q", int(value)))
-            return
-        raise MemoryError_(f"cannot store value of type {type_}")
+            value = type_.wrap(int(value))
+        else:
+            value = float(value) if isinstance(type_, FloatType) else int(value)
+        self.write_bytes(address, codec.pack(value))
 
     # -- predecoded access (execution-engine fast path) ---------------------------------------
 
@@ -148,39 +163,29 @@ class Memory:
         instead of once per access.  Bounds checking and results are
         identical to :meth:`load_typed`.  In-bounds accesses resolve their
         segment inline: both backing bytearrays are stable objects for the
-        lifetime of the Memory (``malloc`` extends the heap in place), so
-        the closures capture them once -- workload arrays live on the heap,
+        lifetime of the Memory (both segments grow in place), so the
+        closures capture them once -- workload arrays live on the heap,
         register-promoted locals in alloca'd stack slots -- and only
-        out-of-bounds addresses fall back to :meth:`_backing` for the
-        error path.
+        addresses past a segment's current end fall back to
+        :meth:`_backing`, which grows the stack or raises.
         """
         backing_of = self._backing
-        heap = self._heap
-        heap_base = self.HEAP_BASE
-        stack = self._stack
-        stack_base = self.STACK_BASE
-        stack_limit = self.STACK_SIZE
-        if isinstance(type_, IntType):
-            if type_.bits == 1:
-                def load_i1(address: int) -> int:
-                    backing, offset = backing_of(address, 1)
-                    return backing[offset] & 1
-                return load_i1
-            size = type_.bits // 8
-            unpack_from = struct.Struct("<" + _INT_FORMATS[type_.bits]).unpack_from
-        elif isinstance(type_, FloatType):
-            size = type_.bits // 8
-            unpack_from = struct.Struct("<" + _FLOAT_FORMATS[type_.bits]).unpack_from
-        elif isinstance(type_, PointerType):
-            size = 8
-            unpack_from = struct.Struct("<q").unpack_from
-        else:
+        heap, heap_base = self._heap, self.HEAP_BASE
+        stack, stack_base = self._stack, self.STACK_BASE
+        if isinstance(type_, IntType) and type_.bits == 1:
+            def load_i1(address: int) -> int:
+                backing, offset = backing_of(address, 1)
+                return backing[offset] & 1
+            return load_i1
+        codec = _codec(type_)
+        if codec is None:
             raise MemoryError_(f"cannot load value of type {type_}")
+        size, unpack_from = codec.size, codec.unpack_from
 
         def load(address: int):
             offset = address - stack_base
             if 0 <= offset:
-                if offset + size <= stack_limit:
+                if offset + size <= len(stack):
                     return unpack_from(stack, offset)[0]
             else:
                 offset = address - heap_base
@@ -198,71 +203,49 @@ class Memory:
         being packed), including the heap fast path.
         """
         backing_of = self._backing
-        heap = self._heap
-        heap_base = self.HEAP_BASE
-        stack = self._stack
-        stack_base = self.STACK_BASE
-        stack_limit = self.STACK_SIZE
+        heap, heap_base = self._heap, self.HEAP_BASE
+        stack, stack_base = self._stack, self.STACK_BASE
+        if isinstance(type_, IntType) and type_.bits == 1:
+            def store_i1(address: int, value) -> None:
+                backing, offset = backing_of(address, 1)
+                backing[offset] = int(value) & 1
+            return store_i1
+        codec = _codec(type_)
+        if codec is None:
+            raise MemoryError_(f"cannot store value of type {type_}")
+        size, pack_into = codec.size, codec.pack_into
         if isinstance(type_, IntType):
-            if type_.bits == 1:
-                def store_i1(address: int, value) -> None:
-                    backing, offset = backing_of(address, 1)
-                    backing[offset] = int(value) & 1
-                return store_i1
-            size = type_.bits // 8
-            pack_into = struct.Struct("<" + _INT_FORMATS[type_.bits]).pack_into
             wrap = type_.wrap
 
-            def store_int(address: int, value) -> None:
-                offset = address - stack_base
-                if 0 <= offset:
-                    if offset + size <= stack_limit:
-                        pack_into(stack, offset, wrap(int(value)))
-                        return
-                else:
-                    offset = address - heap_base
-                    if 0 <= offset and offset + size <= len(heap):
-                        pack_into(heap, offset, wrap(int(value)))
-                        return
-                backing, offset = backing_of(address, size)
-                pack_into(backing, offset, wrap(int(value)))
-            return store_int
-        if isinstance(type_, FloatType):
-            size = type_.bits // 8
-            pack_into = struct.Struct("<" + _FLOAT_FORMATS[type_.bits]).pack_into
+            def coerce(value) -> int:
+                return wrap(int(value))
+        else:
+            coerce = float if isinstance(type_, FloatType) else int
 
-            def store_float(address: int, value) -> None:
-                offset = address - stack_base
-                if 0 <= offset:
-                    if offset + size <= stack_limit:
-                        pack_into(stack, offset, float(value))
-                        return
-                else:
-                    offset = address - heap_base
-                    if 0 <= offset and offset + size <= len(heap):
-                        pack_into(heap, offset, float(value))
-                        return
-                backing, offset = backing_of(address, size)
-                pack_into(backing, offset, float(value))
-            return store_float
-        if isinstance(type_, PointerType):
-            pack_into = struct.Struct("<q").pack_into
+        def store(address: int, value) -> None:
+            offset = address - stack_base
+            if 0 <= offset:
+                if offset + size <= len(stack):
+                    pack_into(stack, offset, coerce(value))
+                    return
+            else:
+                offset = address - heap_base
+                if 0 <= offset and offset + size <= len(heap):
+                    pack_into(heap, offset, coerce(value))
+                    return
+            backing, offset = backing_of(address, size)
+            pack_into(backing, offset, coerce(value))
+        return store
 
-            def store_pointer(address: int, value) -> None:
-                offset = address - stack_base
-                if 0 <= offset:
-                    if offset + 8 <= stack_limit:
-                        pack_into(stack, offset, int(value))
-                        return
-                else:
-                    offset = address - heap_base
-                    if 0 <= offset and offset + 8 <= len(heap):
-                        pack_into(heap, offset, int(value))
-                        return
-                backing, offset = backing_of(address, 8)
-                pack_into(backing, offset, int(value))
-            return store_pointer
-        raise MemoryError_(f"cannot store value of type {type_}")
+    def stack_slot(self, type_: Type):
+        """``(unpack_from, pack_into, stack)`` for *type_* (None for i1).
+
+        The engine's generated code accesses ``alloca``'d slots -- always
+        inside the stack segment -- at ``address - STACK_BASE`` through
+        these, packing values as :meth:`store_fn` does.
+        """
+        codec = _codec(type_)
+        return codec and (codec.unpack_from, codec.pack_into, self._stack)
 
     # -- convenience for tests and workloads --------------------------------------------------
 

@@ -345,3 +345,92 @@ class TestFastSlowPmuEquivalence:
 
     def test_multiplexed_run_bit_identical(self):
         assert self._run_multiplexed(True) == self._run_multiplexed(False)
+
+
+class _AlwaysObservingRuntime(RooflineRuntime):
+    """The stock runtime, but every entry point claims to read the machine,
+    so the engine flushes before every one of them."""
+
+    def observes_machine(self, name):
+        return True
+
+
+class TestFlushElision:
+    """Call sites that do not observe the machine skip the flush; nothing
+    observable may change."""
+
+    def _roofline(self, monkeypatch, runtime_class):
+        import repro.roofline.runner as runner_module
+        from repro.roofline.runner import RooflineRunner
+
+        batches = []
+        original = Machine.execute_batch
+
+        def counting(machine, ops, task=None, accesses=None):
+            batches.append(len(ops))
+            return original(machine, ops, task, accesses)
+
+        monkeypatch.setattr(runner_module, "RooflineRuntime", runtime_class)
+        monkeypatch.setattr(Machine, "execute_batch", counting)
+        result = RooflineRunner(spacemit_x60()).run_source(
+            MATMUL_TILED_SOURCE, "matmul_tiled", matmul_args_builder(12),
+            filename="matmul.c")
+        monkeypatch.undo()
+        return (result.to_dict(), result.baseline_machine_stats,
+                result.instrumented_machine_stats), len(batches)
+
+    def test_roofline_identical_with_and_without_elision(self, monkeypatch):
+        elided, elided_batches = self._roofline(monkeypatch, RooflineRuntime)
+        flushed, flushed_batches = self._roofline(monkeypatch,
+                                                  _AlwaysObservingRuntime)
+        # Both phases: loop records (cycles and instructions between the
+        # begin/end notifications) and each phase's machine stats.
+        assert elided == flushed
+        assert elided[0]["loops"] and elided[1]["cycles"] > 0
+        assert elided_batches * 4 < flushed_batches
+
+    def test_handler_without_the_contract_sees_every_prior_op_retired(self):
+        """A handler that does not declare ``observes_machine`` gets the
+        flush: the clock it reads matches the reference interpreter's,
+        which retires op by op.  It claims a builtin name, so builtin
+        purity must not leak to it."""
+        source = """
+        float probe_loop(float* x, long n) {
+          float acc = 0.0f;
+          for (long i = 0; i < n; i++) { acc = acc + fabsf(x[i]); }
+          return acc;
+        }
+        """
+        descriptor = spacemit_x60()
+        module = _compiled(source, descriptor, "probe.c")
+
+        class ClockProbe:
+            def __init__(self, machine):
+                self.machine = machine
+                self.seen = []
+
+            def handles(self, name):
+                return name == "fabsf"
+
+            def call(self, name, args):
+                self.seen.append((self.machine.clock(),
+                                  self.machine.instructions))
+                return abs(args[0])
+
+        def run(fast):
+            machine = Machine(descriptor)
+            memory = Memory()
+            x = memory.alloc_float_array([0.5 - 0.25 * i for i in range(40)])
+            probe = ClockProbe(machine)
+            engine = ExecutionEngine(module, machine,
+                                     target_for_platform(descriptor),
+                                     task=machine.create_task("probe"),
+                                     memory=memory,
+                                     external_handlers=[probe, RooflineRuntime(
+                                         module, machine, instrumented=False)],
+                                     fast_dispatch=fast)
+            return engine.run("probe_loop", [x, 40]), probe.seen
+
+        fast, reference = run(True), run(False)
+        assert fast == reference
+        assert len(fast[1]) == 40
