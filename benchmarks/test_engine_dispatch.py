@@ -2,10 +2,10 @@
 
 Two comparisons, both on the tiled matmul with full timing/PMU accounting:
 
-* fast dispatch vs the reference interpreter (the PR-1 property);
-* block-delta + batched retirement vs per-op retirement (fast dispatch
-  with every op retired through ``CoreTimingModel.retire``, the path
-  ``Machine.execute`` takes).  The measured
+* fast dispatch vs the reference interpreter;
+* batched retirement vs per-op retirement (fast dispatch with every op
+  retired through ``CoreTimingModel.retire``, the path ``Machine.execute``
+  takes).  The measured
   ops/sec of both retirement modes are written to
   ``benchmarks/output/BENCH_retire.json`` to seed the repo's perf
   trajectory.
@@ -14,7 +14,7 @@ Each benchmark asserts the fast path actually wins and cross-checks that
 both sides leave the machine in an identical state.  (The exhaustive
 bit-level equivalence checks -- sampled runs, sample streams, multiplexing
 -- live in ``tests/test_engine_fast_dispatch.py`` and
-``tests/test_block_delta.py``.)
+``tests/test_fast_paths_differential.py``.)
 """
 
 import json
@@ -25,7 +25,6 @@ from repro.api import ProfileSpec, Session
 from repro.compiler.frontend import compile_source
 from repro.compiler.targets import target_for_platform
 from repro.compiler.transforms import build_roofline_pipeline
-from repro.cpu.core import BlockDelta
 from repro.platforms import Machine, spacemit_x60
 from repro.runtime import RooflineRuntime
 from repro.vm import ExecutionEngine, Memory
@@ -43,10 +42,10 @@ RETIRE_MATMUL_N = 24
 #: below 1.5x fails the build.
 MIN_SPEEDUP = float(os.environ.get("REPRO_MIN_DISPATCH_SPEEDUP", "1.2"))
 
-#: Required block-delta-vs-per-op retirement speedup of the counting-mode
+#: Required batched-vs-per-op retirement speedup of the counting-mode
 #: matmul-tiled Session run: 1.5x everywhere (locally and in the CI
 #: perf-regression lane, which pins it explicitly via
-#: REPRO_MIN_RETIRE_SPEEDUP), against a measured ~2.0x margin.
+#: REPRO_MIN_RETIRE_SPEEDUP), against a measured ~4.5x margin.
 MIN_RETIRE_SPEEDUP = float(os.environ.get("REPRO_MIN_RETIRE_SPEEDUP", "1.5"))
 
 
@@ -105,17 +104,12 @@ def _retire_per_op(machine) -> None:
     """Route *machine*'s batched retirement through a per-op
     ``Machine.execute`` loop: fast dispatch still builds the batches, but
     every op retires (and walks the plain cache hierarchy) through
-    ``CoreTimingModel.retire``; a ``BlockDelta`` sentinel retires as its
-    ``ops``.  The cache switch sits inside the batch hook because
+    ``CoreTimingModel.retire``.  The cache switch sits inside the batch hook because
     ``Session.run`` sets it from the spec after this patch is applied."""
     def execute_batch(ops, task=None, mem_accesses=None):
         machine.set_cache_fast_path(False)
         for op in ops:
-            if op.__class__ is BlockDelta:
-                for inner in op.ops:
-                    machine.execute(inner, task)
-            else:
-                machine.execute(op, task)
+            machine.execute(op, task)
     machine.execute_batch = execute_batch
 
 
@@ -133,11 +127,11 @@ def _session_counting_run(per_op: bool):
     return run, machine, elapsed
 
 
-def test_block_delta_retirement_beats_per_op(output_dir):
-    """Counting-mode Session run: block-delta + batched retirement vs per-op.
+def test_batched_retirement_beats_per_op(output_dir):
+    """Counting-mode Session run: batched retirement vs per-op.
 
     Writes BENCH_retire.json (ops/sec for both modes) and enforces the
-    1.5x speedup floor (REPRO_MIN_RETIRE_SPEEDUP; measured margin ~2.0x).
+    1.5x speedup floor (REPRO_MIN_RETIRE_SPEEDUP; measured margin ~4.5x).
     """
     # Interleave and keep the best of three to shed scheduler noise.
     fast_times, slow_times = [], []
@@ -161,9 +155,9 @@ def test_block_delta_retirement_beats_per_op(output_dir):
                      f"(n={RETIRE_MATMUL_N}, SpacemiT X60)",
         "machine_ops": ops,
         "per_op_ops_per_sec": round(ops / slow_elapsed),
-        "block_delta_ops_per_sec": round(ops / fast_elapsed),
+        "batched_ops_per_sec": round(ops / fast_elapsed),
         "per_op_seconds": round(slow_elapsed, 4),
-        "block_delta_seconds": round(fast_elapsed, 4),
+        "batched_seconds": round(fast_elapsed, 4),
         "speedup": round(speedup, 3),
     }
     path = os.path.join(output_dir, "BENCH_retire.json")
@@ -171,10 +165,10 @@ def test_block_delta_retirement_beats_per_op(output_dir):
         json.dump(payload, handle, indent=2)
         handle.write("\n")
     print(f"\nretirement: per-op {payload['per_op_ops_per_sec']:,} ops/s; "
-          f"block-delta {payload['block_delta_ops_per_sec']:,} ops/s; "
+          f"batched {payload['batched_ops_per_sec']:,} ops/s; "
           f"speedup {speedup:.2f}x (floor {MIN_RETIRE_SPEEDUP}x)")
 
     assert speedup > MIN_RETIRE_SPEEDUP, (
-        f"block-delta retirement only {speedup:.2f}x faster than per-op "
+        f"batched retirement only {speedup:.2f}x faster than per-op "
         f"retirement (required: {MIN_RETIRE_SPEEDUP}x)"
     )

@@ -5,8 +5,8 @@ fleets and repeated CLI invocations skip compilation entirely.  This
 benchmark measures that claim directly over every registry kernel:
 
 * **cold** -- ``compile_source_cached`` with the disk cache disabled and
-  the in-process memo cleared: the full frontend + optimization pipeline +
-  target certification per kernel;
+  the in-process memo cleared: the full frontend + optimization pipeline
+  per kernel;
 * **warm** -- the same call against a filled disk store with the memo
   cleared: envelope read + integrity check + unpickle.
 

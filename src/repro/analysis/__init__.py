@@ -6,10 +6,9 @@ Three layers (see ``docs/architecture.md``, "Static analysis"):
   liveness and reaching definitions;
 * :mod:`repro.analysis.ranges` -- interval-based address-range/alias
   analysis bounding every load/store to a base+offset byte region;
-* the certifiers: :mod:`repro.analysis.blockdelta` (static block-delta
-  eligibility, cross-checked by the execution engine) and
-  :mod:`repro.analysis.races` (static per-thread address disjointness for
-  parallel workloads, validated against recorded per-hart access sets);
+* the race certifier: :mod:`repro.analysis.races` (static per-thread
+  address disjointness for parallel workloads, validated against recorded
+  per-hart access sets);
 * :mod:`repro.analysis.lint` -- the determinism linter (``repro lint``).
 
 This package depends only on :mod:`repro.compiler` at import time; runtime
@@ -18,14 +17,6 @@ functions so ``repro.analysis`` can be imported from anywhere in the repo
 without cycles.
 """
 
-from repro.analysis.blockdelta import (
-    BlockVerdict,
-    STATIC_DELTA_KEY,
-    certify_function,
-    certify_module,
-    classify_block,
-    verdicts_for,
-)
 from repro.analysis.dataflow import (
     DataflowAnalysis,
     DataflowResult,
@@ -50,7 +41,6 @@ from repro.analysis.ranges import (
 __all__ = [
     "Access",
     "AddressRangeAnalysis",
-    "BlockVerdict",
     "DataflowAnalysis",
     "DataflowResult",
     "Interval",
@@ -59,15 +49,10 @@ __all__ = [
     "RangeResult",
     "ReachingDefinitionsAnalysis",
     "Region",
-    "STATIC_DELTA_KEY",
     "analyze_address_ranges",
-    "certify_function",
-    "certify_module",
-    "classify_block",
     "live_in",
     "max_live_values",
     "pointer_root",
     "reaching_definitions",
     "solve",
-    "verdicts_for",
 ]

@@ -13,8 +13,8 @@ Two classic analyses ship with the framework as both clients and executable
 documentation: :class:`LivenessAnalysis` (backward, live SSA values) and
 :class:`ReachingDefinitionsAnalysis` (forward, reaching stores per memory
 root).  The address-range analysis (:mod:`repro.analysis.ranges`) and the
-certifiers built on it (:mod:`repro.analysis.blockdelta`,
-:mod:`repro.analysis.races`) are the load-bearing clients.
+race certifier built on it (:mod:`repro.analysis.races`) are the
+load-bearing clients.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The ``repro analyze`` report, as a library.
 
-Builds the static-analysis report (block-delta certification, address
-regions, liveness/reaching-defs, race verdicts) for one workload or the
+Builds the static-analysis report (address regions, liveness/reaching-defs,
+race verdicts) for one workload or the
 whole registry on one platform.  The CLI's ``analyze`` subcommand and the
 service's ``POST /analyze`` endpoint are both thin shells over
 :func:`build_analyze_report`; :func:`format_analyze_entry` renders one
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.analysis.blockdelta import verdicts_for
 from repro.analysis.dataflow import max_live_values, reaching_definitions
 from repro.analysis.races import analyze_parallel_workload, supports_shard_plans
 from repro.analysis.ranges import analyze_address_ranges
@@ -24,30 +23,21 @@ def analyze_kernel_module(source: str, filename: str, entry: str,
     """The per-function static report for one compiled kernel source.
 
     Analysis always runs on the scalar (vectorizer-off) module: the address
-    analysis models semantic footprints, and block-delta verdicts for the
-    scalar configuration are the ones every spec that disables vectorization
-    exercises.  Concrete argument values (from the workload's own args
+    analysis models semantic footprints.  Concrete argument values (from the workload's own args
     builder against a fresh Memory) give pointer regions absolute bases.
     """
     from repro.compiler.cache import compile_source_cached
-    from repro.compiler.targets import target_for_platform
     from repro.vm import Memory
     module = compile_source_cached(source, filename, descriptor,
                                    enable_vectorizer=False)
-    target = target_for_platform(descriptor)
     concrete_args = list(args_builder(Memory())) if args_builder else None
     functions: List[dict] = []
     for function in module.defined_functions():
-        verdicts = verdicts_for(function, target) or {}
         arg_values = concrete_args if function.name == entry else None
         ranges = analyze_address_ranges(function, arg_values)
         reaching = reaching_definitions(function)
         functions.append({
             "name": function.name,
-            "blocks": {
-                name: {"eligible": verdict.eligible, "reason": verdict.reason}
-                for name, verdict in sorted(verdicts.items())
-            },
             "max_live_values": max_live_values(function),
             "max_reaching_defs": max(
                 (len(defs) for defs in reaching.values()), default=0),
@@ -118,17 +108,11 @@ def format_analyze_entry(entry: dict) -> str:
     """Render one report entry to the text ``repro analyze`` prints."""
     lines = [f"workload: {entry['name']} ({entry['kind']})"]
     for function in entry.get("functions", ()):
-        blocks = function["blocks"]
-        eligible = sum(1 for v in blocks.values() if v["eligible"])
         lines.append(
-            f"  @{function['name']}: {eligible}/{len(blocks)} blocks "
-            f"block-delta eligible; max live values "
+            f"  @{function['name']}: max live values "
             f"{function['max_live_values']}; max reaching defs "
             f"{function['max_reaching_defs']}"
         )
-        for name, verdict in blocks.items():
-            state = "eligible" if verdict["eligible"] else verdict["reason"]
-            lines.append(f"    block {name}: {state}")
         for region in function["regions"]:
             span = (f"[{region['lo']}, {region['hi']})"
                     if region["lo"] is not None and region["hi"] is not None

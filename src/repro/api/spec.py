@@ -53,9 +53,9 @@ class ProfileSpec:
         per-hart counts and cpu-tagged sample streams.
     fast_dispatch:
         The one switch between the fast paths (the default) and their
-        references.  ``True`` runs compiled kernels on the predecoded,
-        batch-retiring engine with block-delta retirement, synthetic traces
-        retire in batches, and the cache hierarchy takes its same-line
+        references.  ``True`` runs compiled kernels as generated per-block
+        code on the batch-retiring engine, synthetic traces retire in
+        batches, and the cache hierarchy takes its same-line
         short-circuits.  ``False`` selects every reference path at once: the
         reference interpreter, per-op retirement and the plain cache walk,
         for the PMU runs and the roofline phases alike.  Counters, multiplex

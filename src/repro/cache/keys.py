@@ -9,8 +9,8 @@ of them is addressable by all of them.  The scheme:
   of the request dict, so two spellings of the same request (key order,
   defaulted vs explicit fields) share an address.
 * **Kind namespacing** -- the sha256 runs over ``{"kind": ..., "request":
-  ...}``; artifacts of different kinds (``module`` / ``verdicts`` /
-  ``run`` / ``compare``) can never collide even where their request dicts
+  ...}``; artifacts of different kinds (``module`` / ``run`` /
+  ``compare``) can never collide even where their request dicts
   could.
 * **Full lowering configuration** -- a compiled module's address covers
   *everything* that feeds target selection and the optimization pipeline

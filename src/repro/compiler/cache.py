@@ -19,21 +19,12 @@ never share a module.
 
 Below the in-process memo sits the disk store
 (:mod:`repro.cache.store`): a memo miss consults the content-addressed
-store before compiling, and a fresh compile (or a certification for a new
-target) writes the pickled module back, so daemon restarts, ``run_many``
+store before compiling, and a fresh compile writes the pickled module back, so daemon restarts, ``run_many``
 fleets and repeated CLI invocations start hot.  A disk-served module is
 byte-identical in every export to a cold compile (the differential suite
 enforces it); disk lookups still count as memo *misses* in
 :func:`cache_stats` so per-run telemetry deltas stay comparable between
 cold and warm processes, with disk activity tallied separately.
-
-Compilation is also where static certification happens: after the pipeline
-the static block-delta classifier (:mod:`repro.analysis.blockdelta`) stamps
-per-block eligibility verdicts onto every function's metadata for the
-platform's target lowering.  The execution engine cross-checks its runtime
-classification against these verdicts on every block it decodes, so a
-divergence between the static model and the engine fails loudly instead of
-silently changing retirement behaviour.
 """
 
 from __future__ import annotations
@@ -42,13 +33,11 @@ import pickle
 from typing import Dict
 
 from repro import faults as _faults
-from repro.analysis.blockdelta import certify_module_cached, is_certified
 from repro.cache import keys as cache_keys
 from repro.cache.store import default_store
 from repro.compiler.frontend import compile_source
 from repro.compiler.ir.module import Module
 from repro.compiler.ir.verifier import verify_module
-from repro.compiler.targets.registry import target_for_platform
 from repro.compiler.transforms import default_optimization_pipeline
 from repro.compiler.transforms.pipeline import verify_ir_requested
 from repro.platforms.descriptors import PlatformDescriptor
@@ -155,17 +144,6 @@ def compile_source_cached(source: str, filename: str,
                 pipeline.run(module)
             compiled = True
         _MODULE_CACHE[key] = module
-    target = target_for_platform(descriptor)
-    certified = False
-    if not is_certified(module, target):
-        with _span("lower", cat="compiler", filename=filename,
-                   march=descriptor.march):
-            certify_module_cached(module, target, module_digest=key,
-                                  store=store)
-        certified = True
-    if store is not None and (compiled or certified):
-        # Persist fresh work -- including a new target's verdicts on an
-        # already-stored module, so the next process loads it fully
-        # certified.
-        store.put("module", key, pickle.dumps(module, protocol=4))
+        if compiled and store is not None:
+            store.put("module", key, pickle.dumps(module, protocol=4))
     return module

@@ -49,12 +49,11 @@ _MODE_CYCLE_EVENT = {
 }
 
 
-def _sync_pc(task: Task, ops: Sequence[object], index: int) -> None:
+def _sync_pc(task: Task, ops: Sequence[MachineOp], index: int) -> None:
     """Set *task*'s pc to the last nonzero pc in ``ops[:index + 1]`` -- where
     per-op retirement of those ops would have left it (unchanged if none)."""
     while index >= 0:
-        op = ops[index]
-        pc = op.last_pc if op.__class__ is BlockDelta else op.pc
+        pc = ops[index].pc
         if pc:
             task.set_pc(pc)
             return
@@ -134,56 +133,11 @@ class CoreConfig:
 
 
 class BlockDelta:
-    """Precomputed retirement signature of one memory-free, branch-free block.
+    """Empty marker: nothing constructs it and no retire stream holds one.
 
-    A basic block that retires no memory accesses and no conditional branches
-    costs the same fractional cycles on every execution: nothing it does
-    depends on cache or predictor state.  The engine therefore lowers such a
-    block once per ``(block, core config)``, precomputes the per-op cost
-    sequence and the aggregate event pulses, and retires every subsequent
-    execution through :meth:`CoreTimingModel.retire_block_delta` (or as one
-    sentinel in a :meth:`CoreTimingModel.retire_batch` stream) instead of op
-    by op.
-
-    Bit-exactness: the integer cycles a cost sequence produces depend only on
-    the incoming fractional-cycle remainder, so the delta keeps the exact
-    per-op cost list and replays the remainder walk -- and memoizes the
-    ``remainder -> (cycles, new remainder)`` map, which converges to a handful
-    of entries inside any loop.  Event pulse totals are constant and
-    precomputed outright.  While a sampling counter is armed, a sentinel whose
-    pulses would reach the nearest overflow is expanded back into its per-op
-    stream (``ops``), so the interrupt observes precise pc/cycle state; every
-    other execution still retires as one aggregate.
+    ``perfbench/layers.py`` still imports it to count retire-stream
+    sentinels; it goes when that import does.
     """
-
-    __slots__ = ("ops", "costs", "instructions", "int_ops", "flops",
-                 "vector_ops", "frontend_total", "backend_total",
-                 "frontend_pulses", "backend_pulses", "last_pc", "walk_cache")
-
-    #: Bound on the memoized remainder walk (remainders cycle quickly; the
-    #: cap only guards pathological cost sequences).
-    WALK_CACHE_LIMIT = 1024
-
-    def __init__(self, ops: Tuple[MachineOp, ...], costs: Tuple[float, ...],
-                 int_ops: int, flops: int, vector_ops: int,
-                 frontend_total: float, backend_total: float,
-                 frontend_pulses: int, backend_pulses: int, last_pc: int):
-        self.ops = ops
-        self.costs = costs
-        self.instructions = len(ops)
-        self.int_ops = int_ops
-        self.flops = flops
-        self.vector_ops = vector_ops
-        self.frontend_total = frontend_total
-        self.backend_total = backend_total
-        self.frontend_pulses = frontend_pulses
-        self.backend_pulses = backend_pulses
-        self.last_pc = last_pc
-        self.walk_cache: Dict[float, Tuple[int, float]] = {}
-
-    def __repr__(self) -> str:
-        return (f"BlockDelta(ops={self.instructions}, "
-                f"cost={sum(self.costs):.3f}cyc)")
 
 
 @dataclass
@@ -220,9 +174,6 @@ class CoreTimingModel:
         self.mode_cycles = ModeCycleAccounting()
         self.retired_instructions = 0
         self.total_cycles = 0
-        #: How many BlockDelta sentinels the batched path retired as
-        #: aggregates (observability only; never feeds modelled time).
-        self.delta_blocks_retired = 0
         self._cycle_remainder = 0.0
         self.frontend_stall_cycles = 0.0
         self.backend_stall_cycles = 0.0
@@ -347,49 +298,7 @@ class CoreTimingModel:
             table[opclass.index] = row
         return table
 
-    def block_delta_for(self, ops: Sequence[MachineOp]) -> BlockDelta:
-        """Precompute the :class:`BlockDelta` of a memory-free, branch-free
-        op stream (one basic block's constant retirement signature)."""
-        costs = []
-        int_ops = flops = vector_ops = 0
-        frontend_total = 0.0
-        backend_total = 0.0
-        frontend_pulses = backend_pulses = 0
-        last_pc = 0
-        for op in ops:
-            if op.opclass in MEMORY_OP_CLASSES or op.opclass is OpClass.BRANCH:
-                raise ValueError(
-                    "block deltas require memory-free, branch-free blocks "
-                    f"(got a {op.opclass.value} op)")
-            base, frontend, backend = self._op_cost(op, None, False)
-            costs.append(base + frontend + backend)
-            frontend_total += frontend
-            backend_total += backend
-            if frontend >= 1.0:
-                frontend_pulses += int(frontend)
-            if backend >= 1.0:
-                backend_pulses += int(backend)
-            flops += op.flop_count
-            int_ops += op.int_op_count
-            if op.is_vector:
-                vector_ops += 1
-            if op.pc:
-                last_pc = op.pc
-        return BlockDelta(tuple(ops), tuple(costs), int_ops, flops,
-                          vector_ops, frontend_total, backend_total,
-                          frontend_pulses, backend_pulses, last_pc)
-
-    def retire_block_delta(self, delta: BlockDelta) -> int:
-        """Retire one execution of a precomputed block in a single call.
-
-        Equivalent to retiring ``delta.ops`` through :meth:`retire_batch`:
-        the remainder walk reuses the delta's memoized ``remainder ->
-        (cycles, remainder)`` map and event pulses are published from the
-        precomputed aggregates.  Returns the integer cycles consumed.
-        """
-        return self.retire_batch((delta,))
-
-    def retire_batch(self, ops: Sequence[object],
+    def retire_batch(self, ops: Sequence[MachineOp],
                      mem_results: Optional[Sequence[AccessResult]] = None,
                      task: Optional[Task] = None) -> int:
         """Retire a chunk of ops with coalesced event publication.
@@ -397,10 +306,9 @@ class CoreTimingModel:
         Cache, predictor and fractional-cycle state advance op by op as in a
         :meth:`retire` loop; event pulses are aggregated up to the PMU's
         overflow horizon (:meth:`~repro.pmu.unit.PmuUnit.overflow_horizon`).
-        At the first op or :class:`BlockDelta` sentinel whose pulses would
-        reach it, the aggregate before it (which cannot overflow) is
-        published, the task pc is set, that *crossing* op retires through the
-        per-op :meth:`_publish` order (a sentinel expands into its ops) and
+        At the first op whose pulses would reach it, the aggregate before it
+        (which cannot overflow) is published, the task pc is set, that
+        *crossing* op retires through the per-op :meth:`_publish` order and
         the horizon is re-read.  Samples see the exact pc, clock and
         callchain, and group values count the crossing op's events published
         before the leader's and none after: bit-identical to per-op retirement.
@@ -417,7 +325,6 @@ class CoreTimingModel:
         predictor_update = self.predictor.update
         mem_costs = self._mem_cost_cache
         op_cost = self._op_cost
-        walk_limit = BlockDelta.WALK_CACHE_LIMIT
         publish = self.bus.publish
         pmu = self.pmu
         mode = self.privilege_mode
@@ -436,42 +343,9 @@ class CoreTimingModel:
             count = cycles_total = frontend_pulses = backend_pulses = 0
             loads = stores = branches = branch_misses = 0
             load_misses = store_misses = llc_misses = dram_read = dram_write = 0
-            flops = int_ops = vector_ops = delta_blocks = delta_count = 0
+            flops = int_ops = vector_ops = 0
 
             for op in remaining:
-                if op.__class__ is BlockDelta:
-                    walk_cache = op.walk_cache
-                    walked = walk_cache.get(remainder)
-                    if walked is None:
-                        r = remainder
-                        block_cycles = 0
-                        for cost in op.costs:
-                            r += cost
-                            c = int(r)
-                            r -= c
-                            block_cycles += c
-                        if len(walk_cache) < walk_limit:
-                            walk_cache[remainder] = (block_cycles, r)
-                    else:
-                        block_cycles, r = walked
-                    cycles_total += block_cycles
-                    count += op.instructions
-                    if cycles_total >= cycles_left or count >= instructions_left:
-                        cycles_total -= block_cycles
-                        count -= op.instructions
-                        break
-                    remainder = r
-                    delta_count += op.instructions
-                    delta_blocks += 1
-                    int_ops += op.int_ops
-                    flops += op.flops
-                    vector_ops += op.vector_ops
-                    frontend_total += op.frontend_total
-                    backend_total += op.backend_total
-                    frontend_pulses += op.frontend_pulses
-                    backend_pulses += op.backend_pulses
-                    continue
-
                 info = table[op.opclass.index]
                 kind = info[0]
                 if kind == 0:
@@ -555,7 +429,6 @@ class CoreTimingModel:
             self._cycle_remainder = remainder
             self.total_cycles += cycles_total
             self.retired_instructions += count
-            self.delta_blocks_retired += delta_blocks
             self.frontend_stall_cycles += frontend_total
             self.backend_stall_cycles += backend_total
             self.mode_cycles.add(mode, cycles_total)
@@ -601,18 +474,12 @@ class CoreTimingModel:
                 if task is not None:
                     _sync_pc(task, ops, len(ops) - 1)
                 return self.total_cycles - cycles_before
-            # Ops consumed before the crossing one: plain ops plus sentinels.
-            index = start + count - delta_count + delta_blocks
-            is_delta = op.__class__ is BlockDelta
+            index = start + count       # the crossing op's index in ops
             if task is not None:
-                # A sentinel's own pcs are set as it expands.
-                _sync_pc(task, ops, index - is_delta)
-            if is_delta:
-                self.retire_batch(op.ops, None, task)
-            else:
-                self._retire_one(op, mem if kind == 1 else None,
-                                 kind == 2 and mispredicted, total, frontend,
-                                 backend)
+                _sync_pc(task, ops, index)
+            self._retire_one(op, mem if kind == 1 else None,
+                             kind == 2 and mispredicted, total, frontend,
+                             backend)
             start = index + 1
 
     # -- event publication ------------------------------------------------------

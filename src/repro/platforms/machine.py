@@ -13,7 +13,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.cpu.branch import GsharePredictor
 from repro.cpu.cache import CacheHierarchy
-from repro.cpu.core import BlockDelta, CoreTimingModel, InOrderCore, OutOfOrderCore
+from repro.cpu.core import CoreTimingModel, InOrderCore, OutOfOrderCore
 from repro.cpu.events import EventBus, HwEvent
 from repro.isa.csr import CsrFile
 from repro.isa.machine_ops import MachineOp
@@ -89,20 +89,6 @@ class Machine:
             current_task=lambda: self.current_task,
         )
         self._tasks: Dict[int, Task] = {}
-        #: Per-(block, core-config) cache of precomputed
-        #: :class:`~repro.cpu.core.BlockDelta` signatures.  Keyed by the IR
-        #: basic block; the machine *is* the core-config axis, and it outlives
-        #: the per-run execution engines (a Session caches its machines), so
-        #: repeated runs predecode each eligible block's delta exactly once.
-        self.block_deltas: Dict[object, BlockDelta] = {}
-        #: Block-delta classification tallies kept by the execution engine
-        #: (:meth:`repro.vm.engine` decode).  Observability only: the run
-        #: collector folds before/after deltas of these plain ints into the
-        #: telemetry registry; nothing here feeds modelled time.
-        self.delta_stats: Dict[str, int] = {
-            "eligible": 0, "ineligible": 0,
-            "cache_hits": 0, "cache_misses": 0,
-        }
         #: Optional ``(address, size_bytes, is_store) -> None`` observer of
         #: every addressed memory op this hart retires, on both the per-op
         #: and the batched path.  The static race detector's dynamic
@@ -154,7 +140,7 @@ class Machine:
             self._access_recorder(op.address, op.size_bytes, op.is_store)
         return self.core.retire(op)
 
-    def execute_batch(self, ops: Sequence[object],
+    def execute_batch(self, ops: Sequence[MachineOp],
                       task: Optional[Task] = None,
                       mem_accesses: Optional[Sequence] = None) -> None:
         """Retire a chunk of machine ops (the engine's batched accounting).
@@ -162,8 +148,7 @@ class Machine:
         :meth:`~repro.cpu.core.CoreTimingModel.retire_batch` coalesces event
         publication and retires each op that reaches an armed overflow of
         this hart's PMU as :meth:`execute` would: counters, bus totals and
-        samples are bit-identical to per-op retirement.  *ops* may contain
-        :class:`~repro.cpu.core.BlockDelta` sentinels.  *mem_accesses*
+        samples are bit-identical to per-op retirement.  *mem_accesses*
         optionally carries the batch's addressed accesses as ``(address,
         size_bytes, is_store)`` tuples in stream order, resolved in one
         :meth:`~repro.cpu.cache.CacheHierarchy.access_lines` call.
@@ -171,13 +156,9 @@ class Machine:
         if not ops:
             return
         if self._access_recorder is not None:
-            # BlockDelta sentinels never contain memory ops (delta
-            # eligibility excludes them), so walking the top level sees
-            # every addressed access of the batch.
             record = self._access_recorder
             for op in ops:
-                if op.__class__ is not BlockDelta and op.is_memory \
-                        and op.address is not None:
+                if op.is_memory and op.address is not None:
                     record(op.address, op.size_bytes, op.is_store)
         mem_results = None
         if mem_accesses:

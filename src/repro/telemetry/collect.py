@@ -1,8 +1,7 @@
 """Run-boundary collection: fold hot-path tallies into the registry.
 
 The hot paths never see the registry.  They keep plain integer attributes
--- ``Machine.delta_stats``, ``CoreTimingModel.delta_blocks_retired``,
-``Cache.mru_hits``, the compile-cache module tallies -- and a
+-- ``Cache.mru_hits`` and friends, the compile-cache module tallies -- and a
 :class:`RunCollector` snapshots them before a run, diffs them after, and
 increments labeled registry series with the difference.  Machines are
 pooled and reused across runs, so absolute values are meaningless; the
@@ -21,26 +20,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
-def _machine_tallies(machine) -> dict:
-    """Snapshot the plain-int tallies of a machine (single- or multi-hart)."""
-    harts = getattr(machine, "harts", None)
-    if harts is not None:
-        delta_stats: Dict[str, int] = {}
-        delta_blocks = 0
-        for hart in harts:
-            for key, value in hart.delta_stats.items():
-                delta_stats[key] = delta_stats.get(key, 0) + value
-            delta_blocks += hart.core.delta_blocks_retired
-        fast_path = machine.memory_system.fast_path_hits()
-    else:
-        delta_stats = dict(machine.delta_stats)
-        delta_blocks = machine.core.delta_blocks_retired
-        fast_path = machine.hierarchy.fast_path_hits()
-    return {
-        "delta_stats": delta_stats,
-        "delta_blocks_retired": delta_blocks,
-        "fast_path_hits": fast_path,
-    }
+def _fast_path_hits(machine) -> Dict[str, int]:
+    """Per-level same-line short-circuit tallies of a (multi-hart) machine."""
+    if getattr(machine, "harts", None) is not None:
+        return machine.memory_system.fast_path_hits()
+    return machine.hierarchy.fast_path_hits()
 
 
 class RunCollector:
@@ -54,13 +38,13 @@ class RunCollector:
         self.platform = platform
         self.workload = workload
         self._machine = None
-        self._before: Optional[dict] = None
+        self._before: Optional[Dict[str, int]] = None
         self._compile_before: Optional[Dict[str, int]] = None
 
     def start(self, machine) -> "RunCollector":
         from repro.compiler import cache as compiler_cache
         self._machine = machine
-        self._before = _machine_tallies(machine)
+        self._before = _fast_path_hits(machine)
         self._compile_before = compiler_cache.cache_stats()
         return self
 
@@ -70,39 +54,14 @@ class RunCollector:
             return
         from repro.compiler import cache as compiler_cache
         registry = self.registry
-        after = _machine_tallies(self._machine)
+        after = _fast_path_hits(self._machine)
         before = self._before
-
-        classified = registry.counter(
-            "repro_block_delta_classified_total",
-            "Basic blocks classified for block-delta retirement")
-        for outcome in ("eligible", "ineligible"):
-            diff = (after["delta_stats"].get(outcome, 0)
-                    - before["delta_stats"].get(outcome, 0))
-            if diff:
-                classified.inc(diff, outcome=outcome)
-
-        delta_cache = registry.counter(
-            "repro_block_delta_cache_total",
-            "Machine-level BlockDelta signature cache lookups")
-        for key, outcome in (("cache_hits", "hit"), ("cache_misses", "miss")):
-            diff = (after["delta_stats"].get(key, 0)
-                    - before["delta_stats"].get(key, 0))
-            if diff:
-                delta_cache.inc(diff, outcome=outcome)
-
-        retired = (after["delta_blocks_retired"]
-                   - before["delta_blocks_retired"])
-        if retired:
-            registry.counter(
-                "repro_block_delta_blocks_retired_total",
-                "BlockDelta sentinels retired as aggregates").inc(retired)
 
         fast_cache = registry.counter(
             "repro_fast_cache_short_circuits_total",
             "Cache accesses served by the same-line short-circuit")
-        for level, count in sorted(after["fast_path_hits"].items()):
-            diff = count - before["fast_path_hits"].get(level, 0)
+        for level, count in sorted(after.items()):
+            diff = count - before.get(level, 0)
             if diff:
                 fast_cache.inc(diff, level=level)
 

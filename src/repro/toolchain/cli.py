@@ -18,9 +18,8 @@ and vendor-driver setting goes down exactly one code path.
 * ``compare --platforms ...`` -- one workload across platforms, side by side,
   with quantitative flame-graph diffs;
 * ``analyze -p X``            -- the static-analysis report for a workload
-  (block-delta certification, address regions, liveness/reaching-defs,
-  race verdicts for parallel workloads); nonzero exit on ``racy``/
-  ``unknown`` race verdicts;
+  (address regions, liveness/reaching-defs, race verdicts for parallel
+  workloads); nonzero exit on ``racy``/``unknown`` race verdicts;
 * ``lint [paths]``            -- the determinism linter over the repo's own
   source (or the given paths); nonzero exit on violations;
 * ``metrics``                 -- dump the unified telemetry registry after
@@ -52,8 +51,8 @@ machine (per-hart columns, cpu-tagged samples, hart-labelled flame graphs);
 emits the machine-consumable export of the same run.
 ``--no-fast-dispatch`` on stat/record/flamegraph/compare selects every
 reference path at once -- the reference interpreter instead of the
-predecoded batch-retiring engine, per-op retirement instead of block deltas,
-and the plain cache walk instead of the same-line short-circuits, for the
+generated batch-retiring engine, per-op retirement instead of batches, and
+the plain cache walk instead of the same-line short-circuits, for the
 PMU runs and (on compare --roofline) the roofline phases alike.  Output is
 bit-identical, only slower; the flag exists for differential runs.
 Each subcommand builds one ProfileSpec from its flags and sends that same
@@ -710,8 +709,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(func=cmd_compare)
 
     analyze = subparsers.add_parser(
-        "analyze", help="static analysis report (block-delta certification, "
-                        "address regions, race verdicts)")
+        "analyze", help="static analysis report (address regions, "
+                        "liveness/reaching defs, race verdicts)")
     add_platform(analyze)
     add_workload(analyze, "stream-triad")
     analyze.add_argument("--all", action="store_true",

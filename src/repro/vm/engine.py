@@ -36,15 +36,8 @@ The engine has two dispatch strategies over the same semantics:
   once per call site.  ``execute_batch`` aggregates event-bus publications
   up to each armed overflow and retires the op that reaches it
   individually; counters, bus totals and samples are bit-identical to the
-  per-op path.
-
-  On top of the batching, basic blocks that retire no addressed memory ops,
-  no conditional branches, no calls and no vector-gated ops are classified
-  at predecode time and retired through a precomputed
-  :class:`~repro.cpu.core.BlockDelta` signature -- one sentinel per block
-  execution instead of the block's op stream (see ``block_delta`` below).
-  The addressed memory accesses of a flush are collected in stream order
-  alongside the pending ops and resolved in one batched
+  per-op path.  The addressed memory accesses of a flush are collected in
+  stream order alongside the pending ops and resolved in one batched
   ``hierarchy.access_lines`` call.
 
 * **Slow dispatch** (``fast_dispatch=False``): the original instruction-at-
@@ -95,8 +88,6 @@ from repro.compiler.ir.instructions import (
     Select,
     Store,
 )
-from repro.analysis.blockdelta import STATIC_DELTA_KEY
-from repro.analysis.blockdelta import target_key as _static_target_key
 from repro.compiler.ir.module import BasicBlock, Function, Module
 from repro.compiler.ir.types import FloatType, IntType, PointerType, Type
 from repro.compiler.ir.values import Constant, UndefValue, Value
@@ -211,12 +202,9 @@ _RET_NONE = _Ret(None)
 
 class _DecodedBlock:
     """A basic block predecoded into one generated function, ``run(values)
-    -> successor | _Ret`` (a generator function when ``is_gen``).  ``delta``
-    is the precomputed retirement signature (BlockDelta) of a memory-free,
-    branch-free, call-free block: such a block is generated without
-    accounting and the loop appends the sentinel per execution."""
+    -> successor | _Ret`` (a generator function when ``is_gen``)."""
 
-    __slots__ = ("name", "run", "is_gen", "phi_nodes", "instr_count", "delta")
+    __slots__ = ("name", "run", "is_gen", "phi_nodes", "instr_count")
 
     def __init__(self, name: str):
         self.name = name
@@ -224,7 +212,6 @@ class _DecodedBlock:
         self.is_gen = False
         self.phi_nodes: List[Phi] = []
         self.instr_count = 0
-        self.delta = None
 
 
 def _int_divide(opcode: str, a: int, b: int, half: int, mask: int) -> int:
@@ -273,6 +260,7 @@ class _Codegen:
         self.engine = engine
         self.function = function
         self.dmap = dmap
+        self.accounted = engine.machine is not None
         self.objects: List[object] = []
         self.shared: Dict[object, str] = {}
         self.names: Dict[Value, str] = {}
@@ -498,9 +486,8 @@ class _Codegen:
     # .. blocks ................................................................................
 
     def block(self, block: BasicBlock, body: List[Instruction],
-              terminator: Optional[Instruction], accounted: bool) -> bool:
+              terminator: Optional[Instruction]) -> bool:
         """Generate *block*'s function; whether it is a generator."""
-        machine = self.engine.machine is not None
         self.lines: List[str] = []
         self.indent = "        "
         self.avail: Dict[object, str] = {}
@@ -508,10 +495,8 @@ class _Codegen:
         self.constant = 0
         self.is_gen = False
         self.current = block
-        self.accounted = machine        # phi accounts fire even in delta blocks
         for phi in block.phis():
             self.account_plain(phi)
-        self.accounted = machine and accounted
         if all(self.instruction(inst) for inst in body):
             self.terminator(block, terminator)
         self.source.append(f"    def {self.bind(self.dmap[block], True)}_run(values):")
@@ -745,15 +730,6 @@ class ExecutionEngine:
     fast_dispatch:
         Run each function as generated per-block Python (default).  The
         slow path is the reference interpreter used by equivalence tests.
-    block_delta:
-        Retire memory-free, branch-free, call-free basic blocks through
-        precomputed :class:`~repro.cpu.core.BlockDelta` signatures (default;
-        fast dispatch only).  Such a block's retirement cost and event
-        pulses are constants of the core config, so one sentinel replaces
-        the block's per-op account stream.  Counters, cycles and -- because
-        the machine expands a sentinel back to per-op retirement when an
-        armed overflow falls inside it -- sample streams are bit-identical with
-        the flag off; the switch exists for differential suites.
     """
 
     #: Pending machine ops are flushed to the machine once the buffer reaches
@@ -773,7 +749,6 @@ class ExecutionEngine:
         memory: Optional[Memory] = None,
         external_handlers: Optional[Sequence[object]] = None,
         fast_dispatch: bool = True,
-        block_delta: bool = True,
     ):
         if machine is not None and target is None:
             raise ValueError("a target lowering is required when a machine is given")
@@ -788,7 +763,6 @@ class ExecutionEngine:
         self._pc_of: Dict[Instruction, int] = {}
         self._assign_pcs()
         self.fast_dispatch = fast_dispatch
-        self.block_delta = block_delta
         # Fast-dispatch state: pending retired ops, the addressed accesses
         # among them in stream order (for the hierarchy's batched
         # access_lines) and each function's generated entry block.
@@ -971,10 +945,6 @@ class ExecutionEngine:
                     nxt = yield from block.run(values)
                 else:
                     nxt = block.run(values)
-                delta = block.delta
-                if delta is not None:
-                    pending.append(delta)
-                    stats.machine_ops += delta.instructions
                 if nxt.__class__ is _Ret:
                     return nxt.value
                 fuel[0] -= count
@@ -1109,97 +1079,7 @@ class ExecutionEngine:
                 break
             body.append(inst)
         d.instr_count = len(body) + (terminator is not None)
-        d.delta = self._classify_block_delta(block, body, terminator)
-        d.is_gen = gen.block(block, body, terminator, d.delta is None)
-
-    def _classify_block_delta(self, block: BasicBlock, body: List[Instruction],
-                              terminator: Optional[Instruction]):
-        """The block's :class:`~repro.cpu.core.BlockDelta`, or None.
-
-        A block qualifies when every op it retires has a cost that is a
-        constant of the core config: no addressed memory ops (register-
-        promoted accesses lower to nothing and are fine), no conditional
-        branch terminator (predictor state feeds the cost), no calls (they
-        flush at frame boundaries and run other blocks), and no
-        vector-annotated instructions (their accounts fire on every
-        ``width``-th execution, so the per-execution delta is not constant).
-        Signatures are cached per (block, core config) on the machine.
-
-        Modules that went through the compile pipeline carry static
-        eligibility verdicts (:mod:`repro.analysis.blockdelta`); this method
-        cross-checks its decision against them and raises on divergence, so
-        a drift between the static model and the engine fails loudly.
-        """
-        if self.machine is None or not self.block_delta:
-            return None
-        delta = self._classify_block_delta_runtime(block, body, terminator)
-        stats = self.machine.delta_stats
-        stats["eligible" if delta is not None else "ineligible"] += 1
-        self._cross_check_static_delta(block, delta is not None)
-        return delta
-
-    def _classify_block_delta_runtime(self, block: BasicBlock,
-                                      body: List[Instruction],
-                                      terminator: Optional[Instruction]):
-        """The runtime eligibility decision (machine/flag gates already passed)."""
-        if terminator is None or isinstance(terminator, Branch):
-            return None
-        cache = self.machine.block_deltas
-        cached = cache.get(block)
-        if cached is not None:
-            self.machine.delta_stats["cache_hits"] += 1
-            return cached
-        lower = self.target.lower_cached
-        pc_of = self._pc_of
-        ops: List[MachineOp] = []
-        for inst in body:
-            if isinstance(inst, Call) or self._effective_vector_width(inst):
-                return None
-            lowered = lower(inst, pc=pc_of.get(inst, 0))
-            for op in lowered:
-                if op.is_memory:
-                    return None
-            ops.extend(lowered)
-        if self._effective_vector_width(terminator):
-            return None
-        ops.extend(lower(terminator, taken=True,
-                         pc=pc_of.get(terminator, 0)))
-        if not ops:
-            return None
-        delta = self.machine.core.block_delta_for(ops)
-        cache[block] = delta
-        self.machine.delta_stats["cache_misses"] += 1
-        return delta
-
-    def _cross_check_static_delta(self, block: BasicBlock,
-                                  runtime_eligible: bool) -> None:
-        """Compare the runtime decision with the certified static verdict.
-
-        Uncertified modules (hand-built IR in tests, modules that bypassed
-        ``compile_source_cached``) carry no verdicts and are skipped; for
-        certified ones a disagreement is a bug in either the engine or the
-        static classifier, never acceptable drift.
-        """
-        function = block.parent
-        if function is None:
-            return
-        per_target = function.metadata.get(STATIC_DELTA_KEY)
-        if not isinstance(per_target, dict):
-            return
-        verdicts = per_target.get(_static_target_key(self.target))
-        if verdicts is None:
-            return
-        verdict = verdicts.get(block.name)
-        if verdict is None:
-            return
-        if verdict.eligible != runtime_eligible:
-            raise RuntimeError(
-                f"static block-delta verdict diverges from the engine for "
-                f"block {block.name!r} in @{function.name} on target "
-                f"{_static_target_key(self.target)}: static says "
-                f"{'eligible' if verdict.eligible else f'ineligible ({verdict.reason})'}, "
-                f"engine says {'eligible' if runtime_eligible else 'ineligible'}"
-            )
+        d.is_gen = gen.block(block, body, terminator)
 
     def _effective_vector_width(self, inst: Instruction) -> int:
         """The vector group size the accounting path uses for *inst* (0 = scalar)."""

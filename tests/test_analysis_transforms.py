@@ -370,7 +370,7 @@ class TestVerifyEachWiring:
         from repro.platforms import spacemit_x60
 
         monkeypatch.setenv(VERIFY_IR_ENV, "1")
-        # A verified compile produces the same (cached, certified) module.
+        # A verified compile produces the same (cached) module.
         module = compile_source_cached(DOT_SOURCE, "dot.c", spacemit_x60(),
                                        True)
         assert module.get_function("dot") is not None

@@ -115,6 +115,21 @@ class TestFlagsAndExports:
         assert payload["roofline"]["kernel_gflops"] > 0
         assert payload["roofline"]["loops"]
 
+    def test_analyze_kernel_entry_json(self, capsys):
+        """A kernel workload's entry reports address regions and dataflow
+        figures per function, and no per-block retirement verdicts."""
+        code, out, _ = run_cli(capsys, "analyze", "--workload",
+                               "matmul-tiled", "-p", "x60", "--json")
+        assert code == 0
+        (entry,) = json.loads(out)["workloads"]
+        assert entry["kind"] == "kernel"
+        functions = {function["name"]: function
+                     for function in entry["functions"]}
+        assert functions["matmul_tiled"]["regions"]
+        for function in functions.values():
+            assert "blocks" not in function
+            assert function["max_live_values"] > 0
+
     def test_roofline_honours_no_vendor_driver(self, capsys, monkeypatch):
         """The satellite fix: the flag must reach every machine built."""
         seen = []

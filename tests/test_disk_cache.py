@@ -61,23 +61,23 @@ def test_kind_namespacing_never_collides(tmp_path):
     store = fresh_store(tmp_path)
     request = {"same": "request"}
     module_digest = cache_key("module", request)
-    verdict_digest = cache_key("verdicts", request)
-    assert module_digest != verdict_digest
+    result_digest = cache_key("result", request)
+    assert module_digest != result_digest
     # Even an identical digest string filed under two kinds stays distinct.
     store.put("module", module_digest, b"module bytes")
-    store.put("verdicts", module_digest, b"verdict bytes")
+    store.put("result", module_digest, b"result bytes")
     assert store.get("module", module_digest) == b"module bytes"
-    assert store.get("verdicts", module_digest) == b"verdict bytes"
+    assert store.get("result", module_digest) == b"result bytes"
 
 
 def test_reading_entry_under_wrong_kind_is_integrity_failure(tmp_path):
     store = fresh_store(tmp_path)
     key = cache_key("module", {"n": 1})
     store.put("module", key, b"payload")
-    wrong = store.entry_path("verdicts", key)
+    wrong = store.entry_path("result", key)
     os.makedirs(os.path.dirname(wrong), exist_ok=True)
     os.replace(store.entry_path("module", key), wrong)
-    assert store.get("verdicts", key) is None
+    assert store.get("result", key) is None
     assert store.integrity_failures == 1
     assert not os.path.exists(wrong), "corrupt entry must be removed"
 
@@ -327,7 +327,7 @@ def test_lowering_config_separates_aliasing_descriptors():
 
 def test_aliasing_descriptors_get_distinct_modules_and_targets():
     """Regression: the memo must hand the aliasing pair distinct module
-    instances, each certified for its own (different) target."""
+    instances, one per (different) target."""
     from repro.compiler.cache import compile_source_cached
     from repro.compiler.targets.registry import target_for_platform
     plain, vectorish = _aliasing_pair()

@@ -1,16 +1,13 @@
-"""Differential suite for the retirement/cache fast paths and the executor.
+"""Differential suite for the dispatch/retirement/cache fast paths and the
+executor.
 
-Three layers of evidence that the perf subsystem changes nothing observable:
+Two layers of evidence that the perf subsystem changes nothing observable:
 
-* property tests -- randomly generated memory-free/branch-free straight-line
-  kernels (seeded) retire identically through block-delta signatures and
-  through per-op accounting, and :meth:`CoreTimingModel.retire_block_delta`
-  itself matches a per-op :meth:`retire` loop op for op;
 * an on/off sweep -- every registered workload on every modelled platform,
   full ``Run.to_dict()`` equality (minus spec and wall-clock timings)
   between all fast paths enabled and all fast paths disabled, in counting
   mode everywhere and in sampling mode on the X60 (sampling is the mode
-  that forces block deltas to expand back into per-op retirement);
+  that makes batched retirement split at every armed overflow);
 * executor tests -- ``run_many``/``Session.compare(workers=N)`` return
   bit-identical results to the serial path, in request order.
 
@@ -18,13 +15,11 @@ Plus the Session.compare platform-validation bugfix and the Run timings
 surface.
 """
 
-import random
-
 import pytest
 
 from repro.api import ProfileSpec, RunRequest, Session, run_many
 from repro.miniperf.stat import DEFAULT_STAT_EVENTS
-from repro.platforms import Machine, all_platforms, spacemit_x60
+from repro.platforms import all_platforms
 from repro.workloads import registry
 
 PLATFORMS = [descriptor.name for descriptor in all_platforms()]
@@ -56,110 +51,6 @@ def _comparable_dict(run) -> dict:
     payload.pop("spec")
     payload.pop("timings", None)
     return payload
-
-
-# -- property tests: random pure blocks ---------------------------------------------------
-
-
-def _random_pure_source(seed: int) -> str:
-    """A random straight-line kernel: arithmetic only, no loops/branches/
-    arrays, so every basic block is memory-free and branch-free."""
-    rng = random.Random(seed)
-    float_vars = ["a", "b", "c"]
-    int_vars = ["i", "j"]
-    lines = []
-    for index in range(rng.randint(6, 18)):
-        if rng.random() < 0.6:
-            lhs = f"f{index}"
-            op = rng.choice(["+", "-", "*"])
-            x, y = rng.choice(float_vars), rng.choice(float_vars)
-            lines.append(f"  float {lhs} = {x} {op} {y};")
-            float_vars.append(lhs)
-        else:
-            lhs = f"n{index}"
-            op = rng.choice(["+", "-", "*"])
-            x, y = rng.choice(int_vars), rng.choice(int_vars)
-            lines.append(f"  long {lhs} = {x} {op} {y};")
-            int_vars.append(lhs)
-    result = " + ".join(float_vars[-3:])
-    body = "\n".join(lines)
-    return (f"float kernel(float a, float b, float c, long i, long j) {{\n"
-            f"{body}\n  return {result};\n}}\n")
-
-
-def _run_pure_kernel(source: str, block_delta: bool):
-    from repro.compiler.cache import compile_source_cached
-    from repro.compiler.targets import target_for_platform
-    from repro.vm import ExecutionEngine, Memory
-
-    descriptor = spacemit_x60()
-    module = compile_source_cached(source, "pure.c", descriptor, True)
-    machine = Machine(descriptor)
-    task = machine.create_task("pure")
-    engine = ExecutionEngine(module, machine, target_for_platform(descriptor),
-                             task=task, memory=Memory(),
-                             block_delta=block_delta)
-    result = engine.run("kernel", [1.5, -2.25, 3.0, 7, 11])
-    return result, engine.stats, machine
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_random_pure_blocks_retire_identically(seed):
-    """Property: on randomly generated memory-free/branch-free blocks the
-    block-delta signature equals per-op retirement exactly."""
-    source = _random_pure_source(seed)
-    with_delta = _run_pure_kernel(source, block_delta=True)
-    without = _run_pure_kernel(source, block_delta=False)
-    assert with_delta[0] == without[0]
-    assert with_delta[1] == without[1]                    # ExecutionStats
-    assert with_delta[2].cycles == without[2].cycles
-    assert with_delta[2].event_totals() == without[2].event_totals()
-    # The generated kernel really exercised the delta path.
-    assert with_delta[2].block_deltas, "no block qualified for a delta"
-
-
-def _random_ops(seed: int):
-    from repro.isa.machine_ops import MachineOp, OpClass
-
-    rng = random.Random(seed)
-    choices = [OpClass.INT_ALU, OpClass.INT_MUL, OpClass.INT_DIV,
-               OpClass.FP_ADD, OpClass.FP_MUL, OpClass.FP_FMA,
-               OpClass.FP_MISC, OpClass.JUMP, OpClass.RET, OpClass.NOP]
-    return [MachineOp(rng.choice(choices), pc=0x1000 + 4 * index)
-            for index in range(rng.randint(1, 40))]
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_retire_block_delta_matches_per_op_retire(seed):
-    """retire_block_delta == a retire() loop: cycles, totals, event pulses --
-    including repeated executions riding the memoized remainder walk."""
-    descriptor = spacemit_x60()
-    ops = _random_ops(seed)
-
-    reference = Machine(descriptor)
-    delta_machine = Machine(descriptor)
-    delta = delta_machine.core.block_delta_for(ops)
-    for _ in range(5):
-        for op in ops:
-            reference.core.retire(op)
-        delta_machine.core.retire_block_delta(delta)
-
-    assert delta_machine.cycles == reference.cycles
-    assert delta_machine.instructions == reference.instructions
-    assert delta_machine.event_totals() == reference.event_totals()
-    assert (delta_machine.core._cycle_remainder
-            == reference.core._cycle_remainder)
-    assert delta.walk_cache                    # the walk memo was exercised
-
-
-def test_block_delta_rejects_memory_and_branch_ops():
-    from repro.isa.machine_ops import branch, load
-
-    core = Machine(spacemit_x60()).core
-    with pytest.raises(ValueError, match="memory-free"):
-        core.block_delta_for([load(8, address=0x1000)])
-    with pytest.raises(ValueError, match="branch-free"):
-        core.block_delta_for([branch(True, target=1, pc=4)])
 
 
 # -- on/off differential sweep ------------------------------------------------------------
@@ -201,8 +92,8 @@ def test_fast_lane_canary_matmul_differential():
 @pytest.mark.slow
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_sampling_identical_with_fast_paths_off(name):
-    """Sampling mode (block deltas must expand back to per-op retirement):
-    identical sample streams, hotspots and flame graphs on the X60."""
+    """Sampling mode (batches split at every armed overflow): identical
+    sample streams, hotspots and flame graphs on the X60."""
     fast = _sweep_run("SpacemiT X60", name, SAMPLING_SPEC, fast=True)
     slow = _sweep_run("SpacemiT X60", name, SAMPLING_SPEC, fast=False)
     assert _comparable_dict(fast) == _comparable_dict(slow)

@@ -24,7 +24,6 @@ import random
 import pytest
 
 from repro.cpu.events import HwEvent
-from repro.isa.machine_ops import MachineOp, OpClass
 from repro.miniperf.cpuid import identify_machine
 from repro.miniperf.groups import GroupPlan, plan_sampling_group
 from repro.platforms import Machine, platform_by_name
@@ -175,44 +174,3 @@ def test_single_op_can_overflow_several_times():
     result = _assert_identical("i5-cycles", 1, 0)
     times = [sample[1] for sample in result["samples"]]
     assert len(times) > len(set(times))
-
-
-def _delta_machine(period: int):
-    machine = Machine(platform_by_name("i5"))
-    task = machine.create_task("deltas")
-    plan = _group_plan(machine, HwEvent.CYCLES, (HwEvent.INSTRUCTIONS,), period)
-    leader_fd = machine.perf.perf_event_open(plan.leader_attr(), task)
-    machine.perf.perf_event_open(plan.member_attrs()[0], task,
-                                 group_fd=leader_fd)
-    buffer = machine.perf.mmap(leader_fd)
-    machine.perf.enable(leader_fd)
-    return machine, task, buffer
-
-
-@pytest.mark.parametrize("period", (1, 7, 97, 997))
-def test_block_delta_sentinels_expand_only_at_the_crossing(period):
-    """A BlockDelta sentinel retires as one aggregate unless an overflow
-    falls inside it; the sample stream equals per-op retirement either way."""
-    body = tuple(MachineOp(opclass, pc=0x4000 + 4 * i) for i, opclass in
-                 enumerate((OpClass.INT_ALU, OpClass.INT_MUL, OpClass.FP_FMA,
-                            OpClass.INT_DIV, OpClass.INT_ALU, OpClass.JUMP)))
-    reference, ref_task, ref_buffer = _delta_machine(period)
-    batched, task, buffer = _delta_machine(period)
-    delta = batched.core.block_delta_for(body)
-    for _ in range(200):
-        for op in body:
-            reference.execute(op, ref_task)
-    batched.execute_batch([delta] * 200, task)
-
-    def samples(buf):
-        return [(s.ip, s.time, s.callchain, s.group_values)
-                for s in buf.drain()]
-
-    assert samples(buffer) == samples(ref_buffer)
-    assert batched.event_totals() == reference.event_totals()
-    assert batched.cycles == reference.cycles
-    assert task.current_pc == ref_task.current_pc
-    if period >= 97:
-        # The block costs ~14 cycles: at long periods most executions never
-        # reach the horizon and stay aggregated, the crossing ones expand.
-        assert 0 < batched.core.delta_blocks_retired < 200

@@ -375,7 +375,7 @@ def test_cli_metrics_local_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["repro_runs_total"]["kind"] == "counter"
-    assert "repro_block_delta_classified_total" in payload
+    assert "repro_fast_cache_short_circuits_total" in payload
     assert "repro_compile_cache_total" in payload
 
 
