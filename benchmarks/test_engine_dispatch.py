@@ -14,7 +14,7 @@ Each benchmark asserts the fast path actually wins and cross-checks that
 both sides leave the machine in an identical state.  (The exhaustive
 bit-level equivalence checks -- sampled runs, sample streams, multiplexing
 -- live in ``tests/test_engine_fast_dispatch.py`` and
-``tests/test_fast_paths_differential.py``.)
+``tests/test_block_delta.py``.)
 """
 
 import json

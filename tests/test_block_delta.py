@@ -12,7 +12,8 @@ Two layers of evidence that the perf subsystem changes nothing observable:
   bit-identical results to the serial path, in request order.
 
 Plus the Session.compare platform-validation bugfix and the Run timings
-surface.
+surface.  The module keeps the name it had when block-delta retirement was
+one of the fast paths under test.
 """
 
 import pytest
