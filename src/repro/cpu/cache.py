@@ -9,8 +9,8 @@ DRAM roof from a measured 3.16 bytes/cycle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class AccessResult:
     l1_miss: bool
     llc_miss: bool                 # missed all cache levels
     dram_bytes: int                # bytes moved to/from DRAM (line fills + writebacks)
-    levels_missed: List[str] = field(default_factory=list)
 
 
 class _CacheSet:
@@ -206,31 +205,48 @@ class Cache:
         self.mru_hits = 0
 
 
-class FastPathHierarchy:
-    """Shared hierarchy-level fast path: the walk entry points of every
-    hierarchy flavour (single-hart :class:`CacheHierarchy`, per-hart
-    :class:`repro.smp.memory.HartCacheHierarchy`).
+class CacheHierarchy:
+    """An inclusive multi-level cache hierarchy in front of DRAM.
 
-    Subclasses provide ``_access_line`` (the actual level walk), a ``levels``
-    attribute/property, ``fast_path`` and the precomputed ``_l1`` /
-    ``_line_shift`` / ``_l1_hit`` state (see :meth:`_init_fast_path`).  The
-    short-circuit logic then lives in exactly one place, so the two
-    hierarchies can never drift apart on the invariant the differential
-    suites guard.
+    Accesses are performed at cache-line granularity; an access spanning
+    multiple lines (for example a 32-byte vector load with a 64-byte line is
+    one line, but a crossing access is two) touches each line once.
+
+    *levels* are built privately; the *shared* :class:`Cache` objects sit
+    below them, aliased by every hart's view in the SMP memory system.  A
+    line that misses every level costs ``memory.latency_cycles``, or
+    ``controller.access_latency(hart_id)`` when a controller (the SMP
+    :class:`~repro.smp.memory.MemoryController`) is given, which is also
+    told the line's bytes through ``account_bytes``.
     """
 
-    def _init_fast_path(self) -> None:
-        """Precompute the fast-path state; call once the levels exist."""
+    def __init__(self, levels: Sequence[CacheConfig], memory: MemoryConfig,
+                 shared: Sequence[Cache] = (), controller=None,
+                 hart_id: int = 0):
+        self.private_levels = [Cache(cfg) for cfg in levels]
+        self.shared_levels = list(shared)
+        self.levels = self.private_levels + self.shared_levels
+        if not self.levels:
+            raise ValueError("at least one cache level is required")
+        self.memory = memory
+        self.controller = controller
+        self.hart_id = hart_id
+        self.dram_read_bytes = 0
+        self.dram_write_bytes = 0
+        self.dram_accesses = 0
         self.fast_path = True
         l1 = self.levels[0]
         self._l1 = l1
-        self._line_shift = l1.config.line_bytes.bit_length() - 1
+        self._line_bytes = l1.config.line_bytes
+        self._line_shift = self._line_bytes.bit_length() - 1
         # The canonical result of a repeated single-line L1 hit.  After any
         # access the accessed line is resident in L1 (the hierarchy is
         # inclusive: hits below L1 fill the upper levels on the way back),
         # so when the next single-line access touches L1's last-touched line
         # it must hit L1 -- with exactly this result.  The instance is
-        # shared; consumers only read it.
+        # shared; consumers only read it.  In the degenerate case where L1 is
+        # a shared level, its memo asserts residency whichever hart touched
+        # the line last.
         self._l1_hit = AccessResult(
             hit_level=l1.config.name, latency=l1.config.hit_latency,
             l1_miss=False, llc_miss=False, dram_bytes=0,
@@ -249,26 +265,77 @@ class FastPathHierarchy:
     def access(self, address: int, size_bytes: int, is_store: bool) -> AccessResult:
         """Walk one memory access through the hierarchy.
 
-        Returns an aggregate :class:`AccessResult`; when the access spans
-        several cache lines the worst latency is reported (the lines are
-        fetched in parallel by the miss handling hardware) and DRAM bytes are
-        summed.  A single-line access to the line L1 touched last
-        short-circuits the walk entirely (see :class:`Cache`).
+        The per-op twin of :meth:`access_lines` (same result, same state
+        afterwards), kept apart as the reference the batched walk is
+        compared against.
         """
         if size_bytes <= 0:
             raise ValueError("size_bytes must be positive")
         shift = self._line_shift
         first = address >> shift
         last = (address + size_bytes - 1) >> shift
-        if first == last:
-            l1 = self._l1
-            if first == l1._mru_line and self.fast_path:
-                l1.hits += 1
-                l1.mru_hits += 1
-                if is_store:
-                    l1._mru_bucket.dirty[l1._mru_tag] = True
-                return self._l1_hit
-            return self._access_line(first << shift, is_store)
+        if first != last:
+            return self._access_span(first, last, is_store)
+        l1 = self._l1
+        if first == l1._mru_line and self.fast_path:
+            l1.hits += 1
+            l1.mru_hits += 1
+            if is_store:
+                l1._mru_bucket.dirty[l1._mru_tag] = True
+            return self._l1_hit
+        return self._access_line(first << shift, is_store)
+
+    def fast_path_hits(self) -> Dict[str, int]:
+        """Same-line short-circuit hits per level name.
+
+        Observability only (the telemetry run collector folds deltas into
+        ``repro_fast_cache_short_circuits_total``); deliberately not part of
+        :meth:`stats`, which feeds golden-pinned run exports.
+        """
+        return {cache.config.name: cache.mru_hits for cache in self.levels}
+
+    def access_lines(self, accesses) -> List[AccessResult]:
+        """Walk a stream of memory accesses through the hierarchy, in order.
+
+        *accesses* is a sequence of ``(address, size_bytes, is_store)``
+        tuples -- the addressed memory ops of one retired batch, in program
+        order.  Returns one :class:`AccessResult` per access.  When an
+        access spans several cache lines the worst latency is reported (the
+        lines are fetched in parallel by the miss handling hardware) and
+        DRAM bytes are summed.  A single-line access to the line L1 touched
+        last short-circuits the walk entirely (see :class:`Cache`); the
+        batched loop lets spatially local streams pay the call overhead once
+        and ride that short-circuit in a tight loop.
+        """
+        out: List[AccessResult] = []
+        append = out.append
+        shift = self._line_shift
+        l1 = self._l1
+        fast = self.fast_path
+        l1_hit = self._l1_hit
+        access_line = self._access_line
+        for address, size_bytes, is_store in accesses:
+            if size_bytes <= 0:
+                raise ValueError("size_bytes must be positive")
+            first = address >> shift
+            last = (address + size_bytes - 1) >> shift
+            if first == last:
+                if fast and first == l1._mru_line:
+                    l1.hits += 1
+                    l1.mru_hits += 1
+                    if is_store:
+                        l1._mru_bucket.dirty[l1._mru_tag] = True
+                    append(l1_hit)
+                else:
+                    append(access_line(first << shift, is_store))
+            else:
+                append(self._access_span(first, last, is_store))
+        return out
+
+    def _access_span(self, first: int, last: int,
+                     is_store: bool) -> AccessResult:
+        """Walk lines *first*..*last* of one access and aggregate them."""
+        shift = self._line_shift
         worst: Optional[AccessResult] = None
         total_dram = 0
         l1_miss = False
@@ -287,87 +354,16 @@ class FastPathHierarchy:
             l1_miss=l1_miss,
             llc_miss=llc_miss,
             dram_bytes=total_dram,
-            levels_missed=worst.levels_missed,
         )
 
-    def fast_path_hits(self) -> Dict[str, int]:
-        """Same-line short-circuit hits per level name.
-
-        Observability only (the telemetry run collector folds deltas into
-        ``repro_fast_cache_short_circuits_total``); deliberately not part of
-        :meth:`stats`, which feeds golden-pinned run exports.
-        """
-        return {cache.config.name: cache.mru_hits for cache in self.levels}
-
-    def access_lines(self, accesses) -> List[AccessResult]:
-        """Batched :meth:`access`: one call for a stream of resolved accesses.
-
-        *accesses* is a sequence of ``(address, size_bytes, is_store)``
-        tuples -- typically the addressed memory ops of one engine flush, in
-        program order.  Equivalent to calling :meth:`access` per element (the
-        walk order, and therefore every hit/miss/LRU/latency outcome, is the
-        same); the batched loop exists so spatially local streams pay the
-        call overhead once and ride the same-line short-circuit in a tight
-        loop.
-        """
-        out: List[AccessResult] = []
-        append = out.append
-        shift = self._line_shift
-        l1 = self._l1
-        fast = self.fast_path
-        l1_hit = self._l1_hit
-        access_line = self._access_line
-        for address, size_bytes, is_store in accesses:
-            if size_bytes <= 0:
-                raise ValueError("size_bytes must be positive")
-            first = address >> shift
-            if first == (address + size_bytes - 1) >> shift:
-                if fast and first == l1._mru_line:
-                    l1.hits += 1
-                    l1.mru_hits += 1
-                    if is_store:
-                        l1._mru_bucket.dirty[l1._mru_tag] = True
-                    append(l1_hit)
-                else:
-                    append(access_line(first << shift, is_store))
-            else:
-                append(self.access(address, size_bytes, is_store))
-        return out
-
     def _access_line(self, address: int, is_store: bool) -> AccessResult:
-        raise NotImplementedError
-
-
-class CacheHierarchy(FastPathHierarchy):
-    """An inclusive multi-level cache hierarchy in front of DRAM.
-
-    Accesses are performed at cache-line granularity; an access spanning
-    multiple lines (for example a 32-byte vector load with a 64-byte line is
-    one line, but a crossing access is two) touches each line once.
-    """
-
-    def __init__(self, levels: List[CacheConfig], memory: MemoryConfig):
-        if not levels:
-            raise ValueError("at least one cache level is required")
-        self.levels = [Cache(cfg) for cfg in levels]
-        self.memory = memory
-        self.dram_read_bytes = 0
-        self.dram_write_bytes = 0
-        self.dram_accesses = 0
-        self._init_fast_path()
-
-    @property
-    def line_bytes(self) -> int:
-        return self.levels[0].config.line_bytes
-
-    def _access_line(self, address: int, is_store: bool) -> AccessResult:
+        levels = self.levels
         latency = 0
-        missed: List[str] = []
-        for depth, cache in enumerate(self.levels):
+        for depth, cache in enumerate(levels):
             latency += cache.config.hit_latency
             if cache.access(address, is_store):
                 # Fill the levels above (inclusive hierarchy).
-                for upper in self.levels[:depth]:
+                for upper in levels[:depth]:
                     upper.fill(address, is_store)
                 return AccessResult(
                     hit_level=cache.config.name,
@@ -375,44 +371,46 @@ class CacheHierarchy(FastPathHierarchy):
                     l1_miss=depth > 0,
                     llc_miss=False,
                     dram_bytes=0,
-                    levels_missed=missed,
                 )
-            missed.append(cache.config.name)
         # Missed every level: go to DRAM.
-        latency += self.memory.latency_cycles
-        dram_bytes = self.line_bytes
-        self.dram_read_bytes += self.line_bytes
-        self.dram_accesses += 1
-        for cache in self.levels:
+        controller = self.controller
+        if controller is None:
+            latency += self.memory.latency_cycles
+        else:
+            latency += controller.access_latency(self.hart_id)
+        line = self._line_bytes
+        written = 0
+        for cache in levels:
             if cache.fill(address, is_store):
-                dram_bytes += self.line_bytes
-                self.dram_write_bytes += self.line_bytes
+                written += line
+        self.dram_read_bytes += line
+        self.dram_write_bytes += written
+        self.dram_accesses += 1
+        if controller is not None:
+            controller.account_bytes(line, written)
         return AccessResult(
             hit_level="DRAM",
             latency=latency,
             l1_miss=True,
             llc_miss=True,
-            dram_bytes=dram_bytes,
-            levels_missed=missed,
+            dram_bytes=line + written,
         )
 
     # -- statistics -----------------------------------------------------------
 
-    def level(self, name: str) -> Cache:
-        for cache in self.levels:
-            if cache.config.name == name:
-                return cache
-        raise KeyError(f"no cache level named {name!r}")
-
     def stats(self) -> Dict[str, Dict[str, float]]:
+        """Per-level counters (shared levels marked), then DRAM traffic."""
         out: Dict[str, Dict[str, float]] = {}
         for cache in self.levels:
-            out[cache.config.name] = {
+            row = {
                 "hits": cache.hits,
                 "misses": cache.misses,
                 "miss_rate": cache.miss_rate,
                 "writebacks": cache.writebacks,
             }
+            if cache in self.shared_levels:
+                row["shared"] = True
+            out[cache.config.name] = row
         out["DRAM"] = {
             "read_bytes": self.dram_read_bytes,
             "write_bytes": self.dram_write_bytes,
@@ -421,8 +419,14 @@ class CacheHierarchy(FastPathHierarchy):
         return out
 
     def reset_stats(self) -> None:
-        for cache in self.levels:
+        """Zero the private levels and DRAM; shared levels keep counting."""
+        for cache in self.private_levels:
             cache.reset_stats()
         self.dram_read_bytes = 0
         self.dram_write_bytes = 0
         self.dram_accesses = 0
+
+
+#: The former name of the hierarchy's fast-path base class, still imported
+#: (and its ``access_lines`` patched) by ``perfbench/layers.py``.
+FastPathHierarchy = CacheHierarchy

@@ -299,7 +299,7 @@ class CoreTimingModel:
         return table
 
     def retire_batch(self, ops: Sequence[MachineOp],
-                     mem_results: Optional[Sequence[AccessResult]] = None,
+                     mem_results: Sequence[AccessResult],
                      task: Optional[Task] = None) -> int:
         """Retire a chunk of ops with coalesced event publication.
 
@@ -313,15 +313,16 @@ class CoreTimingModel:
         callchain, and group values count the crossing op's events published
         before the leader's and none after: bit-identical to per-op retirement.
 
-        *mem_results* optionally supplies the chunk's addressed-access results
-        from ``access_lines``; *task*, if given, ends at the chunk's last pc.
-        Returns the integer cycles the chunk consumed.
+        *mem_results* holds the chunk's addressed-access results from
+        ``access_lines``, one per memory op with an address and a positive
+        size, in order; it is required whenever the chunk has such ops.
+        *task*, if given, ends at the chunk's last pc.  Returns the integer
+        cycles the chunk consumed.
         """
         table = self._batch_info
         if table is None:
             table = self._build_batch_info()
             self._batch_info = table
-        access = self.hierarchy.access
         predictor_update = self.predictor.update
         mem_costs = self._mem_cost_cache
         op_cost = self._op_cost
@@ -351,13 +352,9 @@ class CoreTimingModel:
                 if kind == 0:
                     total, frontend, backend, fp, bp = info[1]
                 elif kind == 1:
-                    address = op.address
-                    if address is not None and op.size_bytes > 0:
-                        if mem_results is None:
-                            mem = access(address, op.size_bytes, info[3])
-                        else:
-                            mem = mem_results[mem_index]
-                            mem_index += 1
+                    if op.address is not None and op.size_bytes > 0:
+                        mem = mem_results[mem_index]
+                        mem_index += 1
                         cached = mem_costs.get(mem.latency)
                         if cached is None:
                             base, frontend, backend = op_cost(op, mem, False)

@@ -40,10 +40,11 @@ class Machine:
         visible with the vendor driver); defaults to True because that is the
         configuration the paper measures.
     hierarchy:
-        Memory hierarchy to use instead of building a private
+        Memory hierarchy to use instead of building an all-private
         :class:`CacheHierarchy` from the descriptor.  The SMP machine
-        (:class:`repro.smp.MultiHartMachine`) passes per-hart views of a
-        shared LLC here; standalone machines leave it None.
+        (:class:`repro.smp.MultiHartMachine`) passes its hart's view here:
+        a :class:`CacheHierarchy` built with ``shared=`` levels and the
+        memory ``controller=``.  Standalone machines leave it None.
     hart_id:
         Which hart this machine models.  Standalone machines are hart 0;
         inside a multi-hart machine each hart gets its own id, which tags
@@ -142,16 +143,19 @@ class Machine:
 
     def execute_batch(self, ops: Sequence[MachineOp],
                       task: Optional[Task] = None,
-                      mem_accesses: Optional[Sequence] = None) -> None:
+                      mem_accesses: Sequence = ()) -> None:
         """Retire a chunk of machine ops (the engine's batched accounting).
 
-        :meth:`~repro.cpu.core.CoreTimingModel.retire_batch` coalesces event
-        publication and retires each op that reaches an armed overflow of
-        this hart's PMU as :meth:`execute` would: counters, bus totals and
-        samples are bit-identical to per-op retirement.  *mem_accesses*
-        optionally carries the batch's addressed accesses as ``(address,
-        size_bytes, is_store)`` tuples in stream order, resolved in one
-        :meth:`~repro.cpu.cache.CacheHierarchy.access_lines` call.
+        *mem_accesses* carries the batch's addressed accesses as ``(address,
+        size_bytes, is_store)`` tuples, one per memory op with an address and
+        a positive size, in stream order.  It is required whenever *ops* has
+        such ops: every batch resolves its memory in one
+        :meth:`~repro.cpu.cache.CacheHierarchy.access_lines` call, and
+        :meth:`~repro.cpu.core.CoreTimingModel.retire_batch` consumes the
+        results.  ``retire_batch`` coalesces event publication and retires
+        each op that reaches an armed overflow of this hart's PMU as
+        :meth:`execute` would: counters, bus totals and samples are
+        bit-identical to per-op retirement.
         """
         if not ops:
             return
@@ -160,9 +164,8 @@ class Machine:
             for op in ops:
                 if op.is_memory and op.address is not None:
                     record(op.address, op.size_bytes, op.is_store)
-        mem_results = None
-        if mem_accesses:
-            mem_results = self.hierarchy.access_lines(mem_accesses)
+        mem_results = (self.hierarchy.access_lines(mem_accesses)
+                       if mem_accesses else ())
         self.core.retire_batch(ops, mem_results, task)
 
     def set_access_recorder(self, recorder) -> None:

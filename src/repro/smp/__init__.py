@@ -24,11 +24,7 @@ from repro.smp.machine import (
     SystemWideEvent,
     SystemWideReadValue,
 )
-from repro.smp.memory import (
-    HartCacheHierarchy,
-    MemoryController,
-    SharedMemorySystem,
-)
+from repro.smp.memory import MemoryController, SharedMemorySystem
 from repro.smp.perf import (
     SmpRecordingResult,
     SmpStatResult,
@@ -50,7 +46,6 @@ __all__ = [
     "SystemWideEvent",
     "SystemWideReadValue",
     "SharedMemorySystem",
-    "HartCacheHierarchy",
     "MemoryController",
     "RoundRobinScheduler",
     "Thread",

@@ -15,7 +15,7 @@ cross-hart aggregation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cpu.events import HwEvent
 from repro.kernel.perf_event import (
@@ -69,12 +69,6 @@ class SystemWideEvent:
     @property
     def event(self) -> HwEvent:
         return self.attr.event
-
-    def fd_on(self, cpu: int) -> int:
-        for hart, fd in self._fds:
-            if hart.hart_id == cpu:
-                return fd
-        raise KeyError(f"no event opened on cpu {cpu}")
 
     def enable(self) -> None:
         for hart, fd in self._fds:
@@ -218,9 +212,6 @@ class MultiHartMachine:
             for event, count in hart.event_totals().items():
                 totals[event] = totals.get(event, 0) + count
         return totals
-
-    def per_hart_event_totals(self) -> Dict[int, Dict[HwEvent, int]]:
-        return {hart.hart_id: hart.event_totals() for hart in self.harts}
 
     def stats(self) -> Dict[str, object]:
         return {

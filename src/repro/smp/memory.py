@@ -9,26 +9,20 @@ except the last is instantiated privately per hart, the last level is one
 behind a :class:`MemoryController` with a deterministic bandwidth-contention
 model.
 
-Each hart sees the system through a :class:`HartCacheHierarchy`, which is
-API-compatible with the single-hart
-:class:`~repro.cpu.cache.CacheHierarchy` (``access``/``stats``/``level``/
-``line_bytes``), so the core timing models and PMU event publication work
-unchanged: a hart's L1 miss counters are private, while shared-LLC misses
-are attributed to the hart whose access missed.
+Each hart sees the system through a :class:`~repro.cpu.cache.CacheHierarchy`
+built with ``shared=`` (the shared levels) and ``controller=`` (the memory
+controller): the same class, and the same walk, as the single-hart model, so
+the core timing models and PMU event publication work unchanged.  A hart's
+L1 miss counters are private, while shared-LLC misses are attributed to the
+hart whose access missed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
-from repro.cpu.cache import (
-    AccessResult,
-    Cache,
-    CacheConfig,
-    FastPathHierarchy,
-    MemoryConfig,
-)
+from repro.cpu.cache import Cache, CacheConfig, CacheHierarchy, MemoryConfig
 
 
 class MemoryController:
@@ -40,7 +34,10 @@ class MemoryController:
     accesses, and stretches the latency of each access by
     ``contention_per_hart`` for every *other* hart currently competing.  With
     a single hart the latency is exactly the configured DRAM latency, so a
-    one-hart SMP machine times accesses identically to the single-hart model.
+    one-hart SMP machine times accesses identically to the single-hart model
+    (``tests/test_smp_memory_properties.py`` compares the two walks).  Each
+    hart's :class:`~repro.cpu.cache.CacheHierarchy` calls
+    :meth:`access_latency` and :meth:`account_bytes` on every DRAM line.
     The interleaving is produced by the deterministic scheduler, which makes
     the whole contention model reproducible run to run.
     """
@@ -59,7 +56,6 @@ class MemoryController:
         self.read_bytes = 0
         self.write_bytes = 0
         self.per_hart_accesses: Dict[int, int] = {}
-        self.per_hart_bytes: Dict[int, int] = {}
         self.contended_accesses = 0
 
     def competing_harts(self) -> int:
@@ -78,12 +74,9 @@ class MemoryController:
         factor = 1.0 + self.contention_per_hart * (competing - 1)
         return int(self.config.latency_cycles * factor)
 
-    def account_bytes(self, hart_id: int, read_bytes: int, write_bytes: int) -> None:
+    def account_bytes(self, read_bytes: int, write_bytes: int) -> None:
         self.read_bytes += read_bytes
         self.write_bytes += write_bytes
-        self.per_hart_bytes[hart_id] = (
-            self.per_hart_bytes.get(hart_id, 0) + read_bytes + write_bytes
-        )
 
     def stats(self) -> Dict[str, object]:
         return {
@@ -93,121 +86,6 @@ class MemoryController:
             "contended_accesses": self.contended_accesses,
             "per_hart_accesses": dict(self.per_hart_accesses),
         }
-
-
-class HartCacheHierarchy(FastPathHierarchy):
-    """One hart's view of the SMP memory system.
-
-    Walks accesses through the hart's private levels, then the shared levels,
-    then the contended memory controller -- same inclusive fill discipline
-    (and same inherited fast-path entry points) as
-    :class:`~repro.cpu.cache.CacheHierarchy`, so a single-hart SMP machine
-    produces identical hit/miss/latency sequences to the single-hart model.
-    The private-L1 memo is safe per hart; in the degenerate single-level
-    case where "L1" is the shared LLC, the level's last-touched-line memo
-    asserts residency regardless of which hart touched it last.
-    """
-
-    def __init__(self, hart_id: int, private_configs: List[CacheConfig],
-                 shared_levels: List[Cache], controller: MemoryController):
-        self.hart_id = hart_id
-        self.private_levels = [Cache(cfg) for cfg in private_configs]
-        self.shared_levels = shared_levels
-        self.controller = controller
-        self.memory = controller.config
-        self.dram_read_bytes = 0
-        self.dram_write_bytes = 0
-        self.dram_accesses = 0
-        self._levels = self.private_levels + self.shared_levels
-        self._init_fast_path()
-
-    @property
-    def levels(self) -> List[Cache]:
-        return self._levels
-
-    @property
-    def line_bytes(self) -> int:
-        return self._levels[0].config.line_bytes
-
-    def _access_line(self, address: int, is_store: bool) -> AccessResult:
-        levels = self.levels
-        latency = 0
-        missed: List[str] = []
-        for depth, cache in enumerate(levels):
-            latency += cache.config.hit_latency
-            if cache.access(address, is_store):
-                for upper in levels[:depth]:
-                    upper.fill(address, is_store)
-                return AccessResult(
-                    hit_level=cache.config.name,
-                    latency=latency,
-                    l1_miss=depth > 0,
-                    llc_miss=False,
-                    dram_bytes=0,
-                    levels_missed=missed,
-                )
-            missed.append(cache.config.name)
-        # Missed every level, private and shared: go to contended DRAM.
-        latency += self.controller.access_latency(self.hart_id)
-        line = self.line_bytes
-        dram_bytes = line
-        read_bytes = line
-        write_bytes = 0
-        self.dram_read_bytes += line
-        self.dram_accesses += 1
-        for cache in levels:
-            if cache.fill(address, is_store):
-                dram_bytes += line
-                write_bytes += line
-                self.dram_write_bytes += line
-        self.controller.account_bytes(self.hart_id, read_bytes, write_bytes)
-        return AccessResult(
-            hit_level="DRAM",
-            latency=latency,
-            l1_miss=True,
-            llc_miss=True,
-            dram_bytes=dram_bytes,
-            levels_missed=missed,
-        )
-
-    # -- statistics (CacheHierarchy-compatible) ---------------------------------
-
-    def level(self, name: str) -> Cache:
-        for cache in self.levels:
-            if cache.config.name == name:
-                return cache
-        raise KeyError(f"no cache level named {name!r}")
-
-    def stats(self) -> Dict[str, Dict[str, float]]:
-        out: Dict[str, Dict[str, float]] = {}
-        for cache in self.private_levels:
-            out[cache.config.name] = {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "miss_rate": cache.miss_rate,
-                "writebacks": cache.writebacks,
-            }
-        for cache in self.shared_levels:
-            out[cache.config.name] = {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "miss_rate": cache.miss_rate,
-                "writebacks": cache.writebacks,
-                "shared": True,
-            }
-        out["DRAM"] = {
-            "read_bytes": self.dram_read_bytes,
-            "write_bytes": self.dram_write_bytes,
-            "accesses": self.dram_accesses,
-        }
-        return out
-
-    def reset_stats(self) -> None:
-        for cache in self.private_levels:
-            cache.reset_stats()
-        self.dram_read_bytes = 0
-        self.dram_write_bytes = 0
-        self.dram_accesses = 0
 
 
 class SharedMemorySystem:
@@ -223,36 +101,32 @@ class SharedMemorySystem:
                  window: int = 32, contention_per_hart: float = 0.5):
         if not cache_configs:
             raise ValueError("at least one cache level is required")
-        if len(cache_configs) > 1:
-            self.private_configs = list(cache_configs[:-1])
-            shared_configs = [cache_configs[-1]]
-        else:
-            self.private_configs = []
-            shared_configs = list(cache_configs)
-        self.shared_levels = [Cache(cfg) for cfg in shared_configs]
+        self.private_configs = list(cache_configs[:-1])
+        self.shared_levels = [Cache(cache_configs[-1])]
+        self.memory = memory
         self.controller = MemoryController(
             memory, window=window, contention_per_hart=contention_per_hart)
-        self.hierarchies: Dict[int, HartCacheHierarchy] = {}
+        self.hierarchies: Dict[int, CacheHierarchy] = {}
 
-    @property
-    def llc(self) -> Cache:
-        return self.shared_levels[-1]
-
-    def hierarchy_for_hart(self, hart_id: int) -> HartCacheHierarchy:
+    def hierarchy_for_hart(self, hart_id: int) -> CacheHierarchy:
+        """Hart *hart_id*'s view: its own private levels over the shared
+        ones and the controller (built once, then reused)."""
         hierarchy = self.hierarchies.get(hart_id)
         if hierarchy is None:
-            hierarchy = HartCacheHierarchy(
-                hart_id, self.private_configs, self.shared_levels, self.controller)
+            hierarchy = CacheHierarchy(
+                self.private_configs, self.memory, shared=self.shared_levels,
+                controller=self.controller, hart_id=hart_id)
             self.hierarchies[hart_id] = hierarchy
         return hierarchy
 
     def stats(self) -> Dict[str, object]:
+        llc = self.shared_levels[-1]
         return {
             "llc": {
-                "hits": self.llc.hits,
-                "misses": self.llc.misses,
-                "miss_rate": self.llc.miss_rate,
-                "writebacks": self.llc.writebacks,
+                "hits": llc.hits,
+                "misses": llc.misses,
+                "miss_rate": llc.miss_rate,
+                "writebacks": llc.writebacks,
             },
             "controller": self.controller.stats(),
         }
@@ -263,14 +137,12 @@ class SharedMemorySystem:
         Private levels are summed across harts; each shared level is counted
         once (the per-hart views alias the same :class:`Cache` instances).
         Observability only -- see
-        :meth:`repro.cpu.cache.FastPathHierarchy.fast_path_hits`.
+        :meth:`repro.cpu.cache.CacheHierarchy.fast_path_hits`.
         """
+        private = [cache for hierarchy in self.hierarchies.values()
+                   for cache in hierarchy.private_levels]
         totals: Dict[str, int] = {}
-        for hierarchy in self.hierarchies.values():
-            for cache in hierarchy.private_levels:
-                name = cache.config.name
-                totals[name] = totals.get(name, 0) + cache.mru_hits
-        for cache in self.shared_levels:
+        for cache in private + self.shared_levels:
             name = cache.config.name
             totals[name] = totals.get(name, 0) + cache.mru_hits
         return totals

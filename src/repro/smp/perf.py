@@ -179,9 +179,6 @@ class SmpRecordingResult:
     def lost(self) -> int:
         return sum(recording.lost for recording in self.per_hart)
 
-    def samples_on(self, cpu: int) -> List[SampleRecord]:
-        return [sample for sample in self.samples if sample.cpu == cpu]
-
     def total(self, event: HwEvent) -> int:
         """Aggregate final count of *event* across all harts."""
         return sum(recording.total(event) for recording in self.per_hart)

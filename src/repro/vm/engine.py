@@ -902,11 +902,9 @@ class ExecutionEngine:
         pending = self._pending
         if pending:
             pending_mem = self._pending_mem
-            self.machine.execute_batch(pending, self.task,
-                                       pending_mem if pending_mem else None)
+            self.machine.execute_batch(pending, self.task, pending_mem)
             del pending[:]
-            if pending_mem:
-                del pending_mem[:]
+            del pending_mem[:]
 
     # -- block loops ---------------------------------------------------------------------------
 

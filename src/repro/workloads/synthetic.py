@@ -95,7 +95,8 @@ _MIX_OPCLASS = {"int_alu": OpClass.INT_ALU, "int_mul": OpClass.INT_MUL,
                 "fp": OpClass.FP_MUL}
 
 #: How :meth:`TraceExecutor._fill` emits a kind: an interned op per slot, an
-#: interned ``(not taken, taken)`` pair per slot, or a fresh load/store.
+#: interned ``(not taken, taken)`` pair per slot, or a fresh load/store
+#: from an ``(opclass, is_store)`` row.
 _PLAIN, _BRANCH, _MEMORY = 0, 1, 2
 
 
@@ -133,7 +134,7 @@ class _OpTable:
             opclass = _MIX_OPCLASS.get(kind)
             if opclass is OpClass.LOAD or opclass is OpClass.STORE:
                 codes.append(_MEMORY)
-                rows.append(opclass)
+                rows.append((opclass, opclass is OpClass.STORE))
             elif opclass is not None:
                 codes.append(_PLAIN)
                 rows.append(tuple(MachineOp(opclass, pc=pc) for pc in pcs))
@@ -160,7 +161,9 @@ class TraceExecutor:
 
     A function body retires in segments split at child calls, so all ops of
     a segment share one call chain: one ``Machine.execute_batch`` call each,
-    or op by op through ``Machine.execute`` without ``batched`` (the per-op
+    with the segment's ``(address, size_bytes, is_store)`` accesses collected
+    alongside so the machine resolves them in one ``access_lines`` call, or
+    op by op through ``Machine.execute`` without ``batched`` (the per-op
     reference).  The op stream depends only on the seed either way.
 
     Generation costs about as much as its random draws.  The first run of a
@@ -210,14 +213,16 @@ class TraceExecutor:
         for _ in range(invocations):
             self._run_function(workload, workload.function(workload.entry), factor)
 
-    def _retire(self, segment: List[MachineOp]) -> None:
-        """Retire and clear one segment (all ops under one call chain)."""
+    def _retire(self, segment: List[MachineOp], accesses: List[tuple]) -> None:
+        """Retire and clear one segment (all ops under one call chain) and
+        its memory accesses."""
         if self.batched:
-            self.machine.execute_batch(segment, self.task)
+            self.machine.execute_batch(segment, self.task, accesses)
         else:
             for op in segment:
                 self.machine.execute(op, self.task)
         segment.clear()
+        accesses.clear()
 
     def _run_function(self, workload: SyntheticWorkload,
                       function: SyntheticFunction, factor: float) -> None:
@@ -227,6 +232,7 @@ class TraceExecutor:
         if table is None or table.mix is not function.mix:
             table = self._tables[function.name] = _OpTable(function)
         segment = [table.call]
+        accesses: List[tuple] = []
         try:
             ops = max(1, int(function.ops_per_call * factor))
             # Interleave child calls evenly through the body; calls
@@ -237,23 +243,26 @@ class TraceExecutor:
             slot = 0
             for position, callee_name in enumerate(calls, 1):
                 end = min(position * stride, ops)
-                self._fill(segment, function, table, slot, end)
+                self._fill(segment, accesses, function, table, slot, end)
                 slot = end
-                self._retire(segment)
+                self._retire(segment, accesses)
                 self._run_function(workload, workload.function(callee_name),
                                    factor)
-            self._fill(segment, function, table, slot, ops)
+            self._fill(segment, accesses, function, table, slot, ops)
         finally:
             segment.append(table.ret)
-            self._retire(segment)
+            self._retire(segment, accesses)
             task.pop_frame()
 
-    def _fill(self, segment: List[MachineOp], function: SyntheticFunction,
-              table: _OpTable, start: int, end: int) -> None:
-        """Append body slots ``start..end-1`` of *function* to *segment*."""
+    def _fill(self, segment: List[MachineOp], accesses: List[tuple],
+              function: SyntheticFunction, table: _OpTable, start: int,
+              end: int) -> None:
+        """Append body slots ``start..end-1`` of *function* to *segment*,
+        and each load's and store's access to *accesses*."""
         draw = self.random.random
         randrange = self.random.randrange
         append = segment.append
+        access = accesses.append
         bounds, codes, rows = table.bounds, table.codes, table.rows
         working_set, pc_base = table.working_set, table.pc_base
         mix = function.mix
@@ -276,8 +285,10 @@ class TraceExecutor:
                     cursor = (cursor + 8) % working_set
                 else:
                     address = base + (randrange(working_set) & ~0x7)
-                append(MachineOp(rows[index], size_bytes=8, address=address,
+                opclass, is_store = rows[index]
+                append(MachineOp(opclass, size_bytes=8, address=address,
                                  pc=pc_base + (slot & 63) * 4))
+                access((address, 8, is_store))
             else:
                 pair = rows[index][slot & 63]
                 if draw() < predictability:

@@ -119,6 +119,16 @@ class TestCache:
         assert 0.0 <= l1.miss_rate <= 1.0
 
 
+def test_fast_path_hierarchy_alias_keeps_access_lines_in_class_body():
+    """The old ``FastPathHierarchy`` name still imports, and ``access_lines``
+    is defined on the class itself: perfbench patches
+    ``vars(FastPathHierarchy)["access_lines"]`` to time the batched walk."""
+    from repro.cpu.cache import FastPathHierarchy
+
+    assert FastPathHierarchy is CacheHierarchy
+    assert "access_lines" in vars(CacheHierarchy)
+
+
 class TestBranchPredictors:
     def test_gshare_learns_stable_pattern(self):
         predictor = GsharePredictor()

@@ -16,7 +16,9 @@ the horizon handles:
 
 at sample periods from 1 (an overflow on every op, several per op when an
 op costs more than one cycle) to 6000.  Sample streams (ip, time,
-callchain, group values), counter reads and bus totals must be identical.
+callchain, group values), counter reads, bus totals and the cache
+hierarchy's stats must be identical; the last compare the batched
+``access_lines`` walk with per-op ``access`` directly.
 """
 
 import random
@@ -122,6 +124,7 @@ def record_trace(group: str, period: int, seed: int, batched: bool) -> dict:
         "instructions": machine.instructions,
         "pc": task.current_pc,
         "interrupts": perf.overflow_interrupts,
+        "cache": machine.hierarchy.stats(),
     }
 
 

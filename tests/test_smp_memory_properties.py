@@ -11,8 +11,11 @@ interleavings rather than a handful of hand-written sequences:
   an access *faster*, and steady-state round-robin latency is exactly the
   closed-form ``base * (1 + c * (k - 1))``;
 * **single-hart collapse** -- one hart alone always pays exactly the base
-  DRAM latency (a 1-hart SMP machine times accesses like the single-hart
-  model), including after other harts age out of the window.
+  DRAM latency, including after other harts age out of the window;
+* **one walk** -- a one-hart SMP view (private levels over the shared LLC and
+  the controller) resolves every access like the single-hart
+  :class:`~repro.cpu.cache.CacheHierarchy` of the same descriptor, through
+  ``access`` and ``access_lines``, with the same-line fast path on and off.
 
 Every case draws its parameters from ``random.Random(seed)`` over a seed
 range, so failures reproduce exactly.
@@ -22,8 +25,9 @@ import random
 
 import pytest
 
-from repro.cpu.cache import MemoryConfig
-from repro.smp.memory import MemoryController
+from repro.cpu.cache import CacheHierarchy, MemoryConfig
+from repro.platforms import all_platforms
+from repro.smp.memory import MemoryController, SharedMemorySystem
 
 SEEDS = range(24)
 
@@ -136,3 +140,68 @@ def test_more_competitors_never_speed_up_an_access(seed):
         assert all(now >= was for now, was in zip(contended, alone))
         assert all(now >= was for now, was in zip(contended, previous))
         assert sum(contended) >= sum(previous)
+
+
+def _random_stream(rng: random.Random, descriptor, length: int):
+    """Loads and stores of 1-64 bytes at any alignment (so some cross a
+    line) over a hot region, a far random region and addresses that all map
+    to one LLC set (so lines are evicted, dirty ones written back)."""
+    llc = descriptor.caches[-1]
+    set_span = llc.num_sets * llc.line_bytes
+    conflict = [0x4000_0000 + k * set_span
+                for k in range(2 * llc.associativity + 2)]
+    stream = []
+    for _ in range(length):
+        pick = rng.random()
+        if pick < 0.5:
+            address = 0x1000_0000 + rng.randrange(16 * 1024)
+        elif pick < 0.8:
+            address = rng.choice(conflict) + rng.randrange(128)
+        else:
+            address = 0x2000_0000 + rng.randrange(64 << 20)
+        stream.append((address, rng.randint(1, 64), rng.random() < 0.4))
+    return stream
+
+
+def _resolve(hierarchy, stream, batched: bool, rng: random.Random):
+    if not batched:
+        return [hierarchy.access(*access) for access in stream]
+    results, start = [], 0
+    while start < len(stream):
+        end = start + rng.randint(1, 200)
+        results.extend(hierarchy.access_lines(stream[start:end]))
+        start = end
+    return results
+
+
+def _without_shared(stats):
+    return {level: {key: value for key, value in row.items() if key != "shared"}
+            for level, row in stats.items()}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("batched", (False, True), ids=("access", "access_lines"))
+@pytest.mark.parametrize("fast", (True, False), ids=("fast", "plain"))
+@pytest.mark.parametrize("descriptor", all_platforms(),
+                         ids=lambda descriptor: descriptor.name)
+def test_one_hart_smp_walk_matches_single_hart(descriptor, fast, batched, seed):
+    rng = random.Random(seed)
+    stream = _random_stream(rng, descriptor, 1500)
+    single = CacheHierarchy(descriptor.caches, descriptor.memory)
+    hart = SharedMemorySystem(descriptor.caches,
+                              descriptor.memory).hierarchy_for_hart(0)
+    chunking = rng.getstate()
+    observed = []
+    for hierarchy in (single, hart):
+        hierarchy.set_fast_path(fast)
+        rng.setstate(chunking)
+        observed.append([
+            (r.hit_level, r.latency, r.l1_miss, r.llc_miss, r.dram_bytes)
+            for r in _resolve(hierarchy, stream, batched, rng)])
+    assert observed[0] == observed[1]
+    assert _without_shared(single.stats()) == _without_shared(hart.stats())
+    assert hart.stats()[descriptor.caches[-1].name]["shared"] is True
+    # Not vacuous: DRAM fills, dirty writebacks and line crossings occur.
+    line = descriptor.caches[0].line_bytes
+    assert any(result[4] > line for result in observed[0])
+    assert any((address % line) + size > line for address, size, _ in stream)

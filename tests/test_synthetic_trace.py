@@ -135,18 +135,21 @@ class ReferenceTraceExecutor:
 
 
 class RecordingMachine:
-    """Records every retired op, field by field, one list per segment."""
+    """Records every retired op, field by field, one list per segment, and
+    each batch's ``mem_accesses`` in :attr:`accesses` (one list per batch)."""
 
     def __init__(self):
         self.segments: List[list] = []
+        self.accesses: List[list] = []
 
     @staticmethod
     def _fields(op: MachineOp) -> tuple:
         return (op.opclass, op.size_bytes, op.address, op.lanes, op.taken,
                 op.target, op.pc)
 
-    def execute_batch(self, ops, task=None) -> None:
+    def execute_batch(self, ops, task=None, mem_accesses=()) -> None:
         self.segments.append([self._fields(op) for op in ops])
+        self.accesses.append(list(mem_accesses))
 
     def execute(self, op, task=None) -> None:
         self.segments.append([self._fields(op)])
@@ -200,6 +203,23 @@ def memory_ops(segments, opclass=None) -> List[tuple]:
 @pytest.mark.parametrize("seed", range(24))
 def test_random_trees_match_reference(seed):
     assert_same_stream([random_tree(seed)], seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batches_carry_their_memory_accesses(seed):
+    """Every batch hands the machine its loads' and stores' ``(address,
+    size_bytes, is_store)``, in op order, for one ``access_lines`` call."""
+    machine = RecordingMachine()
+    executor = TraceExecutor(machine, FrameStack(), seed=seed)
+    executor.run(random_tree(seed), invocations=2)
+    executor.run(tree("f", SyntheticFunction("f", 300, MEMORY)))
+    assert len(machine.accesses) == len(machine.segments)
+    for segment, accesses in zip(machine.segments, machine.accesses):
+        assert accesses == [(address, size, opclass is OpClass.STORE)
+                            for opclass, size, address, *_ in segment
+                            if opclass in (OpClass.LOAD, OpClass.STORE)]
+    flags = {is_store for batch in machine.accesses for *_, is_store in batch}
+    assert flags == {False, True}
 
 
 def test_per_op_path_matches_reference():
