@@ -84,8 +84,8 @@ def test_fast_dispatch_beats_reference_interpreter():
     assert fast_machine.instructions == slow_machine.instructions
     assert fast_machine.event_totals() == slow_machine.event_totals()
 
-    # The margin is ~13x with generated per-block code; see MIN_SPEEDUP
-    # for how the floor is set.
+    # The margin is ~17x with one generated generator per function; see
+    # MIN_SPEEDUP for how the floor is set.
     assert speedup > MIN_SPEEDUP, (
         f"fast dispatch only {speedup:.2f}x faster than the reference "
         f"interpreter (required: {MIN_SPEEDUP}x)"

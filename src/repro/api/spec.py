@@ -53,7 +53,7 @@ class ProfileSpec:
         per-hart counts and cpu-tagged sample streams.
     fast_dispatch:
         The one switch between the fast paths (the default) and their
-        references.  ``True`` runs compiled kernels as generated per-block
+        references.  ``True`` runs compiled kernels as generated Python
         code on the batch-retiring engine, synthetic traces retire in
         batches, and the cache hierarchy takes its same-line
         short-circuits.  ``False`` selects every reference path at once: the

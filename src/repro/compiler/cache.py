@@ -5,7 +5,7 @@ compiles the identical KernelC source for the identical lowering
 configuration, so one compile per ``(source, lowering configuration)``
 serves them all.  The cached module is immutable after the optimization
 pipeline runs, and execution engines keep all per-run decode state on the
-engine (value environments, predecoded thunks, pc maps), so sharing one
+engine (value environments, generated code, pc maps), so sharing one
 module instance across harts is safe -- and keeps pc assignment (a
 deterministic walk of the module) identical on every hart, which the
 fast-dispatch differential suites rely on.

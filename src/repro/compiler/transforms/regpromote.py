@@ -17,9 +17,10 @@ non-escaping scalar slots with ``mperf.reg_promoted`` metadata.  Consumers:
   (they are register reads/writes in the modelled -O3 build), so the timing
   model and the PMU agree with the counts.
 
-Program semantics are untouched -- the interpreter still goes through memory
--- which keeps results bit-identical while the accounting matches an
-optimised build.
+Program semantics are untouched -- the reference interpreter still goes
+through memory, and the engine's generated code keeps these slots in
+Python locals written back to the same stack bytes -- which keeps results
+bit-identical while the accounting matches an optimised build.
 """
 
 from __future__ import annotations

@@ -19,26 +19,24 @@ Dispatch architecture
 The engine has two dispatch strategies over the same semantics:
 
 * **Fast dispatch** (the default): each function is *predecoded* once, on
-  first entry, into generated Python -- one function per basic block, one
-  ``compile()`` per function (see :class:`_Codegen`).  What the reference
-  interpreter decides per dynamic instruction (instruction class, operand
-  kind, opcode, integer wrap, ``struct`` format, vector gate, the target
-  lowering memoized by ``TargetLowering.lower_cached``) is decided once
-  and written into the source.
+  first entry, into one generated Python generator (see :class:`_Codegen`):
+  an int block id selects each block through a balanced ``if`` tree, and
+  arguments, SSA values, phis and the scalar slots ``PromoteScalarsPass``
+  finds non-escaping are locals of its one frame.  What the
+  reference interpreter decides per dynamic instruction (instruction class,
+  operand kind, opcode, integer wrap, ``struct`` format, vector gate, the
+  target lowering memoized by ``TargetLowering.lower_cached``) is decided
+  once and written into the source.
 
   Retired machine ops accumulate in a pending buffer that is flushed in
   chunks through :meth:`~repro.platforms.machine.Machine.execute_batch` --
   before internal calls and before external calls that observe the
-  machine, at function return (before the task's stack frame pops, so
-  samples attribute correctly) and at a size threshold.  An external
-  handler may declare ``observes_machine(name) -> bool``; a handler without
-  it is assumed to observe, builtin math does not, and the decision is made
-  once per call site.  ``execute_batch`` aggregates event-bus publications
-  up to each armed overflow and retires the op that reaches it
-  individually; counters, bus totals and samples are bit-identical to the
-  per-op path.  The addressed memory accesses of a flush are collected in
-  stream order alongside the pending ops and resolved in one batched
-  ``hierarchy.access_lines`` call.
+  machine (a handler may declare ``observes_machine(name) -> bool``;
+  builtin math does not observe), at function return (before the task's
+  stack frame pops, so samples attribute correctly) and at a size
+  threshold.  ``execute_batch`` keeps counters, bus totals and samples
+  bit-identical to the per-op path, and resolves a flush's addressed
+  accesses in one batched ``hierarchy.access_lines`` call.
 
 * **Slow dispatch** (``fast_dispatch=False``): the original instruction-at-
   a-time interpreter, kept as the reference implementation.  Equivalence
@@ -48,21 +46,20 @@ The engine has two dispatch strategies over the same semantics:
 Preemptible execution
 ---------------------
 
-Each dispatch path has exactly one block loop, and it is a *generator*;
-the call machinery around it is one generator too.  Both public entry
-points drive it.  :meth:`ExecutionEngine.run_yielding` yields control after
-every *quantum* of executed IR instructions -- the SMP scheduler's time
-slice.  :meth:`ExecutionEngine.run` drains the same generator with the fuel
-cell parked out of reach, so it never suspends.  The yield points are
-decided by one shared fuel counter that both dispatch paths decrement at
-basic-block boundaries, so the fast and the slow engine are preempted after
-exactly the same dynamic instruction, and a multi-hart schedule (and every
-per-hart sample stream) is bit-identical across the two.  Pending batched
-machine ops are always flushed *before* yielding: once another hart runs,
-the shared LLC and the contended memory controller must have observed every
-access this hart already executed, in program order.  Predecode state,
-the value environment and the whole call stack survive the yield, so a
-thread resumes mid-function exactly where it was preempted.
+Each activation is a *generator*: the generated function on the fast path,
+the reference path's block loop on the slow one; internal calls delegate
+with ``yield from``.  :meth:`ExecutionEngine.run_yielding` yields control
+after every *quantum* of executed IR instructions -- the SMP scheduler's
+time slice.  :meth:`ExecutionEngine.run` drains the same generator with the
+fuel cell parked out of reach, so it never suspends.  Both paths decrement
+one shared fuel cell by each completed block's instruction count, so they
+are preempted after exactly the same dynamic instruction, and a multi-hart
+schedule (and every per-hart sample stream) is bit-identical across the
+two.  Pending batched machine ops are flushed *before* yielding: once
+another hart runs, the shared LLC and the contended memory controller must
+have observed every access this hart already executed, in program order.
+The locals of every frame on the call stack survive the yield, so a thread
+resumes mid-function exactly where it was preempted.
 """
 
 from __future__ import annotations
@@ -70,6 +67,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.compiler.ir.instructions import (
@@ -92,6 +90,7 @@ from repro.compiler.ir.module import BasicBlock, Function, Module
 from repro.compiler.ir.types import FloatType, IntType, PointerType, Type
 from repro.compiler.ir.values import Constant, UndefValue, Value
 from repro.compiler.targets.base import TargetLowering
+from repro.compiler.transforms.regpromote import PromoteScalarsPass
 from repro.compiler.transforms.vectorize import VECTOR_WIDTH_KEY
 from repro.isa.machine_ops import MachineOp
 from repro.kernel.task import Task
@@ -115,22 +114,9 @@ class ExecutionStats:
     per_function_instructions: Dict[str, int] = field(default_factory=dict)
 
 
-def _libm_fminf(a: float, b: float) -> float:
-    """``fminf`` with libm NaN semantics: a NaN operand loses."""
-    if math.isnan(a):
-        return b
-    if math.isnan(b):
-        return a
-    return min(a, b)
-
-
-def _libm_fmaxf(a: float, b: float) -> float:
-    """``fmaxf`` with libm NaN semantics: a NaN operand loses."""
-    if math.isnan(a):
-        return b
-    if math.isnan(b):
-        return a
-    return max(a, b)
+def _libm(pick: Callable[[float, float], float]) -> Callable[[float, float], float]:
+    """``fminf``/``fmaxf`` with libm NaN semantics: a NaN operand loses."""
+    return lambda a, b: b if math.isnan(a) else a if math.isnan(b) else pick(a, b)
 
 
 #: Builtin math externals (a tiny libm) available to KernelC programs.
@@ -139,8 +125,8 @@ _BUILTIN_MATH: Dict[str, Callable] = {
     "fabsf": abs,
     "expf": math.exp,
     "logf": lambda x: math.log(x) if x > 0 else float("-inf"),
-    "fminf": _libm_fminf,
-    "fmaxf": _libm_fmaxf,
+    "fminf": _libm(min),
+    "fmaxf": _libm(max),
 }
 
 def _fdiv(a: float, b: float) -> float:
@@ -178,40 +164,13 @@ _F32_STRUCT = struct.Struct("<f")
 
 
 class _Frame:
-    """One activation record."""
+    """One activation record of the reference interpreter."""
 
-    __slots__ = ("function", "values", "stack_token")
+    __slots__ = ("function", "values")
 
-    def __init__(self, function: Function, stack_token: int):
+    def __init__(self, function: Function):
         self.function = function
         self.values: Dict[Value, object] = {}
-        self.stack_token = stack_token
-
-
-class _Ret:
-    """Sentinel returned by a predecoded ``ret`` terminator."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: object):
-        self.value = value
-
-
-_RET_NONE = _Ret(None)
-
-
-class _DecodedBlock:
-    """A basic block predecoded into one generated function, ``run(values)
-    -> successor | _Ret`` (a generator function when ``is_gen``)."""
-
-    __slots__ = ("name", "run", "is_gen", "phi_nodes", "instr_count")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.run: Optional[Callable] = None
-        self.is_gen = False
-        self.phi_nodes: List[Phi] = []
-        self.instr_count = 0
 
 
 def _int_divide(opcode: str, a: int, b: int, half: int, mask: int) -> int:
@@ -239,59 +198,73 @@ _SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^
             "oeq": "==", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">="}
 
 #: The engine objects every generated factory binds first, in this order.
-_FIXED_PARAMS = ("pending_append, pending_extend, pending_mem_append, stats, "
-                 "MachineOp, Ret, RET_NONE, flush, dispatch, call, stack_alloc, "
-                 "general")
+_FIXED_PARAMS = ("pending_append, pending_extend, pending_mem_append, pending, "
+                 "stats, per_fn, fuel, MachineOp, flush, dispatch, call, "
+                 "stack_alloc, general")
 
 
 class _Codegen:
-    """Python source for one function: one ``def`` per basic block.
+    """Python source for one function: one generator, ``run(*args)``.
 
-    A block's function takes the frame's ``values`` and returns its
-    successor's :class:`_DecodedBlock` after assigning the successor's phis
-    in parallel (or returns a :class:`_Ret`); one that makes an internal
-    call is a generator.  SSA values are Python locals, written to
-    ``values`` only when another block or a phi edge reads them.  The
-    source is a factory whose parameters bind the objects it refers to.
+    An int ``b`` selects the next block through a balanced ``if b < k``
+    tree inside one loop, whose tail charges the block's instruction count
+    and spends the shared fuel.  Arguments, SSA values and phis are locals
+    of the one frame; phis are assigned in parallel on each edge.  So is
+    the content of every *localized* slot: an ``alloca`` whose address
+    never escapes (``PromoteScalarsPass._is_promotable``), accessed with one
+    scalar type that has a stack codec.  Its local starts as the bytes at
+    its address and is written back when the ``alloca`` runs again and when
+    the frame exits, so the stack ends up as the reference path leaves it.
+    The source is a factory whose parameters bind the objects it refers to.
     """
 
-    def __init__(self, engine: "ExecutionEngine", function: Function,
-                 dmap: Dict[BasicBlock, _DecodedBlock]):
+    def __init__(self, engine: "ExecutionEngine", function: Function):
         self.engine = engine
         self.function = function
-        self.dmap = dmap
         self.accounted = engine.machine is not None
         self.objects: List[object] = []
         self.shared: Dict[object, str] = {}
         self.names: Dict[Value, str] = {}
         self.kinds: Dict[Value, Optional[str]] = {}
-        self.slots: Dict[Type, Optional[tuple]] = {}
-        self.source: List[str] = []
+        self.codecs: Dict[Type, Optional[List[str]]] = {}
+        self.lines: List[str] = []
         self.temps = 0
-        # Values another block or a phi edge reads; a use before the
-        # definition in the same block reads the previous execution's.
-        home: Dict[Value, tuple] = {}
-        bodies = []
+        self.ids = {block: index for index, block in enumerate(function.blocks)}
+        # Each block's non-phi instructions up to its first terminator.
+        self.bodies: Dict[BasicBlock, tuple] = {}
+        home: Dict[Alloca, BasicBlock] = {}
+        types: Dict[Alloca, set] = {}
         for block in function.blocks:
-            body: List[Instruction] = []
-            for inst in block.instructions:
-                if not isinstance(inst, Phi):
-                    home[inst] = (block, len(body))
-                    body.append(inst)
-                    if inst.is_terminator:
-                        break
-            bodies.append((block, body))
-        self.stored: Dict[Value, bool] = {}
-        for block, body in bodies:
-            for index, inst in enumerate(body):
-                for operand in inst.operands:
-                    where = home.get(operand, (block, -1))
-                    if where[0] is not block or where[1] >= index:
-                        self.stored[operand] = True
-            for phi in block.phis():
-                for value, pred in phi.incoming:
-                    if home.get(value, (pred,))[0] is not pred:
-                        self.stored[value] = True
+            body = [inst for inst in block.instructions if not isinstance(inst, Phi)]
+            ends = [i for i, inst in enumerate(body) if isinstance(inst, (Branch, Jump, Ret))]
+            self.bodies[block] = (body[:ends[0]], body[ends[0]]) if ends else (body, None)
+            for inst in self.bodies[block][0]:
+                if isinstance(inst, Alloca):
+                    home[inst] = block
+                elif isinstance(inst, (Load, Store)) and isinstance(inst.pointer, Alloca):
+                    types.setdefault(inst.pointer, set()).add(
+                        inst.type if isinstance(inst, Load) else inst.value.type)
+        self.slots: Dict[Alloca, tuple] = {}
+        for alloca, used in types.items():
+            type_ = used.pop()
+            if (alloca in home and not used and self.codec(type_)
+                    and type_.size_bytes() <= max(1, alloca.allocated_bytes)
+                    and PromoteScalarsPass._is_promotable(alloca, function)):
+                self.slots[alloca] = (type_, f"s{len(self.slots)}", home[alloca])
+        # Localized slots whose alloca can run twice in one activation.
+        self.reentered = {alloca for alloca, (_, _, block) in self.slots.items()
+                          if self.cyclic(block)}
+
+    def cyclic(self, start: BasicBlock) -> bool:
+        """Whether *start* can run again after it runs."""
+        seen, todo = set(), [start]
+        while todo:
+            terminator = self.bodies[todo.pop()][1]
+            for succ in terminator.successors() if terminator is not None else ():
+                if succ not in seen:
+                    seen.add(succ)
+                    todo.append(succ)
+        return start in seen
 
     # .. names .................................................................................
 
@@ -304,6 +277,13 @@ class _Codegen:
         if shared:
             self.shared[obj] = name
         return name
+
+    def codec(self, type_: Type) -> Optional[List[str]]:
+        """Names bound to *type_*'s ``(unpack_from, pack_into, stack)``."""
+        if type_ not in self.codecs:
+            codec = self.engine.memory.stack_slot(type_)
+            self.codecs[type_] = codec and [self.bind(obj) for obj in codec]
+        return self.codecs[type_]
 
     def emit(self, line: str) -> None:
         self.lines.append(self.indent + line)
@@ -350,12 +330,9 @@ class _Codegen:
             self.kinds[value] = kind
         return self.kinds[value]
 
-    def operand(self, value: Optional[Value], want: Optional[str] = None,
-                lazy: bool = False) -> str:
+    def operand(self, value: Optional[Value], want: Optional[str] = None) -> str:
         """*value* as a name or literal, coerced to int (*want* ``"i"``) or
-        float (``"f"``).  A value of another block is read from ``values``
-        on first use -- inline when *lazy*, so an untaken arm is never read.
-        """
+        float (``"f"``) once per block."""
         coerce = {"i": "int", "f": "float"}.get(want)
         if value is None:
             return "None"
@@ -367,18 +344,10 @@ class _Codegen:
             except (TypeError, ValueError, OverflowError):
                 return f"{coerce}({self.bind(const)})"
         if isinstance(value, Function):
-            expr = self.bind(value, shared=True)
-        elif value in self.avail:
-            expr = self.avail[value]
-        elif lazy:
-            expr = f"values[{self.bind(value, shared=True)}]"
-        else:
-            expr = self.avail[value] = self.assign(
-                f"values[{self.bind(value, shared=True)}]", self.local(value))
+            return self.bind(value, shared=True)
+        expr = self.local(value)
         if coerce is None or self.kind(value) == want:
             return expr
-        if lazy:
-            return f"{coerce}({expr})"
         if (value, want) not in self.avail:
             self.avail[value, want] = self.assign(f"{coerce}({expr})")
         return self.avail[value, want]
@@ -388,14 +357,12 @@ class _Codegen:
 
     def define(self, inst: Instruction, expr: str,
                wrap: Optional[IntType] = None) -> None:
-        """Assign *inst*'s local (wrapped to *wrap*), stored when read elsewhere."""
-        name = self.avail[inst] = self.local(inst)
+        """Assign *inst*'s local (wrapped to *wrap*)."""
+        name = self.local(inst)
         if wrap is None:
             self.assign(expr, name)
         else:
             self.wrapped(expr, wrap, name)
-        if inst in self.stored:
-            self.emit(f"values[{self.bind(inst, shared=True)}] = {name}")
         self.avail.pop((inst, "i"), None)
         self.avail.pop((inst, "f"), None)
 
@@ -418,100 +385,121 @@ class _Codegen:
             inst, taken=taken, pc=self.engine._pc_of.get(inst, 0),
             vector_width=width), width
 
-    def flush_run(self) -> None:
-        """Emit the merged constant lowerings accumulated so far."""
-        if len(self.run) == 1:
-            self.emit(f"pending_append({self.bind(self.run[0])})")
-        elif self.run:
-            self.emit(f"pending_extend({self.bind(tuple(self.run))})")
-        self.run = []
+    def flush_run(self, lines_only: bool = False) -> None:
+        """Emit the queued retirements, under their gate, constants merged.
+        With *lines_only*, only if a queued line may name a local about to
+        be reassigned (an edge's phis, an ``alloca``'s address)."""
+        if lines_only and all(item.__class__ is MachineOp for item in self.run):
+            return
+        run, self.run = self.run, []
+        indent = self.indent
+        if run and self.width:
+            self.emit(f"if not {self.gate} % {self.width}:")
+            self.indent += "    "
+            if self.gated:
+                run.append(f"stats.machine_ops += {self.gated}")
+        for constant, items in groupby(run, lambda item: item.__class__ is MachineOp):
+            items = tuple(items)
+            if not constant:
+                self.lines.extend(self.indent + line for line in items)
+            elif len(items) == 1:
+                self.emit(f"pending_append({self.bind(items[0])})")
+            else:
+                self.emit(f"pending_extend({self.bind(items)})")
+        self.indent, self.gated = indent, 0
 
-    def open_gate(self, width: int) -> str:
-        """Count a lane of a vector-annotated instruction; the condition
-        under which this execution retires the group's vector op."""
-        self.flush_run()
-        cell = self.bind([0])
-        count = self.assign(f"{cell}[0] + 1")
-        self.emit(f"{cell}[0] = {count}")
-        return f"not {count} % {width}"
-
-    def account(self, ops: tuple, width: int, gate: Optional[str] = None) -> None:
-        if ops and not width:
-            self.run.extend(ops)
-            self.constant += len(ops)
-        elif ops:
-            self.emit(f"if {gate or self.open_gate(width)}:")
-            self.emit(f"    pending_extend({self.bind(ops)})")
-            self.emit(f"    stats.machine_ops += {len(ops)}")
+    def queue(self, width: int, items: list, ops: int) -> None:
+        """Queue *items* (ops, or lines retiring them) counting *ops*, to
+        retire on every execution or, for a vector *width*, on every
+        *width*-th.  Every instruction of a block runs equally often, so one
+        counter gates them all -- one per stretch between calls, which may
+        re-enter the block -- and one ``if`` a run of equal widths."""
+        if width and self.gate is None:
+            cell = self.bind([0])
+            self.gate = self.assign(f"{cell}[0] + 1")
+            self.emit(f"{cell}[0] = {self.gate}")
+        if width != self.width:
+            self.flush_run()
+            self.width = width
+        self.run.extend(items)
+        if width:
+            self.gated += ops
+        else:
+            self.constant += ops
 
     def account_plain(self, inst: Instruction, taken: bool = False) -> None:
-        if self.accounted:
-            self.account(*self.lowering(inst, taken))
+        ops, width = self.lowering(inst, taken) if self.accounted else ((), 0)
+        if ops:
+            self.queue(width, list(ops), len(ops))
 
     def account_memory(self, inst: Instruction, address: str) -> None:
         ops, width = self.lowering(inst) if self.accounted else ((), 0)
         if not ops:
             return      # register-promoted access: nothing retires
-        indent = self.indent
-        gate = self.open_gate(width) if width else self.flush_run()
-        if gate:
-            self.emit(f"if {gate}:")
-            self.indent += "    "
         if len(ops) == 1 and ops[0].is_memory:
             op = ops[0]
-            self.emit(f"pending_append(MachineOp({self.bind(op.opclass, True)}, "
-                      f"{op.size_bytes}, {address}, {op.lanes}, {op.taken}, "
-                      f"{self.literal(op.target)}, {op.pc}))")
+            lines = [f"pending_append(MachineOp({self.bind(op.opclass, True)}, "
+                     f"{op.size_bytes}, {address}, {op.lanes}, {op.taken}, "
+                     f"{self.literal(op.target)}, {op.pc}))"]
             if op.size_bytes > 0:
-                self.emit(f"pending_mem_append(({address}, {op.size_bytes}, "
-                          f"{op.is_store}))")
-            if gate:
-                self.emit("stats.machine_ops += 1")
-            else:
-                self.constant += 1
+                lines.append(f"pending_mem_append(({address}, {op.size_bytes}, "
+                             f"{op.is_store}))")
+            self.queue(width, lines, 1)
         else:
             # Several ops per access: lowered per execution, so the address
             # lands wherever the target puts it.
-            self.emit(f"general({self.bind(inst)}, {address}, "
-                      f"{self.engine._pc_of.get(inst, 0)}, {width})")
-        self.indent = indent
+            self.queue(width, [f"general({self.bind(inst)}, {address}, "
+                               f"{self.engine._pc_of.get(inst, 0)}, {width})"], 0)
 
-    def leave(self, line: str) -> None:
-        """Close one exit path: pending constants, the op count, *line*."""
+    def leave(self, line: str, charge: bool = False) -> None:
+        """Close one exit path: pending constants, the op count (and the
+        block's instructions, for exits that skip the loop's tail), *line*."""
         self.flush_run()
         if self.constant:
             self.emit(f"stats.machine_ops += {self.constant}")
+        if charge:
+            self.emit(f"stats.ir_instructions += {self.count}")
+            self.emit(f"per_fn[{self.function.name!r}] += {self.count}")
         self.emit(line)
 
     # .. blocks ................................................................................
 
-    def block(self, block: BasicBlock, body: List[Instruction],
-              terminator: Optional[Instruction]) -> bool:
-        """Generate *block*'s function; whether it is a generator."""
-        self.lines: List[str] = []
-        self.indent = "        "
+    def tree(self, blocks: List[BasicBlock]) -> None:
+        """The balanced ``if b < k`` dispatch over *blocks* (ids ascending)."""
+        if len(blocks) == 1:
+            return self.block(blocks[0])
+        half = len(blocks) // 2
+        indent = self.indent
+        for line, part in ((f"if b < {self.ids[blocks[half]]}:", blocks[:half]),
+                           ("else:", blocks[half:])):
+            self.indent = indent
+            self.emit(line)
+            self.indent = indent + "    "
+            self.tree(part)
+        self.indent = indent
+
+    def block(self, block: BasicBlock) -> None:
+        body, terminator = self.bodies[block]
         self.avail: Dict[object, str] = {}
-        self.run: List[MachineOp] = []
-        self.constant = 0
-        self.is_gen = False
+        self.run: List[object] = []
+        self.constant = self.width = self.gated = 0
+        self.gate: Optional[str] = None
+        self.allocated: set = set()
         self.current = block
+        self.count = len(body) + (terminator is not None)
         for phi in block.phis():
             self.account_plain(phi)
         if all(self.instruction(inst) for inst in body):
             self.terminator(block, terminator)
-        self.source.append(f"    def {self.bind(self.dmap[block], True)}_run(values):")
-        self.source.extend(self.lines)
-        return self.is_gen
 
     def terminator(self, block: BasicBlock, inst: Optional[Instruction]) -> None:
         if inst is None:
             message = (f"block {block.name} in @{self.function.name} fell "
                        "through without a terminator")
-            self.leave(f"raise RuntimeError({message!r})")
+            self.leave(f"raise RuntimeError({message!r})", charge=True)
         elif isinstance(inst, Ret):
             self.account_plain(inst, taken=True)
-            self.leave("return RET_NONE" if inst.value is None
-                       else f"return Ret({self.operand(inst.value)})")
+            self.leave(f"return {self.operand(inst.value)}", charge=True)
         elif isinstance(inst, Jump):
             self.account_plain(inst, taken=True)
             self.jump(inst.target)
@@ -520,29 +508,31 @@ class _Codegen:
             lowered = [self.lowering(inst, taken) if self.accounted else ((), 0)
                        for taken in (True, False)]
             width = lowered[0][1]
-            gate = (self.open_gate(width)
-                    if width and (lowered[0][0] or lowered[1][0]) else None)
-            saved = self.run, self.constant, self.avail
-            self.emit(f"if {condition}:")
+            if width and (lowered[0][0] or lowered[1][0]):
+                self.queue(width, [], 0)        # the gate, counted in both arms
+            saved = self.run, self.constant, self.avail, self.width, self.gated
             indent = self.indent
-            for succ, ops, inner in ((inst.then_block, lowered[0][0], "    "),
-                                     (inst.else_block, lowered[1][0], "")):
-                self.run, self.constant, self.avail = (
-                    list(saved[0]), saved[1], dict(saved[2]))
-                self.indent = indent + inner
-                self.account(ops, width, gate)
+            for line, succ, ops in ((f"if {condition}:", inst.then_block, lowered[0][0]),
+                                    ("else:", inst.else_block, lowered[1][0])):
+                self.run, self.constant, self.avail, self.width, self.gated = (
+                    list(saved[0]), saved[1], dict(saved[2]), *saved[3:])
+                self.indent = indent
+                self.emit(line)
+                self.indent = indent + "    "
+                if ops:
+                    self.queue(width, list(ops), len(ops))
                 self.jump(succ)
             self.indent = indent
 
     def jump(self, succ: BasicBlock) -> None:
-        """Assign *succ*'s phis for this edge, in parallel, and return it."""
+        """Assign *succ*'s phis for this edge, in parallel, and select it."""
         phis = succ.phis()
         if phis:
-            sources = [self.operand(phi.incoming_for(self.current), lazy=True)
-                       for phi in phis]
-            self.emit(", ".join(f"values[{self.bind(phi, True)}]" for phi in phis)
+            self.flush_run(lines_only=True)
+            sources = [self.operand(phi.incoming_for(self.current)) for phi in phis]
+            self.emit(", ".join(self.local(phi) for phi in phis)
                       + " = " + ", ".join(sources))
-        self.leave(f"return {self.bind(self.dmap[succ], True)}")
+        self.leave(f"b = {self.ids[succ]}; n = {self.count}")
 
     def instruction(self, inst: Instruction) -> bool:
         """Emit one non-terminator; False when the rest is unreachable."""
@@ -554,7 +544,7 @@ class _Codegen:
             self.memory(inst)
             return True
         elif isinstance(inst, Alloca):
-            self.define(inst, f"stack_alloc({max(1, inst.allocated_bytes)})")
+            self.alloca(inst)
         elif isinstance(inst, GetElementPtr):
             base, scale = self.operand(inst.base, "i"), inst.element_bytes
             if isinstance(inst.index, Constant) and inst.index.value.__class__ is int:
@@ -567,29 +557,53 @@ class _Codegen:
         elif isinstance(inst, Cast):
             self.define(inst, *self.cast(inst))
         elif isinstance(inst, Select):
-            self.define(inst, f"{self.operand(inst.true_value, lazy=True)} if "
+            self.define(inst, f"{self.operand(inst.true_value)} if "
                               f"{self.operand(inst.condition)} else "
-                              f"{self.operand(inst.false_value, lazy=True)}")
+                              f"{self.operand(inst.false_value)}")
         else:
             message = f"cannot execute instruction {inst.opcode}"
-            self.leave(f"raise RuntimeError({message!r})")
+            self.leave(f"raise RuntimeError({message!r})", charge=True)
             return False
         self.account_plain(inst)
         return True
 
+    def write_back(self, alloca: Alloca) -> List[str]:
+        """Store a localized slot's local at its address, if it has one."""
+        _, pack, stack = self.codec(self.slots[alloca][0])
+        return [f"try: {pack}({stack}, {self.local(alloca)} - {Memory.STACK_BASE}, "
+                f"{self.slots[alloca][1]})", "except NameError: pass"]
+
+    def alloca(self, inst: Alloca) -> None:
+        """``stack_alloc``; a localized slot's local starts as its bytes."""
+        self.flush_run(lines_only=True)
+        if inst in self.reentered:          # the old instance's bytes first
+            self.lines.extend(self.indent + line for line in self.write_back(inst))
+        self.define(inst, f"stack_alloc({max(1, inst.allocated_bytes)})")
+        if inst in self.slots:
+            unpack, _, stack = self.codec(self.slots[inst][0])
+            self.emit(f"{self.slots[inst][1]} = {unpack}({stack}, "
+                      f"{self.local(inst)} - {Memory.STACK_BASE})[0]")
+            self.allocated.add(inst)
+
     def memory(self, inst: Instruction) -> None:
         """A load or store.  An ``alloca``'d slot always lies inside the
-        stack segment, so its accesses index the segment directly."""
-        address = self.operand(inst.pointer, "i")
-        type_ = inst.type if isinstance(inst, Load) else inst.value.type
-        slot = None
+        stack segment, so its accesses index the segment directly; a
+        localized slot's are its local."""
         pointer = inst.pointer
+        type_ = inst.type if isinstance(inst, Load) else inst.value.type
+        if pointer in self.slots:
+            address = self.local(pointer)
+            if isinstance(inst, Load):
+                self.define(inst, self.slots[pointer][1])
+            else:
+                self.store_local(inst, pointer, type_)
+            self.account_memory(inst, address)
+            return
+        address = self.operand(pointer, "i")
+        slot = None
         if (isinstance(pointer, Alloca)
                 and type_.size_bytes() <= max(1, pointer.allocated_bytes)):
-            if type_ not in self.slots:
-                codec = self.engine.memory.stack_slot(type_)
-                self.slots[type_] = codec and [self.bind(obj) for obj in codec]
-            slot = self.slots[type_]
+            slot = self.codec(type_)
         offset = f"{address} - {Memory.STACK_BASE}"
         if isinstance(inst, Load) and slot:
             self.define(inst, f"{slot[0]}({slot[2]}, {offset})[0]")
@@ -605,6 +619,27 @@ class _Codegen:
             storer = self.bind(self.engine.memory.store_fn(type_))
             self.emit(f"{storer}({address}, {self.operand(inst.value)})")
         self.account_memory(inst, address)
+
+    def store_local(self, inst: Store, alloca: Alloca, type_: Type) -> None:
+        """A store to a localized slot, converting as ``pack_into`` would."""
+        content, home = self.slots[alloca][1:]
+        address = self.local(alloca)
+        if home is not self.function.entry_block and alloca not in self.allocated:
+            self.emit(address)      # unallocated: a use before definition
+        if isinstance(type_, FloatType):
+            value = self.operand(inst.value, "f")
+            if type_.bits == 32:    # rounds, and raises past f32's range
+                value = (f"{self.bind(_F32_STRUCT.unpack, True)}("
+                         f"{self.bind(_F32_STRUCT.pack, True)}({value}))[0]")
+            self.emit(f"{content} = {value}")
+        elif isinstance(type_, IntType):
+            self.wrapped(self.operand(inst.value, "i"), type_, content)
+        else:                       # a pointer outside i64 raises struct.error
+            unpack, pack, stack = self.codec(type_)
+            value = self.operand(inst.value, "i")
+            self.emit(f"if not {-(1 << 63)} <= {value} < {1 << 63}:")
+            self.emit(f"    {pack}({stack}, {address} - {Memory.STACK_BASE}, {value})")
+            self.emit(f"{content} = {value}")
 
     def binary(self, inst: BinaryOp) -> tuple:
         """``(expr, type to wrap to or None)`` computing *inst*."""
@@ -668,12 +703,12 @@ class _Codegen:
         args = ", ".join(self.operand(arg) for arg in inst.operands)
         self.account_plain(inst)
         self.flush_run()
+        self.gate = None
         callee = inst.callee
         if isinstance(callee, str) and engine.module.has_function(callee):
             callee = engine.module.get_function(callee)
         if isinstance(callee, Function) and not callee.is_declaration:
             observes = True
-            self.is_gen = True
             expr = f"(yield from call({self.bind(callee, True)}, [{args}]))"
         else:
             name = callee if isinstance(callee, str) else callee.name
@@ -686,22 +721,47 @@ class _Codegen:
         else:
             self.define(inst, expr)
 
-    def build(self) -> List[Callable]:
-        """Compile the function once; its block functions, in block order."""
-        engine = self.engine
+    def build(self) -> tuple:
+        """Compile the function once: ``(run, {local name: its Value})``."""
+        engine, function = self.engine, self.function
+        args = "".join(f"{self.local(arg)}, " for arg in function.args)
+        entry_phis = [self.local(phi) for phi in function.entry_block.phis()]
+        name = repr(function.name)
+        pad = "    " if self.slots else ""
+        self.indent = pad + " " * 12
+        self.tree(function.blocks)
+        for line in ("stats.ir_instructions += n", f"per_fn[{name}] += n",
+                     "fuel[0] -= n", "if fuel[0] <= 0:", "    flush()", "    yield"):
+            self.emit(line)
+        if self.accounted:
+            self.emit(f"elif len(pending) >= {engine._FLUSH_THRESHOLD}:")
+            self.emit("    flush()")
+        head = [f"    def run({args}*_):", f"        per_fn.setdefault({name}, 0)",
+                "        b = 0"]
+        if entry_phis:      # no edge enters the entry block
+            head.append("        " + " = ".join(entry_phis) + " = None")
+        if self.slots:
+            head.append("        try:")
+        head.append(pad + "        while True:")
+        if self.slots:
+            self.lines.append("        finally:")
+            for alloca in self.slots:
+                self.lines.extend("            " + line for line in self.write_back(alloca))
         params = ", ".join([_FIXED_PARAMS] + [f"k{i}" for i in range(len(self.objects))])
-        blocks = ", ".join(self.shared[d] + "_run" for d in self.dmap.values())
-        source = "\n".join([f"def factory({params}):", *self.source,
-                            f"    return ({blocks},)"])
+        source = "\n".join([f"def factory({params}):", *head, *self.lines,
+                            "    return run"])
         namespace: Dict[str, object] = {}
-        exec(compile(source, f"<predecoded @{self.function.name}>", "exec"),
-             namespace)
+        exec(compile(source, f"<predecoded @{function.name}>", "exec"), namespace)
         pending = engine._pending
-        return namespace["factory"](
-            pending.append, pending.extend, engine._pending_mem.append,
-            engine.stats, MachineOp, _Ret, _RET_NONE, engine._flush,
-            engine._dispatch_external, engine._call_function,
-            engine.memory.stack_alloc, engine._account_general, *self.objects)
+        run = namespace["factory"](
+            pending.append, pending.extend, engine._pending_mem.append, pending,
+            engine.stats, engine.stats.per_function_instructions, engine._fuel,
+            MachineOp, engine._flush, engine._dispatch_external,
+            engine._call_function, engine.memory.stack_alloc,
+            engine._account_general, *self.objects)
+        values = {local: value for value, local in self.names.items()}
+        values.update((content, alloca) for alloca, (_, content, _) in self.slots.items())
+        return run, values
 
 
 class ExecutionEngine:
@@ -728,8 +788,8 @@ class ExecutionEngine:
         that does not read the machine lets the fast path skip the flush
         before calling it.  The roofline runtime registers itself this way.
     fast_dispatch:
-        Run each function as generated per-block Python (default).  The
-        slow path is the reference interpreter used by equivalence tests.
+        Run each function as one generated Python generator (default).
+        The slow path is the reference interpreter used by equivalence tests.
     """
 
     #: Pending machine ops are flushed to the machine once the buffer reaches
@@ -765,10 +825,10 @@ class ExecutionEngine:
         self.fast_dispatch = fast_dispatch
         # Fast-dispatch state: pending retired ops, the addressed accesses
         # among them in stream order (for the hierarchy's batched
-        # access_lines) and each function's generated entry block.
+        # access_lines) and each function's generated generator.
         self._pending: List[MachineOp] = []
         self._pending_mem: List[tuple] = []
-        self._decoded: Dict[Function, _DecodedBlock] = {}
+        self._generated: Dict[Function, tuple] = {}
         # Both dispatch paths decrement the shared fuel cell at block
         # boundaries and yield when it runs out.
         self._fuel: List[int] = [0]
@@ -782,11 +842,6 @@ class ExecutionEngine:
                 for inst in block.instructions:
                     self._pc_of[inst] = pc
                     pc += 4
-
-    def register_external_handler(self, handler: object) -> None:
-        self.external_handlers.append(handler)
-        # Call sites already generated decided their flushes without it.
-        self._decoded.clear()
 
     # -- public API -------------------------------------------------------------------------
 
@@ -871,9 +926,7 @@ class ExecutionEngine:
         Yields wherever the frame's dispatch loop (or a callee's) runs out
         of fuel and returns the function's return value.
         """
-        frame = _Frame(function, self.memory.push_stack_frame())
-        for formal, actual in zip(function.args, args):
-            frame.values[formal] = actual
+        token = self.memory.push_stack_frame()
         if self.task is not None:
             entry_pc = 0
             if function.blocks and function.entry_block.instructions:
@@ -882,18 +935,30 @@ class ExecutionEngine:
                                  source_file=function.source_file)
         self.stats.calls += 1
         try:
-            if self.fast_dispatch:
-                result = yield from self._run_frame_predecoded(frame)
-            else:
-                result = yield from self._run_frame_slow(frame)
-            return result
+            if not self.fast_dispatch:
+                frame = _Frame(function)
+                for formal, actual in zip(function.args, args):
+                    frame.values[formal] = actual
+                return (yield from self._run_frame_slow(frame))
+            run, values = self._generated.get(function) or self._generate(function)
+            try:
+                return (yield from run(*args))
+            except UnboundLocalError as exc:
+                trace = exc.__traceback__
+                while trace.tb_next is not None:
+                    trace = trace.tb_next
+                value = values.get(str(exc).split("'")[1])
+                if value is None or trace.tb_frame.f_code is not run.__code__:
+                    raise
+                raise RuntimeError(f"value %{value.name} used before definition "
+                                   f"in @{function.name}") from None
         finally:
             # Retire anything still pending before the frame pops, so any
             # sampling interrupt attributes to the call stack that executed
             # the ops.
             if self._pending:
                 self._flush()
-            self.memory.pop_stack_frame(frame.stack_token)
+            self.memory.pop_stack_frame(token)
             if self.task is not None:
                 self.task.pop_frame()
 
@@ -907,60 +972,6 @@ class ExecutionEngine:
             del pending_mem[:]
 
     # -- block loops ---------------------------------------------------------------------------
-
-    def _run_frame_predecoded(self, frame: _Frame):
-        """The fast path's block loop (a generator, like the reference one).
-
-        Runs the frame's generated block functions; a block that makes an
-        internal call is itself a generator and is delegated to (``yield
-        from``), so a preemption inside the callee propagates up through
-        the caller's frames.  The shared fuel cell is decremented by each
-        block's instruction count -- when it runs out, pending ops are
-        flushed and control is yielded.
-        """
-        function = frame.function
-        block = self._decoded.get(function)
-        if block is None:
-            block = self._decode_function(function)
-        values = frame.values
-        stats = self.stats
-        per_fn = stats.per_function_instructions
-        fname = function.name
-        pending = self._pending
-        flush = self._flush
-        threshold = self._FLUSH_THRESHOLD
-        fuel = self._fuel
-        # Phis read the incoming edge's value; entering the function there
-        # is no edge, so the entry block's phis are None.
-        for phi in block.phi_nodes:
-            values[phi] = None
-        try:
-            while True:
-                count = block.instr_count
-                stats.ir_instructions += count
-                per_fn[fname] = per_fn.get(fname, 0) + count
-                if block.is_gen:
-                    nxt = yield from block.run(values)
-                else:
-                    nxt = block.run(values)
-                if nxt.__class__ is _Ret:
-                    return nxt.value
-                fuel[0] -= count
-                if fuel[0] <= 0:
-                    if pending:
-                        flush()
-                    yield
-                elif len(pending) >= threshold:
-                    flush()
-                block = nxt
-        except KeyError as exc:
-            key = exc.args[0] if exc.args else None
-            if isinstance(key, Value):
-                raise RuntimeError(
-                    f"value %{key.name} used before definition in "
-                    f"@{frame.function.name}"
-                ) from None
-            raise
 
     def _run_frame_slow(self, frame: _Frame):
         """The reference interpreter's block loop.
@@ -1051,33 +1062,12 @@ class ExecutionEngine:
 
     # -- predecoding --------------------------------------------------------------------------
 
-    def _decode_function(self, function: Function) -> _DecodedBlock:
-        """Generate and compile *function*'s blocks; its entry block."""
+    def _generate(self, function: Function) -> tuple:
+        """Generate and compile *function*: ``(run, {local name: Value})``."""
         with _span("predecode", cat="engine", function=function.name,
                    blocks=len(function.blocks)):
-            dmap = {block: _DecodedBlock(block.name) for block in function.blocks}
-            gen = _Codegen(self, function, dmap)
-            for block in function.blocks:
-                self._decode_block(block, gen)
-            for decoded, run in zip(dmap.values(), gen.build()):
-                decoded.run = run
-            entry = self._decoded[function] = dmap[function.entry_block]
-            return entry
-
-    def _decode_block(self, block: BasicBlock, gen: _Codegen) -> None:
-        d = gen.dmap[block]
-        d.phi_nodes = block.phis()
-        body: List[Instruction] = []
-        terminator: Optional[Instruction] = None
-        for inst in block.instructions:
-            if isinstance(inst, Phi):
-                continue
-            if isinstance(inst, (Branch, Jump, Ret)):
-                terminator = inst
-                break
-            body.append(inst)
-        d.instr_count = len(body) + (terminator is not None)
-        d.is_gen = gen.block(block, body, terminator)
+            generated = self._generated[function] = _Codegen(self, function).build()
+            return generated
 
     def _effective_vector_width(self, inst: Instruction) -> int:
         """The vector group size the accounting path uses for *inst* (0 = scalar)."""

@@ -9,7 +9,7 @@ agree with each other.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.compiler.ir.types import FloatType, IntType, PointerType, Type
 
@@ -53,7 +53,6 @@ class Memory:
         self._heap_top = self.HEAP_BASE
         self._stack = bytearray()
         self._stack_top = self.STACK_BASE
-        self._allocations: Dict[int, int] = {}
 
     # -- allocation --------------------------------------------------------------------
 
@@ -74,11 +73,7 @@ class Memory:
         if needed > len(self._heap):
             self._heap.extend(b"\x00" * (needed - len(self._heap)))
         self._heap_top = new_top
-        self._allocations[address] = size
         return address
-
-    def allocation_size(self, address: int) -> int:
-        return self._allocations.get(address, 0)
 
     def push_stack_frame(self) -> int:
         """Begin a stack frame; returns a token for :meth:`pop_stack_frame`."""
@@ -165,7 +160,7 @@ class Memory:
         segment inline: both backing bytearrays are stable objects for the
         lifetime of the Memory (both segments grow in place), so the
         closures capture them once -- workload arrays live on the heap,
-        register-promoted locals in alloca'd stack slots -- and only
+        escaping locals and stack arrays on the stack -- and only
         addresses past a segment's current end fall back to
         :meth:`_backing`, which grows the stack or raises.
         """
@@ -242,7 +237,7 @@ class Memory:
 
         The engine's generated code accesses ``alloca``'d slots -- always
         inside the stack segment -- at ``address - STACK_BASE`` through
-        these, packing values as :meth:`store_fn` does.
+        these, and reads and writes back the slots it keeps in locals.
         """
         codec = _codec(type_)
         return codec and (codec.unpack_from, codec.pack_into, self._stack)
@@ -261,13 +256,6 @@ class Memory:
         elem = 8 if double else 4
         fmt = "<" + ("d" if double else "f") * count
         return list(struct.unpack(fmt, self.read_bytes(address, count * elem)))
-
-    def alloc_int_array(self, values: List[int], bits: int = 64) -> int:
-        elem = bits // 8
-        address = self.malloc(len(values) * elem)
-        fmt = "<" + _INT_FORMATS[bits] * len(values)
-        self.write_bytes(address, struct.pack(fmt, *values))
-        return address
 
     def read_int_array(self, address: int, count: int, bits: int = 64) -> List[int]:
         elem = bits // 8

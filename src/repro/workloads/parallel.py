@@ -28,7 +28,7 @@ the quantum generator, yielding to the scheduler every ``quantum`` executed
 IR instructions at the next block boundary -- so a thread is preempted
 *mid-function* without losing predecode state, and the whole quantum retires
 through ``Machine.execute_batch``.  ``spec.fast_dispatch`` picks the engine
-(predecoded thunks by default; the reference interpreter for differential
+(generated code by default; the reference interpreter for differential
 runs); quantum boundaries are identical in both modes, which keeps SMP
 schedules, counters and sample streams bit-identical across them.
 """

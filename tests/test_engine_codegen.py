@@ -1,9 +1,10 @@
-"""Differential suite for the engine's generated per-block code.
+"""Differential suite for the engine's generated code.
 
-The fast dispatch path compiles every basic block into one generated Python
-function (SSA locals, inlined integer wraps, merged constant lowerings,
-parallel phi assignment on edges, no flush before machine-pure external
-calls).  The reference interpreter (``fast_dispatch=False``) is its oracle.
+The fast dispatch path compiles every IR function into one generated Python
+generator (block dispatch on an int id, SSA values and non-escaping scalar
+slots as locals, inlined integer wraps, merged constant lowerings, parallel
+phi assignment on edges, no flush before machine-pure external calls).  The
+reference interpreter (``fast_dispatch=False``) is its oracle.
 
 A seeded generator builds small IR functions with ``IRBuilder`` that cover:
 
@@ -13,6 +14,10 @@ A seeded generator builds small IR functions with ``IRBuilder`` that cover:
 * every cast, ``fptrunc`` to f32 included;
 * ``select``, ``alloca``, loads and stores of every scalar type, on stack
   slots, stack arrays and heap buffers;
+* frontend-shaped slots: f32, f64, i1-i64 and pointer slots stored in one
+  block and loaded in others, an ``alloca`` in the loop body that is loaded
+  before its first store (reading what the last call left on the stack)
+  and live across an internal call, and slots in a recursive helper;
 * phis with three predecessors, a self-loop, and two swaps (``a, b = b, a``)
   that only a parallel edge assignment gets right;
 * vector-annotated instructions and branches;
@@ -22,14 +27,16 @@ A seeded generator builds small IR functions with ``IRBuilder`` that cover:
 
 Every case runs on both paths, with and without a machine; with a machine
 the X60's sampling group is armed at a small period.  Return values, memory
-bytes, ``ExecutionStats``, machine counters, the clocks the observing
-handler saw and the full sample stream must be identical.  The fast lane
-runs seeds 0-15; the ``slow`` twin sweeps 0-199.  The errors the block loop
-raises (use before definition, fall-through, unexecutable opcode) are
-pinned on both paths too.
+bytes (the stack a slot's local is written back to included),
+``ExecutionStats``, machine counters, the clocks the observing handler saw
+and the full sample stream must be identical.  The fast lane runs seeds
+0-15; the ``slow`` twin sweeps 0-199.  The errors the generated code raises
+(use before definition, fall-through, unexecutable opcode, a slot store out
+of f32 or i64 range) are pinned on both paths too.
 """
 
 import random
+import struct
 from dataclasses import replace
 
 import pytest
@@ -54,6 +61,8 @@ from repro.vm import ExecutionEngine, Memory
 INT_TYPES = (I1, I8, I16, I32, I64)
 FLOAT_TYPES = (F32, F64)
 SCALAR_TYPES = INT_TYPES + FLOAT_TYPES
+#: Scalar slot types, the frontend's pointer-typed locals among them.
+SLOT_TYPES = SCALAR_TYPES + (PointerType(F32), PointerType(I64))
 INT_EDGES = (0, 1, -1, 2, 3, 7, -8, 31, 63, 64, 65, 127, 128, -129, 255, 256,
              32767, -32769, 65535, 2**31 - 1, -2**31, 2**32 + 5, 2**63 - 1,
              -2**63, 2**64 + 3, -(2**70) - 1)
@@ -102,6 +111,7 @@ class KernelGenerator:
         for name, arity in (("gen_pure", 2), ("gen_observe", 1)):
             self.module.declare_function(name, FunctionType(I64, [I64] * arity))
         self.helper = self._build_helper()
+        self.recursive = self._build_recursive()
         params = [I64] + list(SCALAR_TYPES) + [PointerType(t) for t in SCALAR_TYPES]
         names = (["n"] + [f"a_{t}" for t in SCALAR_TYPES]
                  + [f"p_{t}" for t in SCALAR_TYPES])
@@ -134,12 +144,21 @@ class KernelGenerator:
         return b.select(inside, value, Constant(type_, 0.0))
 
     def storable(self, b, type_):
+        if isinstance(type_, PointerType):     # somewhere in a heap buffer
+            index = b.binary("and", self.pick(I64), Constant(I64, HEAP_ELEMENTS - 1))
+            return b.gep(self.heap[type_.pointee], index)
         value = self.pick(type_)
         return self.clamp(b, value) if type_ == F32 else value
 
+    def slot_value(self, b, load):
+        """Pool a loaded slot value; a loaded pointer is dereferenced."""
+        if isinstance(load.type, PointerType):
+            load = b.load(load)
+        self.add(load)
+
     def ops(self, b, count):
         kinds = ("int", "int", "icmp", "float", "fcmp", "cast", "cast",
-                 "select", "stack", "heap", "call", "extern")
+                 "select", "stack", "slot", "slot", "heap", "call", "extern")
         for _ in range(count):
             getattr(self, "op_" + self.rng.choice(kinds))(b)
 
@@ -218,6 +237,15 @@ class KernelGenerator:
                 access.metadata["mperf.reg_promoted"] = True
         self.add(load)
 
+    def op_slot(self, b):
+        """Store to or load from an entry-block slot: the value crosses
+        blocks, loop iterations and calls."""
+        type_ = self.rng.choice(SLOT_TYPES)
+        if self.rng.random() < 0.5:
+            b.store(self.storable(b, type_), self.slots[type_])
+        else:
+            self.slot_value(b, self.vectorize(b.load(self.slots[type_])))
+
     def op_heap(self, b):
         type_ = self.rng.choice(SCALAR_TYPES)
         index = b.binary("and", self.pick(I64), Constant(I64, HEAP_ELEMENTS - 1))
@@ -226,7 +254,11 @@ class KernelGenerator:
         self.add(self.vectorize(b.load(pointer)))
 
     def op_call(self, b):
-        self.add(b.call(self.helper, [self.pick(I64), self.pick(F64)]))
+        if self.rng.random() < 0.5:
+            self.add(b.call(self.helper, [self.pick(I64), self.pick(F64)]))
+        else:
+            depth = b.binary("and", self.pick(I64), Constant(I64, 3))
+            self.add(b.call(self.recursive, [depth, self.pick(F32)]))
 
     def op_extern(self, b):
         rng = self.rng
@@ -252,6 +284,8 @@ class KernelGenerator:
         entry, neg, pos, out = (function.add_block(name)
                                 for name in ("entry", "neg", "pos", "out"))
         b = IRBuilder(entry)
+        saved = b.alloca(F64)
+        b.store(x, saved)
         b.br(self.vectorize(b.fcmp("olt", x, Constant(F64, 0.0))), neg, pos)
         b.set_insertion_point(neg)
         negated = b.binary("sub", Constant(I64, 0), a)
@@ -263,7 +297,33 @@ class KernelGenerator:
         result = b.phi(I64)
         result.add_incoming(negated, neg)
         result.add_incoming(scaled, pos)
-        b.ret(result)
+        clamped = self.clamp(b, b.load(saved))
+        b.ret(b.binary("xor", result, b.cast("fptosi", clamped, I64)))
+        return function
+
+    def _build_recursive(self):
+        """``recursive(n, x)``: frontend-shaped slots live across the call
+        to ``recursive(n - 1, x * 1.5)``, one per activation."""
+        function = self.module.create_function(
+            "recursive", FunctionType(I64, [I64, F32]), ["n", "x"])
+        n, x = function.args
+        entry, deeper, out = (function.add_block(name)
+                              for name in ("entry", "deeper", "out"))
+        b = IRBuilder(entry)
+        n_slot, x_slot = b.alloca(I64), b.alloca(F32)
+        b.store(n, n_slot)
+        b.store(self.clamp(b, x), x_slot)
+        b.br(b.icmp("sgt", b.load(n_slot), Constant(I64, 0)), deeper, out)
+        b.set_insertion_point(deeper)
+        scaled = b.binary("fmul", b.load(x_slot), Constant(F32, 1.5))
+        below = b.call(function, [b.binary("sub", b.load(n_slot), Constant(I64, 1)),
+                                  scaled])
+        b.store(b.binary("add", b.load(n_slot), below), n_slot)
+        b.store(b.binary("fadd", b.load(x_slot), Constant(F32, 0.1)), x_slot)
+        b.jmp(out)
+        b.set_insertion_point(out)
+        as_int = b.cast("fptosi", self.clamp(b, b.load(x_slot)), I64)
+        b.ret(b.binary("mul", b.load(n_slot), as_int))
         return function
 
     def _build_kernel(self):
@@ -278,9 +338,12 @@ class KernelGenerator:
             self.add(arg)
         self.heap = dict(zip(SCALAR_TYPES, args[1 + len(SCALAR_TYPES):]))
         b = IRBuilder(blocks["entry"])
-        self.slots = {t: b.alloca(t) for t in SCALAR_TYPES}
+        self.slots = {t: b.alloca(t) for t in SLOT_TYPES}
         for type_, slot in self.slots.items():
-            b.store(self.storable(b, type_), slot)
+            value = self.storable(b, type_)
+            if type_ == F32:            # f32 arithmetic is carried in double
+                value = b.binary("fadd", value, Constant(F32, 0.1))
+            b.store(value, slot)
         pointer_slot = b.alloca(PointerType(F64))
         b.store(self.heap[F64], pointer_slot)
         self.add(b.load(b.load(pointer_slot)))
@@ -304,8 +367,18 @@ class KernelGenerator:
             self.add(value)
         b.br(b.icmp("slt", i, trips), blocks["body"], blocks["exit"])
 
-        # body: random ops, then a three-way diamond into merge.
+        # body: an alloca in the loop, loaded before its first store (so it
+        # reads what the last call left on the stack) and live across an
+        # internal call; random ops; then a three-way diamond into merge.
         b.set_insertion_point(blocks["body"])
+        type_ = rng.choice(SLOT_TYPES)
+        fresh = b.alloca(type_)
+        early = b.load(fresh)
+        if not isinstance(type_, PointerType):     # never dereferenced
+            self.add(early)
+        b.store(self.storable(b, type_), fresh)
+        self.op_call(b)
+        self.slot_value(b, b.load(fresh))
         self.ops(b, rng.randint(4, 12))
         b.call("gen_observe", [self.pick(I64)], I64)
         b.call("gen_pure", [self.pick(I64), self.pick(I64)], I64)
@@ -364,9 +437,14 @@ class KernelGenerator:
         facc.add_incoming(facc_next, latch)
         b.jmp(blocks["header"])
 
-        # exit: publish the accumulators in memory and return.
+        # exit: publish the accumulators and the float slots in memory
+        # (f32 values as stored, unrounded or not) and return.
         b.set_insertion_point(blocks["exit"])
         b.store(facc, self.heap[F64])
+        for index, type_ in enumerate(FLOAT_TYPES):
+            value = b.load(self.slots[type_])
+            value = b.cast("fpext", value, F64) if type_ == F32 else value
+            b.store(value, b.gep(self.heap[F64], Constant(I64, 1 + index)))
         b.store(sa, self.heap[I32])
         b.store(sb, b.gep(self.heap[I32], Constant(I64, 1)))
         b.ret(b.binary("add", acc, b.cast("sext", sb, I64)))
@@ -624,3 +702,24 @@ def test_entry_block_phi_is_none_on_entry(fast):
     b.set_insertion_point(again)
     b.ret(phi)
     assert ExecutionEngine(module, fast_dispatch=fast).run("f", [3]) is None
+
+
+@pytest.mark.parametrize("type_, value, error", [
+    (F32, 1e300, OverflowError), (PointerType(I64), 2**64, struct.error)],
+    ids=["f32-overflow", "pointer-outside-i64"])
+def test_slot_store_out_of_range_raises_alike(type_, value, error):
+    """A store to a scalar slot the generated code keeps in a local still
+    raises what ``pack_into`` raises on the reference path."""
+    module = Module("m")
+    function = module.create_function("f", FunctionType(I64, [type_]), ["x"])
+    b = IRBuilder(function.add_block("entry"))
+    slot = b.alloca(type_)
+    b.store(function.args[0], slot)
+    b.load(slot)
+    b.ret(Constant(I64, 0))
+    raised = []
+    for fast in (True, False):
+        with pytest.raises(error) as caught:
+            ExecutionEngine(module, fast_dispatch=fast).run("f", [value])
+        raised.append(str(caught.value))
+    assert raised[0] == raised[1]
