@@ -1,13 +1,14 @@
 """Static race certification for parallel workloads, with dynamic validation.
 
 A :class:`~repro.workloads.parallel.ParallelWorkload` shards itself into
-thread bodies; whether those shards race is decided today by construction
-(address-space strides, row sharding).  This module proves it: a workload
-that implements ``shard_plans(cpus, spec)`` describes each thread as either
+thread bodies; whether those shards race is decided by construction
+(per-thread heap bases and address-space strides, row sharding).  This
+module proves it: a workload that implements ``shard_plans(cpus, spec)``
+describes each thread as either
 
 * a :class:`KernelShardPlan` -- a KernelC source plus the *concrete* call
-  arguments the thread body would pass (the plans reproduce the thread
-  bodies' own deterministic allocation, so the addresses are exact), or
+  arguments the thread body passes (plans and thread bodies allocate
+  through the same per-shard method, so the addresses are exact), or
 * a :class:`TraceShardPlan` -- a synthetic trace replay with a known
   ``[base, base + extent)`` address envelope (the
   :class:`~repro.workloads.synthetic.TraceExecutor` allocation rule).

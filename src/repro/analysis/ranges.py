@@ -596,12 +596,6 @@ class Region:
         """Alloca-rooted regions live on the per-thread stack."""
         return isinstance(self.root, Alloca)
 
-    @property
-    def extent_bytes(self) -> Optional[int]:
-        if self.lo is None or self.hi is None:
-            return None
-        return self.hi - self.lo
-
     def absolute(self) -> Optional[Tuple[int, int]]:
         """The absolute half-open address range, when fully resolved."""
         if self.base is None or not self.bounded or self.lo is None:

@@ -109,10 +109,6 @@ class SweepJournal:
         """Whether *key* is journaled with its result safely in the store."""
         return self.statuses.get(key) in COMPLETE_STATUSES
 
-    def completed_keys(self) -> Dict[str, str]:
-        return {key: status for key, status in self.statuses.items()
-                if status in COMPLETE_STATUSES}
-
     # -- mutation -----------------------------------------------------------------------
 
     def record(self, key: str, status: str,

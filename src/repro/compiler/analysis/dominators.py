@@ -89,18 +89,6 @@ class DominatorTree:
             current = self.idom.get(current)
         return False
 
-    def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        return a is not b and self.dominates(a, b)
-
-    def dominators_of(self, block: BasicBlock) -> List[BasicBlock]:
-        """All dominators of *block*, from the block itself up to the entry."""
-        out = [block]
-        current = self.idom.get(block)
-        while current is not None and current not in out:
-            out.append(current)
-            current = self.idom.get(current)
-        return out
-
     def dominance_frontier(self) -> Dict[BasicBlock, Set[BasicBlock]]:
         """Compute the dominance frontier of every block."""
         frontier: Dict[BasicBlock, Set[BasicBlock]] = {

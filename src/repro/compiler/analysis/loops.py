@@ -46,12 +46,6 @@ class Loop:
             parent = parent.parent
         return depth
 
-    def contains_block(self, block: BasicBlock) -> bool:
-        return block in self.blocks
-
-    def contains_loop(self, other: "Loop") -> bool:
-        return other.blocks <= self.blocks
-
     def innermost_loops(self) -> List["Loop"]:
         """All innermost (leaf) loops in this loop's nest, including itself."""
         if not self.subloops:
@@ -194,14 +188,6 @@ class LoopInfo:
         for loop in self.top_level_loops:
             walk(loop)
         return out
-
-    def loop_for_block(self, block: BasicBlock) -> Optional[Loop]:
-        """The innermost loop containing *block*, if any."""
-        return self._loop_of_block.get(block)
-
-    def loop_depth(self, block: BasicBlock) -> int:
-        loop = self.loop_for_block(block)
-        return loop.depth if loop else 0
 
     def is_loop_header(self, block: BasicBlock) -> bool:
         loop = self._loop_of_block.get(block)

@@ -105,7 +105,3 @@ class RegionInfo:
             if region is not None:
                 regions.append(region)
         return regions
-
-    def instrumentable_loops(self) -> List[Loop]:
-        """Top-level loops whose region is SESE (i.e. can be outlined)."""
-        return [r.loop for r in self.top_level_regions() if r.loop is not None]

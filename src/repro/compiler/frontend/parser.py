@@ -329,8 +329,3 @@ class Parser:
             self._expect_punct(")")
             return expr
         raise ParseError("expected expression", token)
-
-
-def parse_source(source: str, filename: str = "<source>") -> TranslationUnit:
-    """Convenience wrapper: lex and parse *source*."""
-    return Parser(source, filename).parse()

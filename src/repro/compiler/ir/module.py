@@ -57,9 +57,6 @@ class BasicBlock(Value):
     def phis(self) -> List[Phi]:
         return [i for i in self.instructions if isinstance(i, Phi)]
 
-    def non_phi_instructions(self) -> List[Instruction]:
-        return [i for i in self.instructions if not isinstance(i, Phi)]
-
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
 
@@ -134,12 +131,6 @@ class Function(Value):
         self.blocks.append(block)
         return block
 
-    def insert_block_after(self, existing: BasicBlock, name: str = "") -> BasicBlock:
-        block = BasicBlock(name or self.next_block_name(), parent=self)
-        index = self.blocks.index(existing)
-        self.blocks.insert(index + 1, block)
-        return block
-
     def remove_block(self, block: BasicBlock) -> None:
         self.blocks.remove(block)
         block.parent = None
@@ -156,12 +147,6 @@ class Function(Value):
 
     def instruction_count(self) -> int:
         return sum(len(b) for b in self.blocks)
-
-    def arg_by_name(self, name: str) -> Optional[Argument]:
-        for arg in self.args:
-            if arg.name == name:
-                return arg
-        return None
 
     def short_name(self) -> str:
         return f"@{self.name}"
@@ -209,14 +194,8 @@ class Module:
     def has_function(self, name: str) -> bool:
         return name in self.functions
 
-    def remove_function(self, name: str) -> None:
-        self.functions.pop(name, None)
-
     def defined_functions(self) -> List[Function]:
         return [f for f in self.functions.values() if not f.is_declaration]
-
-    def declarations(self) -> List[Function]:
-        return [f for f in self.functions.values() if f.is_declaration]
 
     def __iter__(self) -> Iterator[Function]:
         return iter(self.functions.values())

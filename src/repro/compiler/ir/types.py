@@ -38,10 +38,6 @@ class Type:
     def is_vector(self) -> bool:
         return isinstance(self, VectorType)
 
-    @property
-    def is_function(self) -> bool:
-        return isinstance(self, FunctionType)
-
     def __eq__(self, other: object) -> bool:
         return type(self) is type(other) and self._key() == other._key()  # type: ignore[attr-defined]
 
@@ -208,11 +204,3 @@ _NAMED_TYPES = {
 def named_type(name: str) -> Optional[Type]:
     """Look up a scalar type by its textual name (used by the parser)."""
     return _NAMED_TYPES.get(name)
-
-
-def pointer_to(pointee: Type) -> PointerType:
-    return PointerType(pointee)
-
-
-def vector_of(element: Type, count: int) -> VectorType:
-    return VectorType(element, count)

@@ -6,7 +6,7 @@ themselves values (their result), which is what makes def-use chains work.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.compiler.ir.types import FloatType, IntType, Type
 
@@ -26,10 +26,6 @@ class Value:
     def remove_use(self, user: "Value") -> None:
         if user in self.uses:
             self.uses.remove(user)
-
-    @property
-    def is_constant(self) -> bool:
-        return isinstance(self, Constant)
 
     def short_name(self) -> str:
         """How this value is referred to as an operand in printed IR."""
@@ -85,15 +81,3 @@ class Argument(Value):
 
     def __repr__(self) -> str:
         return f"Argument({self.type} %{self.name} #{self.index})"
-
-
-def const_int(value: int, type_: Optional[IntType] = None) -> Constant:
-    """Integer constant helper (defaults to i64)."""
-    from repro.compiler.ir.types import I64
-    return Constant(type_ or I64, value)
-
-
-def const_float(value: float, type_: Optional[FloatType] = None) -> Constant:
-    """Floating-point constant helper (defaults to f32)."""
-    from repro.compiler.ir.types import F32
-    return Constant(type_ or F32, value)

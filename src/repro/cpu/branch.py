@@ -13,10 +13,7 @@ from typing import Dict
 
 
 class BranchPredictor:
-    """Interface: predict, then update with the real outcome."""
-
-    def predict(self, pc: int, target: int) -> bool:
-        raise NotImplementedError
+    """Interface: update with each real outcome, which reports the miss."""
 
     def update(self, pc: int, target: int, taken: bool) -> bool:
         """Record the outcome; return True when the prediction was wrong."""
@@ -52,10 +49,6 @@ class GsharePredictor(BranchPredictor):
     def _index(self, pc: int) -> int:
         return ((pc >> 2) ^ self._history) % self._table_size
 
-    def predict(self, pc: int, target: int = 0) -> bool:
-        counter = self._counters.get(self._index(pc), 2)
-        return counter >= 2
-
     def update(self, pc: int, target: int, taken: bool) -> bool:
         index = self._index(pc)
         counter = self._counters.get(index, 2)
@@ -87,9 +80,6 @@ class AlwaysTakenPredictor(BranchPredictor):
     def __init__(self) -> None:
         self._predictions = 0
         self._mispredictions = 0
-
-    def predict(self, pc: int, target: int = 0) -> bool:
-        return True
 
     def update(self, pc: int, target: int, taken: bool) -> bool:
         self._predictions += 1

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List
 
 
@@ -56,19 +55,6 @@ class HwEvent(enum.Enum):
     U_MODE_CYCLE = "u_mode_cycle"
     S_MODE_CYCLE = "s_mode_cycle"
     M_MODE_CYCLE = "m_mode_cycle"
-
-
-#: Events every modelled core can provide.
-GENERIC_EVENTS = frozenset(
-    {
-        HwEvent.CYCLES,
-        HwEvent.INSTRUCTIONS,
-        HwEvent.CACHE_REFERENCES,
-        HwEvent.CACHE_MISSES,
-        HwEvent.BRANCH_INSTRUCTIONS,
-        HwEvent.BRANCH_MISSES,
-    }
-)
 
 
 class EventCounts:
@@ -139,9 +125,6 @@ class EventBus:
 
     def subscribe(self, observer: EventObserver) -> None:
         self._observers.append(observer)
-
-    def unsubscribe(self, observer: EventObserver) -> None:
-        self._observers.remove(observer)
 
     def publish(self, event: HwEvent, amount: int = 1) -> None:
         if amount == 0:

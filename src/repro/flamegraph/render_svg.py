@@ -62,9 +62,3 @@ def render_svg(root: FlameNode, title: str = "Flame Graph", width: int = 1000) -
     _emit(root, 0.0, float(width), depth, width, parts)
     parts.append("</g></svg>")
     return "\n".join(parts)
-
-
-def write_svg(root: FlameNode, path: str, title: str = "Flame Graph",
-              width: int = 1000) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_svg(root, title=title, width=width))

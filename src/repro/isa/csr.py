@@ -23,7 +23,7 @@ S/U mode only when the corresponding ``mcounteren``/``scounteren`` bit is set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict
 
 from repro.isa.privilege import PrivilegeMode
 
@@ -161,10 +161,6 @@ class CsrFile:
     @property
     def num_hpm_counters(self) -> int:
         return self._num_hpm
-
-    def implemented_hpm_indices(self) -> Iterator[int]:
-        """Yield the indices of implemented generic HPM counters."""
-        return iter(range(HPM_FIRST_INDEX, HPM_FIRST_INDEX + self._num_hpm))
 
     # -- raw access (machine mode / firmware) -------------------------------
 
@@ -341,9 +337,3 @@ class CsrFile:
                     f"counter {index} not delegated to U-mode", address
                 )
         return self.counter_value(index)
-
-    # The scounteren delegation affects user reads only; expose a combined view
-    # for debugging and tests.
-    def delegation_state(self) -> Tuple[int, int]:
-        """Return ``(mcounteren, scounteren)``."""
-        return (self._regs[CSR_MCOUNTEREN], self._regs[CSR_SCOUNTEREN])

@@ -17,16 +17,15 @@ what actually programs counters.  Two drivers are modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.cpu.events import HwEvent
-from repro.isa.csr import CsrFile, user_counter_csr
+from repro.isa.csr import CsrFile
 from repro.isa.privilege import PrivilegeMode
 from repro.pmu.counters import CounterOverflow, SamplingUnsupportedError
 from repro.pmu.unit import PmuUnit
 from repro.sbi.firmware import OpenSbi, SbiError
 from repro.sbi.pmu_ext import (
-    CFG_FLAG_AUTO_START,
     CFG_FLAG_CLEAR_VALUE,
     PMU_COUNTER_CFG_MATCHING,
     PMU_COUNTER_FW_READ,
@@ -90,10 +89,6 @@ class PmuDriver:
 
     def read(self, allocated: AllocatedCounter) -> int:
         """Read the current raw value of the counter."""
-        raise NotImplementedError
-
-    @property
-    def num_counters(self) -> int:
         raise NotImplementedError
 
 
@@ -222,10 +217,6 @@ class RiscvSbiPmuDriver(PmuDriver):
             raw = ret.value if ret.ok else 0
         return max(0, raw - allocated.base_value)
 
-    @property
-    def num_counters(self) -> int:
-        return len(self.pmu.counter_indices())
-
 
 class X86PmuDriver(PmuDriver):
     """The comparator platform's driver: direct counter programming, no firmware."""
@@ -273,7 +264,3 @@ class X86PmuDriver(PmuDriver):
 
     def read(self, allocated: AllocatedCounter) -> int:
         return max(0, self.pmu.read_counter(allocated.index) - allocated.base_value)
-
-    @property
-    def num_counters(self) -> int:
-        return len(self.pmu.counter_indices())

@@ -67,10 +67,6 @@ class RingBuffer:
         self._records.clear()
         return out
 
-    def peek_all(self) -> List[SampleRecord]:
-        """Return pending records without consuming them."""
-        return list(self._records)
-
     def __len__(self) -> int:
         return len(self._records)
 

@@ -9,8 +9,8 @@ synthetic trace executor) keep an explicit call stack on the task, so the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,11 @@ class Task:
     def depth(self) -> int:
         return len(self._stack)
 
-    @property
-    def current_function(self) -> str:
-        return self._stack[-1].function if self._stack else "<unknown>"
-
     # -- sampling-side API -----------------------------------------------------------
 
     def callchain(self) -> Tuple[str, ...]:
         """Return the call chain, leaf (currently executing function) first."""
         return tuple(frame.function for frame in reversed(self._stack))
-
-    def callchain_frames(self) -> Tuple[StackFrame, ...]:
-        return tuple(reversed(self._stack))
 
     def __repr__(self) -> str:
         return f"Task(name={self.name!r}, pid={self.pid}, depth={self.depth})"

@@ -10,8 +10,8 @@ at every leader overflow via ``PERF_SAMPLE_READ`` + ``PERF_FORMAT_GROUP``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.cpu.events import HwEvent
 from repro.kernel.perf_event import PerfEventAttr, ReadFormat, SampleType
@@ -54,9 +54,6 @@ class GroupPlan:
             )
             for event in self.member_events
         ]
-
-    def all_events(self) -> List[HwEvent]:
-        return [self.leader_event] + list(self.member_events)
 
     def describe(self) -> str:
         members = ", ".join(e.value for e in self.member_events) or "<none>"

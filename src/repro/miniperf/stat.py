@@ -74,16 +74,13 @@ DEFAULT_STAT_EVENTS = (
 
 
 def miniperf_stat(machine: Machine, task: Task, workload: Callable[[], None],
-                  events: Sequence[HwEvent] = DEFAULT_STAT_EVENTS,
-                  rotate_every: int = 0) -> StatResult:
+                  events: Sequence[HwEvent] = DEFAULT_STAT_EVENTS) -> StatResult:
     """Count *events* while running *workload* on *machine*.
 
     Events the platform cannot count are reported as unsupported instead of
     failing the whole run (matching ``perf stat`` behaviour).  When more
-    events are requested than the PMU has counters, callers can ask for
-    periodic rotation by passing ``rotate_every`` (in workload "chunks");
-    since the workload here is a single callable, rotation is performed once
-    halfway through only if the workload itself calls ``machine.perf.rotate``.
+    events are requested than the PMU has counters, they rotate only if the
+    workload itself calls ``machine.perf.rotate``.
     """
     result = StatResult(platform=machine.name)
     fds: Dict[HwEvent, int] = {}

@@ -14,8 +14,6 @@ from typing import Callable, Optional
 
 from repro.cpu.events import HwEvent
 
-COUNTER_MASK = (1 << 64) - 1
-
 
 class SamplingUnsupportedError(Exception):
     """Raised when sampling is requested on a counter that cannot overflow-interrupt.

@@ -149,10 +149,6 @@ class PmuUnit:
                     return 0, 0
         return cycles, instructions
 
-    def detach(self) -> None:
-        """Stop observing the event bus (used when tearing a machine down)."""
-        self.bus.unsubscribe(self._on_event)
-
     # -- capability queries ----------------------------------------------------------
 
     def supported_events(self) -> List[HwEvent]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.roofline.machine import MachineRoofs
 
@@ -54,11 +54,6 @@ class RooflineModel:
         """Achieved fraction of the attainable performance at the point's AI."""
         attainable = self.attainable(point.arithmetic_intensity, level)
         return point.gflops / attainable if attainable else 0.0
-
-    def headroom_of(self, point: RooflinePoint, level: str = "DRAM") -> float:
-        """Attainable-over-achieved ratio (how many x of improvement remain)."""
-        efficiency = self.efficiency_of(point, level)
-        return 1.0 / efficiency if efficiency else float("inf")
 
     def summary(self) -> str:
         lines = [self.roofs.describe(), ""]

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import html
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.roofline.model import RooflineModel, RooflinePoint
+from repro.roofline.model import RooflineModel
 
 
 def _log_ticks(low: float, high: float) -> List[float]:
@@ -156,8 +156,3 @@ def render_svg_roofline(model: RooflineModel, width: int = 640, height: int = 42
                  f'GFLOP/s (log)</text>')
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def write_svg_roofline(model: RooflineModel, path: str, **kwargs) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_svg_roofline(model, **kwargs))

@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.compiler.frontend import compile_source
 from repro.compiler.ir.module import Module
-from repro.compiler.ir.parser import parse_module
 from repro.compiler.targets import target_for_platform
 from repro.compiler.transforms import build_roofline_pipeline
 from repro.platforms.descriptors import PlatformDescriptor
@@ -259,16 +258,4 @@ class RooflineRunner:
         if vector_width is not None:
             self.vector_width = vector_width
         module = self.compile(source, filename)
-        return self.run_module(module, function, args_builder, repeats=repeats)
-
-    def run_ir(self, ir_text: str, function: str, args_builder: ArgsBuilder,
-               repeats: int = 1) -> KernelRooflineResult:
-        """Same flow, but starting from textual IR instead of KernelC."""
-        module = parse_module(ir_text)
-        pipeline = build_roofline_pipeline(
-            vector_width=self.vector_width,
-            enable_vectorizer=self.enable_vectorizer,
-            instrument_first=self.instrument_first,
-        )
-        pipeline.run(module)
         return self.run_module(module, function, args_builder, repeats=repeats)

@@ -12,7 +12,6 @@ paper mentions in Section 3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.cpu.events import HwEvent
@@ -41,16 +40,6 @@ START_FLAG_SET_INIT_VALUE = 1 << 0
 
 # Flags for counter_stop.
 STOP_FLAG_RESET = 1 << 0
-
-
-@dataclass
-class CounterInfo:
-    """What ``PMU_COUNTER_GET_INFO`` reports for one counter."""
-
-    index: int
-    is_firmware: bool
-    csr_address: int
-    width_bits: int
 
 
 class SbiPmuExtension(SbiExtension):

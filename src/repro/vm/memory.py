@@ -36,21 +36,27 @@ def _codec(type_: Type) -> Optional[struct.Struct]:
 class Memory:
     """A bump-allocated heap plus a per-call stack region.
 
-    The heap starts at ``HEAP_BASE`` and grows upward; stack frames are
-    carved from a separate region so that freeing a frame on return is a
-    single pointer reset.  All addresses are stable for the lifetime of the
-    Memory object, which the cache simulator relies on.  Both segments are
-    zero-filled on demand, never all ``STACK_SIZE`` bytes up front.
+    The heap starts at ``heap_base`` (``HEAP_BASE`` by default; threads that
+    need disjoint address ranges pass their own) and grows upward by at most
+    ``HEAP_SIZE`` bytes, all below the stack; stack frames are carved from a
+    separate region so that freeing a frame on return is a single pointer
+    reset.  All addresses are stable for the lifetime of the Memory object,
+    which the cache simulator relies on.  Both segments are zero-filled on
+    demand, never all ``STACK_SIZE`` bytes up front.
     """
 
     HEAP_BASE = 0x0001_0000
     STACK_BASE = 0x4000_0000
     STACK_SIZE = 8 * 1024 * 1024
+    HEAP_SIZE = 256 * 1024 * 1024
 
-    def __init__(self, heap_size: int = 256 * 1024 * 1024):
-        self.heap_size = heap_size
+    def __init__(self, heap_base: int = HEAP_BASE):
+        if not 0 < heap_base <= self.STACK_BASE - self.HEAP_SIZE:
+            raise MemoryError_(
+                f"heap base {heap_base:#x} leaves no room below the stack")
+        self.heap_base = heap_base
         self._heap = bytearray()
-        self._heap_top = self.HEAP_BASE
+        self._heap_top = heap_base
         self._stack = bytearray()
         self._stack_top = self.STACK_BASE
 
@@ -65,11 +71,11 @@ class Memory:
             top += align - (top % align)
         address = top
         new_top = top + size
-        if new_top - self.HEAP_BASE > self.heap_size:
+        needed = new_top - self.heap_base
+        if needed > self.HEAP_SIZE:
             raise MemoryError_(
                 f"heap exhausted: requested {size} bytes at {address:#x}"
             )
-        needed = new_top - self.HEAP_BASE
         if needed > len(self._heap):
             self._heap.extend(b"\x00" * (needed - len(self._heap)))
         self._heap_top = new_top
@@ -106,8 +112,8 @@ class Memory:
     # -- raw byte access ------------------------------------------------------------------
 
     def _backing(self, address: int, size: int) -> Tuple[bytearray, int]:
-        if self.HEAP_BASE <= address and address + size <= self.HEAP_BASE + len(self._heap):
-            return self._heap, address - self.HEAP_BASE
+        if self.heap_base <= address and address + size <= self.heap_base + len(self._heap):
+            return self._heap, address - self.heap_base
         if self.STACK_BASE <= address and address + size <= self.STACK_BASE + self.STACK_SIZE:
             offset = address - self.STACK_BASE
             if offset + size > len(self._stack):
@@ -165,7 +171,7 @@ class Memory:
         :meth:`_backing`, which grows the stack or raises.
         """
         backing_of = self._backing
-        heap, heap_base = self._heap, self.HEAP_BASE
+        heap, heap_base = self._heap, self.heap_base
         stack, stack_base = self._stack, self.STACK_BASE
         if isinstance(type_, IntType) and type_.bits == 1:
             def load_i1(address: int) -> int:
@@ -198,7 +204,7 @@ class Memory:
         being packed), including the heap fast path.
         """
         backing_of = self._backing
-        heap, heap_base = self._heap, self.HEAP_BASE
+        heap, heap_base = self._heap, self.heap_base
         stack, stack_base = self._stack, self.STACK_BASE
         if isinstance(type_, IntType) and type_.bits == 1:
             def store_i1(address: int, value) -> None:

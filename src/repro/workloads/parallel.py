@@ -8,14 +8,18 @@ Three parallel workloads behind one small :class:`ParallelWorkload` protocol:
   on every hart -- B is constructively shared in the LLC, C/A row blocks are
   disjoint).  Strong scaling: the matrix size is fixed, more harts split it.
 * ``stream-triad-mt`` -- contended memory streams: every thread runs STREAM
-  triad over its own slice, placed at a disjoint address range, for several
-  passes.  Weak scaling: per-thread slices are fixed, more harts add
-  footprint until the combined slices overflow the shared LLC -- which is
-  exactly the contention the scaling benchmark measures.
+  triad over its own slice, in a heap based at a disjoint address range,
+  for several passes.  Weak scaling: per-thread slices are fixed, more harts
+  add footprint until the combined slices overflow the shared LLC -- which
+  is exactly the contention the scaling benchmark measures.
 * ``forkjoin-calltree`` -- a fork-join synthetic call tree: worker threads
   (more workers than harts, so runqueues actually time-slice) each replay a
   seeded subtree with its own address-space offset; samples carry per-worker
   call chains for the per-hart flame graphs.
+
+The two compiled kernels share one shape, :class:`ShardedKernelWorkload`,
+so the addresses the static race detector certifies (``shard_plans``) are
+the ones the threads use.
 
 A parallel workload is also a plain :class:`~repro.api.workload.Workload`:
 ``executable()`` runs every shard sequentially on one machine, which is what
@@ -24,19 +28,19 @@ path (and bit-deterministic there).
 
 The compiled-kernel shards execute through
 :meth:`~repro.vm.engine.ExecutionEngine.run_yielding`: the engine itself is
-the quantum generator, yielding to the scheduler every ``quantum`` executed
-IR instructions at the next block boundary -- so a thread is preempted
-*mid-function* without losing predecode state, and the whole quantum retires
-through ``Machine.execute_batch``.  ``spec.fast_dispatch`` picks the engine
-(generated code by default; the reference interpreter for differential
-runs); quantum boundaries are identical in both modes, which keeps SMP
-schedules, counters and sample streams bit-identical across them.
+the quantum generator, yielding to the scheduler every ``DEFAULT_QUANTUM``
+executed IR instructions at the next block boundary -- so a thread is
+preempted *mid-function* without losing predecode state, and the whole
+quantum retires through ``Machine.execute_batch``.  ``spec.fast_dispatch``
+picks the engine (generated code by default; the reference interpreter for
+differential runs); quantum boundaries are identical in both modes, which
+keeps SMP schedules, counters and sample streams bit-identical across them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Callable, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.analysis.races import KernelShardPlan, TraceShardPlan
 from repro.compiler.cache import compile_source_cached
@@ -45,7 +49,7 @@ from repro.kernel.task import Task
 from repro.platforms.descriptors import PlatformDescriptor
 from repro.platforms.machine import Machine
 from repro.vm import ExecutionEngine, Memory
-from repro.workloads.kernels import _random_floats
+from repro.workloads.kernels import STREAM_TRIAD_SOURCE, _matmul_args, _triad_args
 from repro.workloads.sqlite3_like import instruction_factor_for
 from repro.workloads.synthetic import (
     InstructionMix,
@@ -91,219 +95,138 @@ void matmul_rows(float* A, float* B, float* C, long n, long lo, long hi) {
 """
 
 
-def _drain(bodies: Sequence[Tuple[str, ThreadBody]], machine: Machine,
-           task: Task) -> None:
-    """Run thread bodies to completion, one after another (cpus=1 semantics)."""
-    for _, body in bodies:
-        for _ in body(machine, task):
-            pass
+class _ThreadedWorkload:
+    """The single-hart ``executable()`` of a workload that shards itself."""
+
+    def executable(self, machine: Machine, task: Task,
+                   spec) -> Callable[[], None]:
+        """Run the ``cpus=1`` thread bodies to completion, one after another."""
+        def run() -> None:
+            for _ in range(max(1, spec.invocations)):
+                for _, body in self.threads(1, spec):
+                    for _ in body(machine, task):
+                        pass
+        return run
+
+
+class ShardedKernelWorkload(_ThreadedWorkload):
+    """A KernelC kernel split into one shard per thread.
+
+    A subclass sets ``SOURCE``, ``FUNCTION`` and ``THREAD_PREFIX`` and
+    defines ``_shard(index, shards, memory=None)``: allocate shard *index*
+    of *shards* -- into *memory* when given, else into the thread's own
+    :class:`Memory` -- and return ``(memory, args)``, or None for a shard
+    with no work.  The thread bodies, ``shard_plans`` and the roofline
+    (shard 0 of 1) all derive from it.  A thread runs its kernel ``PASSES``
+    times, yielding after each pass when ``PASS_BOUNDARY`` is set.
+    """
+
+    PASSES = 1
+    PASS_BOUNDARY = False
+    supports_roofline = True
+
+    def _shards(self, cpus: int) -> List[Tuple[str, Memory, List[object]]]:
+        shards = max(1, cpus)
+        return [(f"{self.THREAD_PREFIX}-{index}", *shard)
+                for index in range(shards)
+                if (shard := self._shard(index, shards)) is not None]
+
+    def _body(self, memory: Memory, args: List[object], spec) -> ThreadBody:
+        def body(machine: Machine, task: Task) -> Iterator[None]:
+            module = compile_source_cached(self.SOURCE, f"{self.FUNCTION}.c",
+                                           machine.descriptor,
+                                           spec.enable_vectorizer)
+            engine = ExecutionEngine(module, machine,
+                                     target_for_platform(machine.descriptor),
+                                     task=task, memory=memory,
+                                     fast_dispatch=spec.fast_dispatch)
+            for _ in range(self.PASSES):
+                yield from engine.run_yielding(self.FUNCTION, args)
+                if self.PASS_BOUNDARY:
+                    yield
+        return body
+
+    def threads(self, cpus: int, spec) -> List[Tuple[str, ThreadBody]]:
+        return [(name, self._body(memory, args, spec))
+                for name, memory, args in self._shards(cpus)]
+
+    def shard_plans(self, cpus: int, spec) -> List[KernelShardPlan]:
+        """The shards for the static race detector: the arguments each
+        thread body passes, at the addresses it allocated them."""
+        return [KernelShardPlan(thread=name, source=self.SOURCE,
+                                filename=f"{self.FUNCTION}.c",
+                                function=self.FUNCTION, args=tuple(args))
+                for name, _, args in self._shards(cpus)]
+
+    def roofline(self, descriptor: PlatformDescriptor, spec):
+        """The compiler-driven roofline of the whole kernel (shard 0 of 1)."""
+        from repro.api.workload import CompiledKernelWorkload
+        kernel = CompiledKernelWorkload(
+            self.name, self.SOURCE, self.FUNCTION,
+            lambda memory: self._shard(0, 1, memory)[1],
+            filename=f"{self.FUNCTION}.c")
+        return kernel.roofline(descriptor, spec)
 
 
 @dataclass
-class MatmulParallelWorkload:
-    """``matmul-parallel``: one n x n matmul sharded by output-row blocks."""
+class MatmulParallelWorkload(ShardedKernelWorkload):
+    """``matmul-parallel``: one n x n matmul sharded by output-row blocks.
+
+    Every thread allocates the same matrices into its own fresh
+    :class:`Memory`, so A/B/C occupy the same addresses on every hart.
+    """
 
     n: int = 32
-    #: Scheduler time slice in executed IR instructions; 0 uses the engine's
-    #: default quantum.
-    quantum: int = 0
     description: str = ("row-sharded parallel matmul over shared matrices "
                         "(strong scaling)")
     name: str = field(default="matmul-parallel", init=False)
     kind: str = field(default="parallel-kernel", init=False)
 
-    def _allocate(self, memory: Memory) -> List[object]:
-        n = self.n
-        a = memory.alloc_float_array(_random_floats(n * n, 7))
-        b = memory.alloc_float_array(_random_floats(n * n, 8))
-        c = memory.alloc_float_array([0.0] * (n * n))
-        return [a, b, c, n]
+    SOURCE = MATMUL_ROWS_SOURCE
+    FUNCTION = "matmul_rows"
+    THREAD_PREFIX = "matmul-worker"
 
-    def _body(self, lo: int, hi: int, spec) -> ThreadBody:
-        def body(machine: Machine, task: Task) -> Iterator[None]:
-            module = compile_source_cached(MATMUL_ROWS_SOURCE, "matmul_rows.c",
-                                           machine.descriptor,
-                                           spec.enable_vectorizer)
-            target = target_for_platform(machine.descriptor)
-            memory = Memory()
-            base_args = self._allocate(memory)
-            engine = ExecutionEngine(module, machine, target, task=task,
-                                     memory=memory,
-                                     fast_dispatch=spec.fast_dispatch)
-            # The engine is the quantum generator: it yields every `quantum`
-            # executed IR instructions, so preemption lands mid-function.
-            yield from engine.run_yielding("matmul_rows",
-                                           base_args + [lo, hi],
-                                           quantum=self.quantum or None)
-        return body
-
-    def threads(self, cpus: int, spec) -> List[Tuple[str, ThreadBody]]:
-        shards = max(1, cpus)
-        rows_per = (self.n + shards - 1) // shards
-        out: List[Tuple[str, ThreadBody]] = []
-        for index in range(shards):
-            lo = index * rows_per
-            hi = min(self.n, lo + rows_per)
-            if lo >= hi:
-                break
-            out.append((f"matmul-worker-{index}", self._body(lo, hi, spec)))
-        return out
-
-    def shard_plans(self, cpus: int, spec) -> List[KernelShardPlan]:
-        """Describe the shards for the static race detector.
-
-        Every thread body builds a fresh :class:`Memory` and allocates
-        identically, so one allocation here reproduces the addresses every
-        thread sees -- A/B/C are genuinely shared across threads.
-        """
-        base_args = self._allocate(Memory())
-        plans: List[KernelShardPlan] = []
-        for index, (name, _body) in enumerate(self.threads(cpus, spec)):
-            shards = max(1, cpus)
-            rows_per = (self.n + shards - 1) // shards
-            lo = index * rows_per
-            hi = min(self.n, lo + rows_per)
-            plans.append(KernelShardPlan(
-                thread=name, source=MATMUL_ROWS_SOURCE,
-                filename="matmul_rows.c", function="matmul_rows",
-                args=tuple(base_args + [lo, hi]),
-            ))
-        return plans
-
-    def executable(self, machine: Machine, task: Task,
-                   spec) -> Callable[[], None]:
-        def run() -> None:
-            for _ in range(max(1, spec.invocations)):
-                _drain(self.threads(1, spec), machine, task)
-        return run
-
-    @property
-    def supports_roofline(self) -> bool:
-        return True
-
-    def roofline(self, descriptor: PlatformDescriptor, spec):
-        from repro.roofline.runner import RooflineRunner
-        runner = RooflineRunner(
-            descriptor,
-            enable_vectorizer=spec.enable_vectorizer,
-            vendor_driver=spec.vendor_driver is not False,
-            fast_dispatch=spec.fast_dispatch,
-        )
-        def args_builder(memory: Memory) -> Sequence[object]:
-            return self._allocate(memory) + [0, self.n]
-        return runner.run_source(MATMUL_ROWS_SOURCE, "matmul_rows",
-                                 args_builder, repeats=spec.repeats,
-                                 filename="matmul_rows.c")
-
-
-#: Per-slice STREAM triad (each thread owns a private slice, so the plain
-#: single-array kernel is the whole shard).
-TRIAD_SLICE_SOURCE = """
-void triad(float* a, float* b, float* c, float scalar, long n) {
-  for (long i = 0; i < n; i++) {
-    a[i] = b[i] + scalar * c[i];
-  }
-}
-"""
+    def _shard(self, index: int, shards: int, memory: Optional[Memory] = None
+               ) -> Optional[Tuple[Memory, List[object]]]:
+        rows = -(-self.n // shards)
+        lo, hi = index * rows, min(self.n, (index + 1) * rows)
+        if lo >= hi:
+            return None
+        memory = memory or Memory()
+        return memory, [*_matmul_args(self.n, 7, memory), lo, hi]
 
 
 @dataclass
-class StreamTriadMtWorkload:
+class StreamTriadMtWorkload(ShardedKernelWorkload):
     """``stream-triad-mt``: per-thread triad slices, repeated passes.
 
-    Per-thread footprint is ``3 * n * 4`` bytes at a thread-private address
-    range.  One slice fits the shared LLC of every modelled platform at the
-    default size, so a lone thread hits in LLC from pass two onward; several
-    threads overflow it and evict each other -- the contended-memory-stream
-    scenario, with the contention visible in per-hart cache-miss counters.
+    Per-thread footprint is ``3 * n * 4`` bytes in a heap of its own,
+    ``THREAD_ADDRESS_STRIDE`` above the previous thread's.  One slice fits
+    the shared LLC of every modelled platform at the default size, so a
+    lone thread hits in LLC from pass two onward; several threads overflow
+    it and evict each other -- the contended-memory-stream scenario, with
+    the contention visible in per-hart cache-miss counters.
     """
 
     n: int = 16384
-    passes: int = 3
-    #: Scheduler time slice in executed IR instructions; 0 uses the engine's
-    #: default quantum.
-    quantum: int = 0
     description: str = ("multi-threaded STREAM triad over per-thread slices "
                         "(weak scaling, LLC contention)")
     name: str = field(default="stream-triad-mt", init=False)
     kind: str = field(default="parallel-kernel", init=False)
 
-    def _body(self, index: int, spec) -> ThreadBody:
-        def body(machine: Machine, task: Task) -> Iterator[None]:
-            module = compile_source_cached(TRIAD_SLICE_SOURCE, "triad.c",
-                                           machine.descriptor,
-                                           spec.enable_vectorizer)
-            target = target_for_platform(machine.descriptor)
-            memory = Memory()
-            if index:
-                # Shift this thread's slice to a disjoint address range.
-                memory.malloc(index * THREAD_ADDRESS_STRIDE)
-            a = memory.alloc_float_array([0.0] * self.n)
-            b = memory.alloc_float_array(_random_floats(self.n, 13 + index))
-            c = memory.alloc_float_array(_random_floats(self.n, 14 + index))
-            engine = ExecutionEngine(module, machine, target, task=task,
-                                     memory=memory,
-                                     fast_dispatch=spec.fast_dispatch)
-            for _ in range(self.passes):
-                # Quantum yields mid-pass, plus one boundary per pass (the
-                # slice walks are what the LLC-contention model interleaves).
-                yield from engine.run_yielding("triad", [a, b, c, 3.0, self.n],
-                                               quantum=self.quantum or None)
-                yield
-        return body
+    SOURCE = STREAM_TRIAD_SOURCE
+    FUNCTION = "triad"
+    THREAD_PREFIX = "triad-worker"
+    # One scheduling boundary per pass: the slice walks are what the
+    # LLC-contention model interleaves.
+    PASSES = 3
+    PASS_BOUNDARY = True
 
-    def threads(self, cpus: int, spec) -> List[Tuple[str, ThreadBody]]:
-        return [(f"triad-worker-{index}", self._body(index, spec))
-                for index in range(max(1, cpus))]
-
-    def shard_plans(self, cpus: int, spec) -> List[KernelShardPlan]:
-        """Describe the shards for the static race detector.
-
-        Mirrors ``_body``'s per-thread allocation exactly (including the
-        address-stride shift), so the plan addresses are the ones the
-        threads will load and store through.
-        """
-        plans: List[KernelShardPlan] = []
-        for index in range(max(1, cpus)):
-            memory = Memory()
-            if index:
-                memory.malloc(index * THREAD_ADDRESS_STRIDE)
-            a = memory.alloc_float_array([0.0] * self.n)
-            b = memory.alloc_float_array(_random_floats(self.n, 13 + index))
-            c = memory.alloc_float_array(_random_floats(self.n, 14 + index))
-            plans.append(KernelShardPlan(
-                thread=f"triad-worker-{index}", source=TRIAD_SLICE_SOURCE,
-                filename="triad.c", function="triad",
-                args=(a, b, c, 3.0, self.n),
-            ))
-        return plans
-
-    def executable(self, machine: Machine, task: Task,
-                   spec) -> Callable[[], None]:
-        def run() -> None:
-            for _ in range(max(1, spec.invocations)):
-                _drain(self.threads(1, spec), machine, task)
-        return run
-
-    @property
-    def supports_roofline(self) -> bool:
-        return True
-
-    def roofline(self, descriptor: PlatformDescriptor, spec):
-        from repro.roofline.runner import RooflineRunner
-        runner = RooflineRunner(
-            descriptor,
-            enable_vectorizer=spec.enable_vectorizer,
-            vendor_driver=spec.vendor_driver is not False,
-            fast_dispatch=spec.fast_dispatch,
-        )
-        def args_builder(memory: Memory) -> Sequence[object]:
-            a = memory.alloc_float_array([0.0] * self.n)
-            b = memory.alloc_float_array(_random_floats(self.n, 13))
-            c = memory.alloc_float_array(_random_floats(self.n, 14))
-            return [a, b, c, 3.0, self.n]
-        return runner.run_source(TRIAD_SLICE_SOURCE, "triad", args_builder,
-                                 repeats=spec.repeats, filename="triad.c")
+    def _shard(self, index: int, shards: int, memory: Optional[Memory] = None
+               ) -> Optional[Tuple[Memory, List[object]]]:
+        memory = memory or Memory(
+            heap_base=Memory.HEAP_BASE + index * THREAD_ADDRESS_STRIDE)
+        return memory, _triad_args(self.n, 3.0, 13 + index, memory)
 
 
 def forkjoin_tree(scale: int = 1) -> SyntheticWorkload:
@@ -325,10 +248,10 @@ def forkjoin_tree(scale: int = 1) -> SyntheticWorkload:
 
 
 @dataclass
-class ForkJoinCalltreeWorkload:
+class ForkJoinCalltreeWorkload(_ThreadedWorkload):
     """``forkjoin-calltree``: worker threads replaying seeded call subtrees.
 
-    Spawns ``workers_per_hart`` threads *per hart*, so every hart's runqueue
+    Spawns ``WORKERS_PER_HART`` threads *per hart*, so every hart's runqueue
     holds more than one runnable task and the round-robin time-slicing is
     actually exercised.  Worker *t* seeds its trace generator with
     ``spec.seed + 101 * t`` and offsets its address space, so per-worker
@@ -336,12 +259,15 @@ class ForkJoinCalltreeWorkload:
     """
 
     scale: int = 1
-    workers_per_hart: int = 2
-    repeats: int = 3
     description: str = ("fork-join call-tree replay, multiple worker threads "
                         "per hart")
     name: str = field(default="forkjoin-calltree", init=False)
     kind: str = field(default="parallel-synthetic", init=False)
+
+    WORKERS_PER_HART = 2
+    #: Tree replays per worker, one scheduling boundary after each.
+    REPEATS = 3
+    supports_roofline = False
 
     def _body(self, index: int, spec) -> ThreadBody:
         tree = forkjoin_tree(self.scale)
@@ -354,13 +280,13 @@ class ForkJoinCalltreeWorkload:
                 address_offset=index * THREAD_ADDRESS_STRIDE,
                 batched=spec.fast_dispatch,
             )
-            for _ in range(self.repeats):
+            for _ in range(self.REPEATS):
                 executor.run(tree, invocations=1)
                 yield
         return body
 
     def threads(self, cpus: int, spec) -> List[Tuple[str, ThreadBody]]:
-        count = max(1, cpus) * self.workers_per_hart
+        count = max(1, cpus) * self.WORKERS_PER_HART
         return [(f"forkjoin-worker-{index}", self._body(index, spec))
                 for index in range(count)]
 
@@ -376,23 +302,12 @@ class ForkJoinCalltreeWorkload:
         tree = forkjoin_tree(self.scale)
         extent = sum(max(f.mix.working_set_bytes, 4096) * 2
                      for f in tree.functions.values())
-        count = max(1, cpus) * self.workers_per_hart
+        count = max(1, cpus) * self.WORKERS_PER_HART
         return [TraceShardPlan(
                     thread=f"forkjoin-worker-{index}",
                     base=0x2000_0000 + index * THREAD_ADDRESS_STRIDE,
                     extent=extent)
                 for index in range(count)]
-
-    def executable(self, machine: Machine, task: Task,
-                   spec) -> Callable[[], None]:
-        def run() -> None:
-            for _ in range(max(1, spec.invocations)):
-                _drain(self.threads(1, spec), machine, task)
-        return run
-
-    @property
-    def supports_roofline(self) -> bool:
-        return False
 
     def roofline(self, descriptor: PlatformDescriptor, spec):
         raise NotImplementedError(

@@ -26,7 +26,8 @@ from repro.compiler.cache import compile_source_cached
 from repro.compiler.ir.instructions import Alloca, Store
 from repro.platforms import spacemit_x60
 from repro.vm import Memory
-from repro.workloads.parallel import MATMUL_ROWS_SOURCE, TRIAD_SLICE_SOURCE
+from repro.workloads.kernels import STREAM_TRIAD_SOURCE
+from repro.workloads.parallel import MATMUL_ROWS_SOURCE
 
 
 def _compile(source: str, name: str):
@@ -35,7 +36,7 @@ def _compile(source: str, name: str):
 
 
 def _triad():
-    return _compile(TRIAD_SLICE_SOURCE, "triad.c").get_function("triad")
+    return _compile(STREAM_TRIAD_SOURCE, "triad.c").get_function("triad")
 
 
 def _matmul_rows():

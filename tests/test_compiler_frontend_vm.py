@@ -232,6 +232,19 @@ class TestMemoryModel:
         with pytest.raises(MemoryError_):
             memory.read_bytes(0x999999999, 8)
 
+    def test_heap_base_places_the_heap_below_the_stack(self):
+        from repro.vm.memory import MemoryError_
+        base = Memory.HEAP_BASE + 0x0100_0000
+        memory = Memory(heap_base=base)
+        assert memory.malloc(8) == base
+        with pytest.raises(MemoryError_):
+            memory.read_bytes(Memory.HEAP_BASE, 1)
+        highest = Memory.STACK_BASE - Memory.HEAP_SIZE
+        assert Memory(heap_base=highest).malloc(8) == highest
+        for bad in (0, highest + 16, Memory.STACK_BASE):
+            with pytest.raises(MemoryError_, match="no room below the stack"):
+                Memory(heap_base=bad)
+
     def test_stack_frames_reset(self):
         memory = Memory()
         token = memory.push_stack_frame()

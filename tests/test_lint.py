@@ -1,6 +1,10 @@
 """The determinism linter: every rule, the suppression grammar, and the
-repo-wide cleanliness gate CI runs (``repro lint`` over ``src/repro``)."""
+repo-wide cleanliness gate CI runs (``repro lint`` over ``src/repro``).
+Plus the dead-definition gate: every module- or class-level definition in
+``src/`` is referenced somewhere in the repo's Python, or allowlisted."""
 
+import ast
+import fnmatch
 import os
 import re
 import textwrap
@@ -14,7 +18,8 @@ from repro.analysis.lint import (
     lint_source,
 )
 
-SRC_REPRO = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC_REPRO = os.path.join(REPO, "src", "repro")
 
 
 def _rules(source: str):
@@ -175,3 +180,154 @@ def test_cli_lint_exits_nonzero_on_violations(tmp_path, capsys):
     good = tmp_path / "good.py"
     good.write_text("key = (x, y)\n")
     assert cli_main(["lint", str(good)]) == 0
+
+
+# -- dead definitions ------------------------------------------------------------------
+
+#: Where a ``src/`` definition may be referenced from.
+REFERENCE_ROOTS = ("src", "tests", "benchmarks", "perfbench", "examples")
+
+#: Definitions kept although no Python in the repo names them: hooks that
+#: ``ast.NodeVisitor`` dispatches by name, documented builder API, and
+#: values of the SBI / privileged-spec tables, kept whole as the spec
+#: lists them.
+UNREFERENCED_ALLOWED = (
+    "*.visit_*",
+    "ProfileSpec.with_*",
+    "parse_module",
+    "SbiError.*",
+    "CSR_TIME",
+    "CFG_FLAG_SKIP_MATCH",
+)
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOTTED = re.compile(r"[A-Za-z_][\w.:]*")
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as handle:
+        return ast.parse(handle.read(), path)
+
+
+def _referenced_names(roots):
+    """Every name the Python under *roots* uses: loads, attributes, keyword
+    arguments, imports, and string constants spelling an identifier or a
+    dotted path (``getattr`` targets, ``__all__``, entry points) -- but not
+    docstrings or definitions themselves."""
+    names = set()
+    for path in iter_python_files([root for root in roots
+                                   if os.path.isdir(root)]):
+        tree = _parse(path)
+        docstrings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) and node.body:
+                first = node.body[0]
+                if isinstance(first, ast.Expr) and isinstance(first.value,
+                                                              ast.Constant):
+                    docstrings.add(first.value)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.update(_IDENTIFIER.findall(node.name))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node not in docstrings and _DOTTED.fullmatch(node.value)):
+                names.update(_IDENTIFIER.findall(node.value))
+    return names
+
+
+def _defined_names(body):
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            yield node.target.id, node
+
+
+def _definitions(src_root):
+    """``(site, qualified name)`` of every module-level definition and every
+    definition in a module-level class body under *src_root*, dunders
+    excluded."""
+    out = []
+    for path in iter_python_files([src_root]):
+        site = os.path.relpath(path, src_root).replace(os.sep, "/")
+        for name, node in _defined_names(_parse(path).body):
+            out.append((f"{site}:{node.lineno}", name))
+            if isinstance(node, ast.ClassDef):
+                out.extend((f"{site}:{member.lineno}", f"{name}.{attr}")
+                           for attr, member in _defined_names(node.body))
+    return [(site, qualified) for site, qualified in out
+            if not qualified.rsplit(".", 1)[-1].startswith("__")]
+
+
+def _unreferenced(repo, allowed=()):
+    names = _referenced_names([os.path.join(repo, root)
+                               for root in REFERENCE_ROOTS])
+    return [f"{site}: {qualified}"
+            for site, qualified in _definitions(os.path.join(repo, "src"))
+            if qualified.rsplit(".", 1)[-1] not in names
+            and not any(fnmatch.fnmatchcase(qualified, pattern)
+                        for pattern in allowed)]
+
+
+def test_dead_definition_scan_flags_only_unreferenced(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(textwrap.dedent("""\
+        \"\"\"Mentions orphan() in a docstring only.\"\"\"
+        LIMIT = 4
+        UNUSED_LIMIT = 5
+
+        def helper():
+            return LIMIT
+
+        def orphan():
+            return helper()
+
+        class Box:
+            size: int = 0
+
+            def __init__(self):
+                self.size = 1
+
+            def used(self):
+                return getattr(self, "named_by_string")()
+
+            def named_by_string(self):
+                return self.size
+
+            def never_called(self):
+                pass
+    """))
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg.mod import Box\nBox().used()\n")
+    assert [entry.split(": ")[1] for entry in _unreferenced(str(tmp_path))] \
+        == ["UNUSED_LIMIT", "orphan", "Box.never_called"]
+    assert [entry.split(": ")[1] for entry in _unreferenced(
+        str(tmp_path), allowed=("orphan", "Box.never_*"))] == ["UNUSED_LIMIT"]
+
+
+def test_every_src_definition_is_referenced():
+    """Dead ``src/`` surface fails here: delete it, or add it to
+    ``UNREFERENCED_ALLOWED`` with the reason it stays."""
+    dead = _unreferenced(REPO, UNREFERENCED_ALLOWED)
+    assert dead == [], "\n".join(dead)
+
+
+def test_unreferenced_allowlist_has_no_stale_entries():
+    qualified = [name for _, name in _definitions(os.path.join(REPO, "src"))]
+    stale = [pattern for pattern in UNREFERENCED_ALLOWED
+             if not fnmatch.filter(qualified, pattern)]
+    assert stale == []

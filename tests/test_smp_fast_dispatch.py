@@ -138,13 +138,12 @@ class TestEngineQuantum:
         from repro.compiler.targets import target_for_platform
         from repro.platforms import Machine, spacemit_x60
         from repro.vm import ExecutionEngine, Memory
-        from repro.workloads.kernels import triad_args_builder
-        from repro.workloads.parallel import TRIAD_SLICE_SOURCE
+        from repro.workloads.kernels import STREAM_TRIAD_SOURCE, triad_args_builder
 
         descriptor = spacemit_x60()
         machine = Machine(descriptor)
         task = machine.create_task("triad")
-        module = compile_source_cached(TRIAD_SLICE_SOURCE, "triad.c", descriptor,
+        module = compile_source_cached(STREAM_TRIAD_SOURCE, "triad.c", descriptor,
                                        enable_vectorizer=True)
         memory = Memory()
         args = list(triad_args_builder(n)(memory))

@@ -21,7 +21,7 @@ from repro.api import ProfileSpec
 from repro.platforms import platform_by_name
 from repro.vm import Memory
 from repro.workloads import registry
-from repro.workloads.parallel import TRIAD_SLICE_SOURCE
+from repro.workloads.kernels import STREAM_TRIAD_SOURCE
 
 DESCRIPTOR = platform_by_name("SpacemiT X60")
 SPEC = ProfileSpec().counting()
@@ -94,7 +94,7 @@ class _RacyTriad:
     def shard_plans(self, cpus, spec):
         return [
             KernelShardPlan(thread=f"racy-worker-{index}",
-                            source=TRIAD_SLICE_SOURCE, filename="triad.c",
+                            source=STREAM_TRIAD_SOURCE, filename="triad.c",
                             function="triad", args=self.args)
             for index in range(max(1, cpus))
         ]
