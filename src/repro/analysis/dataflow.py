@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.compiler.analysis.cfg import predecessors, reverse_postorder
 from repro.compiler.ir.instructions import (
@@ -29,7 +29,6 @@ from repro.compiler.ir.instructions import (
     Cast,
     GetElementPtr,
     Instruction,
-    Phi,
     Store,
 )
 from repro.compiler.ir.module import BasicBlock, Function

@@ -52,7 +52,7 @@ from repro.compiler.ir.instructions import (
 )
 from repro.compiler.ir.module import BasicBlock, Function
 from repro.compiler.ir.types import IntType, PointerType
-from repro.compiler.ir.values import Argument, Constant, Value
+from repro.compiler.ir.values import Constant, Value
 
 #: Lowering metadata key marking loads/stores elided by scalar promotion.
 REG_PROMOTED_KEY = "mperf.reg_promoted"

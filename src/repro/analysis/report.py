@@ -86,8 +86,10 @@ def build_analyze_report(platform: str, cpus: int = 1,
     returned dict is exactly what ``repro analyze --json`` prints.
     """
     from repro.platforms import platform_by_name
+    from repro.smp.machine import check_cpus
     from repro.workloads import registry
     descriptor = platform_by_name(platform)
+    check_cpus(descriptor, cpus)
     if all_workloads:
         workloads = [registry.create(name) for name in registry]
     else:

@@ -11,8 +11,8 @@ shared across many :meth:`repro.api.Session.run` calls.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.cpu.events import HwEvent
 

@@ -18,7 +18,7 @@ that have no meaning at all (e.g. subscripting a float).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.compiler.frontend.ast_nodes import (
     Assignment,

@@ -8,7 +8,7 @@ location (set by the frontend) is stamped onto every created instruction.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.compiler.ir.instructions import (
     Alloca,

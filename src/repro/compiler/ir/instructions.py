@@ -9,10 +9,9 @@ integer and floating-point opcodes, and control flow is explicit (``br``,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.ir.types import (
-    FloatType,
     IntType,
     PointerType,
     Type,
@@ -20,7 +19,7 @@ from repro.compiler.ir.types import (
     VOID,
     I1,
 )
-from repro.compiler.ir.values import Constant, Value
+from repro.compiler.ir.values import Value
 
 
 #: Integer binary opcodes.

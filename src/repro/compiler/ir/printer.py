@@ -26,7 +26,7 @@ from repro.compiler.ir.instructions import (
     Store,
 )
 from repro.compiler.ir.module import BasicBlock, Function, Module
-from repro.compiler.ir.types import FloatType, Type
+from repro.compiler.ir.types import FloatType
 from repro.compiler.ir.values import Constant, Value
 
 

@@ -10,14 +10,10 @@ from __future__ import annotations
 from typing import List, Set
 
 from repro.compiler.ir.instructions import (
-    Alloca,
     BinaryOp,
-    Branch,
     Call,
-    CompareOp,
     GetElementPtr,
     Instruction,
-    Jump,
     Load,
     Phi,
     Ret,

@@ -29,7 +29,7 @@ from repro.compiler.ir.instructions import (
 )
 from repro.compiler.ir.module import BasicBlock, Function, Module
 from repro.compiler.ir.types import FunctionType, Type
-from repro.compiler.ir.values import Argument, Constant, UndefValue, Value
+from repro.compiler.ir.values import Constant, UndefValue, Value
 
 
 def _map_value(value: Value, value_map: Dict[Value, Value]) -> Value:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.compiler.ir.instructions import Alloca, Instruction, Load, Phi
+from repro.compiler.ir.instructions import Alloca, Instruction, Phi
 from repro.compiler.ir.module import Function
 from repro.compiler.transforms.pass_manager import FunctionPass
 

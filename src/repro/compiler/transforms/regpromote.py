@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.compiler.ir.instructions import Alloca, Call, GetElementPtr, Instruction, Load, Store
+from repro.compiler.ir.instructions import Alloca, Load, Store
 from repro.compiler.ir.module import Function
 from repro.compiler.transforms.pass_manager import FunctionPass
 

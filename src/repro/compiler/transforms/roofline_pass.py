@@ -31,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.compiler.analysis.loops import LoopInfo
 from repro.compiler.analysis.regions import RegionInfo
-from repro.compiler.ir.instructions import BinaryOp, Branch, Call, Jump, Load, Phi, Store
+from repro.compiler.ir.instructions import BinaryOp, Branch, Call, Jump, Load, Store
 from repro.compiler.ir.module import BasicBlock, Function, Module
 from repro.compiler.ir.types import FunctionType, I1, I64, PTR, VOID
 from repro.compiler.ir.values import Constant

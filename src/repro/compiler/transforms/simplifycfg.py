@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.compiler.analysis.cfg import predecessors, reachable_blocks
-from repro.compiler.ir.instructions import Branch, Jump, Phi
+from repro.compiler.ir.instructions import Branch, Jump
 from repro.compiler.ir.module import Function
 from repro.compiler.ir.values import Constant
 from repro.compiler.transforms.pass_manager import FunctionPass

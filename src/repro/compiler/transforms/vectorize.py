@@ -20,15 +20,13 @@ are identical whether or not the loop vectorises, exactly as in the paper
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.compiler.analysis.loops import Loop, LoopInfo
 from repro.compiler.ir.instructions import (
     Alloca,
     BinaryOp,
     Call,
-    GetElementPtr,
-    Instruction,
     Load,
     Store,
 )

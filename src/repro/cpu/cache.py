@@ -10,7 +10,7 @@ DRAM roof from a measured 3.16 bytes/cycle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,12 @@ class MemoryConfig:
             raise ValueError("peak_bytes_per_cycle must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessResult:
-    """Outcome of one memory access walked through the hierarchy."""
+    """Outcome of one memory access walked through the hierarchy.
+
+    Immutable: the hierarchy hands out one shared instance per outcome.
+    """
 
     hit_level: str                 # name of the level that served the access, or "DRAM"
     latency: int                   # total latency in cycles
@@ -65,130 +68,37 @@ class AccessResult:
     dram_bytes: int                # bytes moved to/from DRAM (line fills + writebacks)
 
 
-class _CacheSet:
-    """One set of a set-associative cache with true-LRU replacement."""
-
-    __slots__ = ("capacity", "lines", "dirty")
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.lines: List[int] = []      # tags, most-recently-used last
-        self.dirty: Dict[int, bool] = {}
-
-    def lookup(self, tag: int) -> bool:
-        if tag in self.dirty:
-            self.lines.remove(tag)
-            self.lines.append(tag)
-            return True
-        return False
-
-    def insert(self, tag: int, dirty: bool) -> Optional[Tuple[int, bool]]:
-        """Insert a line; return the evicted ``(tag, was_dirty)`` if any."""
-        evicted = None
-        if tag in self.dirty:
-            self.lines.remove(tag)
-        elif len(self.lines) >= self.capacity:
-            victim = self.lines.pop(0)
-            evicted = (victim, self.dirty.pop(victim))
-        self.lines.append(tag)
-        self.dirty[tag] = self.dirty.get(tag, False) or dirty
-        return evicted
-
-    def mark_dirty(self, tag: int) -> None:
-        if tag in self.dirty:
-            self.dirty[tag] = True
-
-
 class Cache:
     """A single set-associative, write-allocate, write-back cache level.
 
-    Fast path: the set/tag split is precomputed as shift/mask operations
-    (line size is a power of two by construction; nearly every modelled
-    geometry also has a power-of-two set count), and the cache remembers the
-    *last line it touched* (hit or fill).  A repeated access to that line is
-    guaranteed to hit -- nothing can have evicted it in between, because
-    every other hit or fill would have retargeted the memo -- and its LRU
-    move is a no-op (the line is already most-recently-used), so the access
-    short-circuits to a hit counter bump.  The short-circuit is therefore
-    bit-exact: hits, misses, LRU order, dirty bits and writebacks are
-    identical with ``fast_path`` off.
+    Each set is one insertion-ordered ``dict`` mapping a resident line
+    number to its dirty bit, least recently used first: a hit moves the line
+    to the end (``d[line] = d.pop(line) or is_store``) and a fill into a full
+    set evicts ``next(iter(d))``.  The :class:`CacheHierarchy` walk reads and
+    updates this state directly.
+
+    The level also remembers the *last line it touched* (hit or fill).  A
+    repeated access to that line is guaranteed to hit -- nothing can have
+    evicted it in between, because every other hit or fill would have
+    retargeted the memo -- and its LRU move is a no-op (the line is already
+    most-recently-used), so with the hierarchy's fast path on the walk skips
+    the move and counts the hit in ``mru_hits`` as well.  Hits, misses, LRU
+    order, dirty bits and writebacks are identical with the fast path off.
     """
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self._sets: Dict[int, _CacheSet] = {}
+        self.ways = config.associativity
+        self.num_sets = config.num_sets
+        self.sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
         #: How many hits were served by the same-line short-circuit (a
         #: subset of ``hits``; observability only, never modelled time).
         self.mru_hits = 0
-        self.fast_path = True
-        self._line_shift = config.line_bytes.bit_length() - 1
-        num_sets = config.num_sets
-        if num_sets & (num_sets - 1) == 0:
-            self._set_mask: Optional[int] = num_sets - 1
-            self._set_shift = num_sets.bit_length() - 1
-        else:
-            self._set_mask = None
-            self._set_shift = 0
-        # Last-touched-line memo (absolute line number, its set bucket and
-        # tag); -1 means no line touched yet.
-        self._mru_line = -1
-        self._mru_bucket: Optional[_CacheSet] = None
-        self._mru_tag = 0
-
-    def _bucket_for(self, line: int) -> Tuple[_CacheSet, int]:
-        if self._set_mask is not None:
-            set_index = line & self._set_mask
-            tag = line >> self._set_shift
-        else:
-            num_sets = self.config.num_sets
-            set_index = line % num_sets
-            tag = line // num_sets
-        bucket = self._sets.get(set_index)
-        if bucket is None:
-            bucket = _CacheSet(self.config.associativity)
-            self._sets[set_index] = bucket
-        return bucket, tag
-
-    def access(self, address: int, is_store: bool) -> bool:
-        """Access one line; return True on hit.
-
-        On a miss the line is *not* filled here -- the hierarchy decides how
-        far down the miss travels and calls :meth:`fill` on the way back up.
-        """
-        line = address >> self._line_shift
-        if line == self._mru_line and self.fast_path:
-            self.hits += 1
-            self.mru_hits += 1
-            if is_store:
-                self._mru_bucket.dirty[self._mru_tag] = True
-            return True
-        bucket, tag = self._bucket_for(line)
-        if bucket.lookup(tag):
-            self.hits += 1
-            self._mru_line = line
-            self._mru_bucket = bucket
-            self._mru_tag = tag
-            if is_store:
-                bucket.mark_dirty(tag)
-            return True
-        self.misses += 1
-        return False
-
-    def fill(self, address: int, is_store: bool) -> bool:
-        """Fill the line containing *address*; return True if a dirty line was evicted."""
-        line = address >> self._line_shift
-        bucket, tag = self._bucket_for(line)
-        evicted = bucket.insert(tag, dirty=is_store)
-        self._mru_line = line
-        self._mru_bucket = bucket
-        self._mru_tag = tag
-        if evicted is not None and evicted[1]:
-            self.writebacks += 1
-            return True
-        return False
+        #: Absolute line number last hit or filled; -1 before any access.
+        self.mru_line = -1
 
     @property
     def accesses(self) -> int:
@@ -239,51 +149,39 @@ class CacheHierarchy:
         self._l1 = l1
         self._line_bytes = l1.config.line_bytes
         self._line_shift = self._line_bytes.bit_length() - 1
-        # The canonical result of a repeated single-line L1 hit.  After any
-        # access the accessed line is resident in L1 (the hierarchy is
-        # inclusive: hits below L1 fill the upper levels on the way back),
-        # so when the next single-line access touches L1's last-touched line
-        # it must hit L1 -- with exactly this result.  The instance is
-        # shared; consumers only read it.  In the degenerate case where L1 is
-        # a shared level, its memo asserts residency whichever hart touched
-        # the line last.
-        self._l1_hit = AccessResult(
-            hit_level=l1.config.name, latency=l1.config.hit_latency,
-            l1_miss=False, llc_miss=False, dram_bytes=0,
-        )
+        # The walk: each level paired with the canonical result of a hit
+        # there (latency summed over the levels looked up, L1 miss below L1).
+        # Results are immutable and shared: ``_results`` holds one instance
+        # per field tuple, seeded with the hits and memoising DRAM results
+        # and line-crossing aggregates as they occur.
+        self._walk: List[Tuple[Cache, AccessResult]] = []
+        self._results: Dict[tuple, AccessResult] = {}
+        latency = 0
+        for depth, cache in enumerate(self.levels):
+            latency += cache.config.hit_latency
+            key = (cache.config.name, latency, depth > 0, False, 0)
+            self._results[key] = AccessResult(*key)
+            self._walk.append((cache, self._results[key]))
+        self._miss_latency = latency
+        # After any access the accessed line is resident in L1 (a line that
+        # misses L1 is filled there), so a single-line access
+        # to L1's last-touched line must hit L1 -- with exactly this result.
+        # In the degenerate case where L1 is a shared level, its memo asserts
+        # residency whichever hart touched the line last.
+        self._l1_hit = self._walk[0][1]
 
     def set_fast_path(self, enabled: bool) -> None:
-        """Toggle the same-line short-circuits (hierarchy and per level).
+        """Toggle the same-line short-circuits of the walk.
 
         Results are bit-identical either way; the switch exists so
         differential suites can run the plain walk as the reference.
         """
         self.fast_path = enabled
-        for cache in self.levels:
-            cache.fast_path = enabled
 
     def access(self, address: int, size_bytes: int, is_store: bool) -> AccessResult:
-        """Walk one memory access through the hierarchy.
-
-        The per-op twin of :meth:`access_lines` (same result, same state
-        afterwards), kept apart as the reference the batched walk is
-        compared against.
-        """
-        if size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
-        shift = self._line_shift
-        first = address >> shift
-        last = (address + size_bytes - 1) >> shift
-        if first != last:
-            return self._access_span(first, last, is_store)
-        l1 = self._l1
-        if first == l1._mru_line and self.fast_path:
-            l1.hits += 1
-            l1.mru_hits += 1
-            if is_store:
-                l1._mru_bucket.dirty[l1._mru_tag] = True
-            return self._l1_hit
-        return self._access_line(first << shift, is_store)
+        """Walk one memory access through the hierarchy (see
+        :meth:`access_lines`)."""
+        return self.access_lines(((address, size_bytes, is_store),))[0]
 
     def fast_path_hits(self) -> Dict[str, int]:
         """Same-line short-circuit hits per level name.
@@ -300,101 +198,102 @@ class CacheHierarchy:
         *accesses* is a sequence of ``(address, size_bytes, is_store)``
         tuples -- the addressed memory ops of one retired batch, in program
         order.  Returns one :class:`AccessResult` per access.  When an
-        access spans several cache lines the worst latency is reported (the
-        lines are fetched in parallel by the miss handling hardware) and
-        DRAM bytes are summed.  A single-line access to the line L1 touched
-        last short-circuits the walk entirely (see :class:`Cache`); the
-        batched loop lets spatially local streams pay the call overhead once
-        and ride that short-circuit in a tight loop.
+        access spans several cache lines each line is walked in turn and the
+        results are combined: the worst latency is reported (the lines are
+        fetched in parallel by the miss handling hardware; the first line
+        wins a tie), DRAM bytes are summed and the miss flags OR-ed.
+
+        A line that misses a level is filled there at once (write-allocate;
+        the fill cannot disturb the levels below), so each line is resolved
+        in one pass down the levels.  A single-line access to the line L1
+        touched last short-circuits the walk entirely (see :class:`Cache`).
         """
         out: List[AccessResult] = []
         append = out.append
         shift = self._line_shift
+        line_bytes = self._line_bytes
         l1 = self._l1
+        l1_sets = l1.sets
+        l1_num_sets = l1.num_sets
+        walk = self._walk
         fast = self.fast_path
         l1_hit = self._l1_hit
-        access_line = self._access_line
+        results = self._results
+        controller = self.controller
         for address, size_bytes, is_store in accesses:
             if size_bytes <= 0:
                 raise ValueError("size_bytes must be positive")
-            first = address >> shift
+            line = address >> shift
             last = (address + size_bytes - 1) >> shift
-            if first == last:
-                if fast and first == l1._mru_line:
-                    l1.hits += 1
-                    l1.mru_hits += 1
-                    if is_store:
-                        l1._mru_bucket.dirty[l1._mru_tag] = True
-                    append(l1_hit)
+            if fast and line == l1.mru_line and line == last:
+                l1.hits += 1
+                l1.mru_hits += 1
+                if is_store:
+                    l1_sets[line % l1_num_sets][line] = True
+                append(l1_hit)
+                continue
+            first = line
+            while True:
+                written = 0
+                for cache, hit in walk:
+                    bucket = cache.sets[line % cache.num_sets]
+                    if line in bucket:
+                        cache.hits += 1
+                        if fast and line == cache.mru_line:
+                            cache.mru_hits += 1
+                            if is_store:
+                                bucket[line] = True
+                        else:
+                            bucket[line] = bucket.pop(line) or is_store
+                            cache.mru_line = line
+                        result = hit
+                        break
+                    cache.misses += 1
+                    if len(bucket) >= cache.ways and bucket.pop(next(iter(bucket))):
+                        cache.writebacks += 1
+                        written += line_bytes
+                    bucket[line] = is_store
+                    cache.mru_line = line
                 else:
-                    append(access_line(first << shift, is_store))
-            else:
-                append(self._access_span(first, last, is_store))
+                    # Missed every level: the line came from DRAM, and the
+                    # dirty victims of its fills went back there.
+                    if controller is None:
+                        latency = self._miss_latency + self.memory.latency_cycles
+                    else:
+                        latency = (self._miss_latency
+                                   + controller.access_latency(self.hart_id))
+                        controller.account_bytes(line_bytes, written)
+                    self.dram_read_bytes += line_bytes
+                    self.dram_write_bytes += written
+                    self.dram_accesses += 1
+                    key = ("DRAM", latency, True, True, line_bytes + written)
+                    result = results.get(key)
+                    if result is None:
+                        result = results[key] = AccessResult(*key)
+                if line == first:
+                    if line == last:
+                        append(result)
+                        break
+                    worst = result
+                    dram_bytes = result.dram_bytes
+                    l1_miss = result.l1_miss
+                    llc_miss = result.llc_miss
+                else:
+                    if result.latency > worst.latency:
+                        worst = result
+                    dram_bytes += result.dram_bytes
+                    l1_miss = l1_miss or result.l1_miss
+                    llc_miss = llc_miss or result.llc_miss
+                    if line == last:
+                        key = (worst.hit_level, worst.latency, l1_miss,
+                               llc_miss, dram_bytes)
+                        result = results.get(key)
+                        if result is None:
+                            result = results[key] = AccessResult(*key)
+                        append(result)
+                        break
+                line += 1
         return out
-
-    def _access_span(self, first: int, last: int,
-                     is_store: bool) -> AccessResult:
-        """Walk lines *first*..*last* of one access and aggregate them."""
-        shift = self._line_shift
-        worst: Optional[AccessResult] = None
-        total_dram = 0
-        l1_miss = False
-        llc_miss = False
-        for line_index in range(first, last + 1):
-            result = self._access_line(line_index << shift, is_store)
-            total_dram += result.dram_bytes
-            l1_miss = l1_miss or result.l1_miss
-            llc_miss = llc_miss or result.llc_miss
-            if worst is None or result.latency > worst.latency:
-                worst = result
-        assert worst is not None
-        return AccessResult(
-            hit_level=worst.hit_level,
-            latency=worst.latency,
-            l1_miss=l1_miss,
-            llc_miss=llc_miss,
-            dram_bytes=total_dram,
-        )
-
-    def _access_line(self, address: int, is_store: bool) -> AccessResult:
-        levels = self.levels
-        latency = 0
-        for depth, cache in enumerate(levels):
-            latency += cache.config.hit_latency
-            if cache.access(address, is_store):
-                # Fill the levels above (inclusive hierarchy).
-                for upper in levels[:depth]:
-                    upper.fill(address, is_store)
-                return AccessResult(
-                    hit_level=cache.config.name,
-                    latency=latency,
-                    l1_miss=depth > 0,
-                    llc_miss=False,
-                    dram_bytes=0,
-                )
-        # Missed every level: go to DRAM.
-        controller = self.controller
-        if controller is None:
-            latency += self.memory.latency_cycles
-        else:
-            latency += controller.access_latency(self.hart_id)
-        line = self._line_bytes
-        written = 0
-        for cache in levels:
-            if cache.fill(address, is_store):
-                written += line
-        self.dram_read_bytes += line
-        self.dram_write_bytes += written
-        self.dram_accesses += 1
-        if controller is not None:
-            controller.account_bytes(line, written)
-        return AccessResult(
-            hit_level="DRAM",
-            latency=latency,
-            l1_miss=True,
-            llc_miss=True,
-            dram_bytes=line + written,
-        )
 
     # -- statistics -----------------------------------------------------------
 

@@ -10,8 +10,8 @@ memory footprints and vector widths.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
-from typing import Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Optional
 
 
 class OpClass(enum.Enum):

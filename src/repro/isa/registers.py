@@ -9,7 +9,7 @@ context, as the Linux perf machinery does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 

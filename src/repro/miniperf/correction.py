@@ -16,7 +16,7 @@ Two corrections the paper's toolchain applies before reporting:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.kernel.perf_event import PerfReadValue
 from repro.kernel.ring_buffer import SampleRecord

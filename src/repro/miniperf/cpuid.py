@@ -12,7 +12,7 @@ which vendor event can serve as the sampling leader.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.cpu.events import HwEvent

@@ -10,10 +10,9 @@ instruction counts are derived -- the three columns of Table 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.cpu.events import HwEvent
-from repro.kernel.ring_buffer import SampleRecord
 from repro.miniperf.record import RecordingResult
 
 

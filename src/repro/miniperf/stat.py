@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.cpu.events import HwEvent
 from repro.kernel.perf_event import PerfEventAttr, PerfEventOpenError, ReadFormat

@@ -14,8 +14,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.cpu.events import HwEvent
 from repro.kernel.task import Task

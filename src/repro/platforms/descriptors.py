@@ -10,7 +10,7 @@ laptop part as the x86 comparator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Type
 
 from repro.cpu.cache import CacheConfig, MemoryConfig

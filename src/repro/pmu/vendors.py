@@ -19,7 +19,7 @@ That asymmetry is what the paper's miniperf workaround exploits.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.cpu.events import EventBus, HwEvent
 from repro.isa.csr import CpuIdentity

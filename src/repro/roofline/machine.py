@@ -11,7 +11,7 @@ measures them by running microbenchmarks on the machine model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.platforms.descriptors import PlatformDescriptor
 

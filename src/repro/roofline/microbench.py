@@ -12,7 +12,7 @@ consistent -- which is the property a roofline plot actually needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.compiler.frontend import compile_source
 from repro.compiler.targets import target_for_platform

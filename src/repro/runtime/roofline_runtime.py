@@ -20,7 +20,7 @@ two-phase roofline construction needs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.compiler.transforms.roofline_pass import (

@@ -58,8 +58,8 @@ import asyncio
 import json
 import signal
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 from repro import faults as _faults
 from repro import telemetry as _telemetry

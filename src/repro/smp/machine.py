@@ -96,6 +96,17 @@ class SystemWideEvent:
         self._closed = True
 
 
+def check_cpus(descriptor: PlatformDescriptor, cpus: int) -> None:
+    """Raise ``ValueError`` unless *descriptor*'s board has *cpus* harts."""
+    if cpus < 1:
+        raise ValueError(f"cpus must be >= 1 (got {cpus})")
+    if cpus > max(descriptor.harts, 1):
+        raise ValueError(
+            f"{descriptor.name} has {descriptor.harts} harts; "
+            f"cannot build a {cpus}-hart machine"
+        )
+
+
 class MultiHartMachine:
     """N harts of one platform sharing an LLC and a memory controller.
 
@@ -117,13 +128,7 @@ class MultiHartMachine:
                  vendor_driver: bool = True,
                  contention_per_hart: float = 0.5,
                  contention_window: int = 32):
-        if cpus < 1:
-            raise ValueError(f"cpus must be >= 1 (got {cpus})")
-        if cpus > max(descriptor.harts, 1):
-            raise ValueError(
-                f"{descriptor.name} has {descriptor.harts} harts; "
-                f"cannot build a {cpus}-hart machine"
-            )
+        check_cpus(descriptor, cpus)
         self.descriptor = descriptor
         self.vendor_driver = vendor_driver
         self.memory_system = SharedMemorySystem(

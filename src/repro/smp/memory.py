@@ -51,7 +51,10 @@ class MemoryController:
         self.config = config
         self.window = window
         self.contention_per_hart = contention_per_hart
-        self._recent: Deque[int] = deque(maxlen=window)
+        self._recent: Deque[int] = deque()
+        # How often each hart appears in ``_recent``; its length is the
+        # number of competing harts.
+        self._window_counts: Dict[int, int] = {}
         self.accesses = 0
         self.read_bytes = 0
         self.write_bytes = 0
@@ -60,14 +63,23 @@ class MemoryController:
 
     def competing_harts(self) -> int:
         """Number of distinct harts among the recent accesses."""
-        return len(set(self._recent)) or 1
+        return len(self._window_counts) or 1
 
     def access_latency(self, hart_id: int) -> int:
         """Record one DRAM access by *hart_id* and return its latency."""
-        self._recent.append(hart_id)
+        recent = self._recent
+        counts = self._window_counts
+        if len(recent) == self.window:
+            oldest = recent.popleft()
+            if counts[oldest] == 1:
+                del counts[oldest]
+            else:
+                counts[oldest] -= 1
+        recent.append(hart_id)
+        counts[hart_id] = counts.get(hart_id, 0) + 1
         self.accesses += 1
         self.per_hart_accesses[hart_id] = self.per_hart_accesses.get(hart_id, 0) + 1
-        competing = self.competing_harts()
+        competing = len(counts)
         if competing <= 1:
             return self.config.latency_cycles
         self.contended_accesses += 1

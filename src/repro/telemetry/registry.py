@@ -23,7 +23,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 #: A series key: label items sorted by label name.
 LabelKey = Tuple[Tuple[str, str], ...]

@@ -17,7 +17,7 @@ determinism suite compares across runs and ``PYTHONHASHSEED`` values.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.flamegraph.model import FlameNode
 

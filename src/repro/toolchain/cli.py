@@ -398,11 +398,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             return 1
         report = payload["analyze"]
     else:
-        report = build_analyze_report(
-            args.platform, cpus=cpus,
-            workload=None if args.all else args.workload,
-            params={} if args.all else _workload_params(args),
-            all_workloads=args.all)
+        try:
+            report = build_analyze_report(
+                args.platform, cpus=cpus,
+                workload=None if args.all else args.workload,
+                params={} if args.all else _workload_params(args),
+                all_workloads=args.all)
+        except ValueError as error:
+            print(f"analyze failed: {error}", file=sys.stderr)
+            return 1
     if args.json:
         print(json.dumps(report, indent=2))
     else:

@@ -16,7 +16,6 @@ Table 2 are reproduced; exact percentages depend on the timing model.
 
 from __future__ import annotations
 
-from typing import Dict
 
 from repro.workloads.synthetic import InstructionMix, SyntheticFunction, SyntheticWorkload
 

@@ -151,6 +151,24 @@ class TestFlagsAndExports:
         assert code == 1
         assert "roofline failed" in err
 
+    def test_analyze_more_cpus_than_harts_fails_cleanly(self, capsys):
+        """``--cpus`` above the board's hart count is refused before any
+        shard is allocated, locally and through the daemon (a 400)."""
+        from repro.service.daemon import BackgroundServer, ServiceConfig
+        argv = ["analyze", "--workload", "stream-triad-mt", "-n", "64",
+                "--cpus", "60", "-p", "x60"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == ("analyze failed: SpacemiT X60 has 8 harts; "
+                       "cannot build a 60-hart machine\n")
+        config = ServiceConfig(port=0, workers=0, warm_kernels=False)
+        with BackgroundServer(config) as server:
+            code, out, err = run_cli(capsys, *argv, "--server",
+                                     server.address)
+        assert (code, out) == (1, "")
+        assert err.startswith("analyze failed: HTTP 400: ")
+        assert "cannot build a 60-hart machine" in err
+
     def test_record_no_vendor_driver_on_x60_fails_cleanly(self, capsys):
         """Stock kernel on the X60: the workaround leader event is missing."""
         code, _, err = run_cli(capsys, "record", "--platform", "SpacemiT X60",

@@ -331,3 +331,62 @@ def test_unreferenced_allowlist_has_no_stale_entries():
     stale = [pattern for pattern in UNREFERENCED_ALLOWED
              if not fnmatch.filter(qualified, pattern)]
     assert stale == []
+
+
+# -- unused imports --------------------------------------------------------------------
+
+
+def _unused_imports(src_root):
+    """``site: name`` of every name a non-``__init__`` module under
+    *src_root* imports but never loads.  ``from __future__`` imports are
+    exempt, and so are names the module lists in ``__all__`` (an explicit
+    re-export); package ``__init__`` modules import to re-export."""
+    out = []
+    for path in iter_python_files([src_root]):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        tree = _parse(path)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                used.update(element.value for element in node.value.elts)
+        site = os.path.relpath(path, src_root).replace(os.sep, "/")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        out.append(f"{site}:{node.lineno}: {bound}")
+    return out
+
+
+def test_unused_import_scan_flags_only_unloaded_names(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("from pkg.mod import Box\n")
+    (tmp_path / "pkg" / "mod.py").write_text(textwrap.dedent("""\
+        from __future__ import annotations
+        import os.path
+        import json as codec
+        from typing import Dict, List
+        from collections import deque, OrderedDict
+        __all__ = ["OrderedDict", "Box"]
+
+        class Box:
+            items: Dict[str, int]
+
+            def load(self) -> str:
+                return os.path.join("a", "b")
+    """))
+    assert _unused_imports(str(tmp_path)) == [
+        "pkg/mod.py:3: codec", "pkg/mod.py:4: List", "pkg/mod.py:5: deque"]
+
+
+def test_src_modules_have_no_unused_imports():
+    unused = _unused_imports(SRC_REPRO)
+    assert unused == [], "\n".join(unused)
