@@ -103,12 +103,10 @@ def test_dispatch_rate_fast(benchmark):
 def _retire_per_op(machine) -> None:
     """Route *machine*'s batched retirement through a per-op
     ``Machine.execute`` loop: fast dispatch still builds the batches, but
-    every op retires (and walks the plain cache hierarchy) through
+    every op retires (and walks the cache hierarchy) through
     ``CoreTimingModel.retire``, so the batch's pre-collected *mem_accesses*
-    go unused.  The cache switch sits inside the batch hook because
-    ``Session.run`` sets it from the spec after this patch is applied."""
+    go unused."""
     def execute_batch(ops, task=None, mem_accesses=()):
-        machine.set_cache_fast_path(False)
         for op in ops:
             machine.execute(op, task)
     machine.execute_batch = execute_batch

@@ -32,11 +32,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.dataflow import DataflowAnalysis, pointer_root, solve
-from repro.compiler.analysis.cfg import (
-    predecessors,
-    reachable_blocks,
-    reverse_postorder,
-)
+from repro.compiler.analysis import LoopInfo
+from repro.compiler.analysis.cfg import reachable_blocks
 from repro.compiler.ir.instructions import (
     Alloca,
     BinaryOp,
@@ -186,56 +183,23 @@ class _SlotContent:
 
 def _loop_stored_slots(function: Function,
                        slots: frozenset) -> Dict[BasicBlock, frozenset]:
-    """Per loop head, the scalar slots stored inside any loop it heads.
+    """Per loop head, the scalar slots stored inside the natural loop it
+    heads (:class:`~repro.compiler.analysis.LoopInfo`; *function* is
+    pipeline output, so every block is reachable).
 
-    Loop heads are targets of back edges (edges whose source the head
-    dominates); the loop body is the natural loop of each back edge.  This
-    is the selective-widening map: at a loop head only the slots the loop
-    itself modifies need widening -- loop-invariant contents (the outer
+    This is the selective-widening map: at a loop head only the slots the
+    loop itself modifies need widening -- loop-invariant contents (the outer
     induction variable seen from an inner loop) keep their joined value, so
     a transiently-growing outer bound is not smeared to infinity by an
     inner head it never changes in.
     """
-    order = reverse_postorder(function)
-    preds = predecessors(function)
-    entry = function.entry_block
-    blocks = set(order)
-    dom: Dict[BasicBlock, set] = {entry: {entry}}
-    for block in order:
-        if block is not entry:
-            dom[block] = set(blocks)
-    changed = True
-    while changed:
-        changed = False
-        for block in order:
-            if block is entry:
-                continue
-            incoming = [dom[p] for p in preds.get(block, []) if p in dom]
-            new = set.intersection(*incoming) if incoming else set()
-            new.add(block)
-            if new != dom[block]:
-                dom[block] = new
-                changed = True
-    stored: Dict[BasicBlock, set] = {}
-    for tail in order:
-        for head in tail.successors():
-            if head not in blocks or head not in dom.get(tail, ()):
-                continue
-            # Natural loop of the back edge tail -> head.
-            body = {head, tail}
-            stack = [tail]
-            while stack:
-                node = stack.pop()
-                for pred in preds.get(node, []):
-                    if pred in blocks and pred not in body:
-                        body.add(pred)
-                        stack.append(pred)
-            bucket = stored.setdefault(head, set())
-            for block in body:
-                for inst in block.instructions:
-                    if isinstance(inst, Store) and inst.pointer in slots:
-                        bucket.add(inst.pointer)
-    return {head: frozenset(bucket) for head, bucket in stored.items()}
+    return {
+        loop.header: frozenset(
+            inst.pointer for block in loop.blocks
+            for inst in block.instructions
+            if isinstance(inst, Store) and inst.pointer in slots)
+        for loop in LoopInfo(function).all_loops()
+    }
 
 
 def scalar_slots(function: Function) -> frozenset:

@@ -287,8 +287,8 @@ class Session:
         graphs and aggregate roofline roofs.
 
         ``spec.fast_dispatch`` (default on) selects the fast paths or every
-        reference path -- engine, retirement and cache walk, for the PMU
-        runs and the roofline phases alike.  Both backends honour it;
+        reference path -- engine and retirement, for the PMU runs and the
+        roofline phases alike.  Both backends honour it;
         results are bit-identical either way, only wall-clock time differs.
 
         Analyses that the platform cannot deliver (e.g. sampling on a part
@@ -322,7 +322,6 @@ class Session:
                 run.errors[key] = str(error)
                 run.failures[key] = error
             return run
-        machine.set_cache_fast_path(spec.fast_dispatch)
         backend_type = _SmpBackend if spec.cpus > 1 else _HartBackend
         backend = backend_type(tool, machine, workload, spec)
         timings = {"compile": 0.0, "execute": 0.0, "analyses": 0.0}

@@ -54,15 +54,16 @@ class ProfileSpec:
     fast_dispatch:
         The one switch between the fast paths (the default) and their
         references.  ``True`` runs compiled kernels as generated Python
-        code on the batch-retiring engine, synthetic traces retire in
-        batches, and the cache hierarchy takes its same-line
-        short-circuits.  ``False`` selects every reference path at once: the
-        reference interpreter, per-op retirement and the plain cache walk,
-        for the PMU runs and the roofline phases alike.  Counters, multiplex
-        times, sample streams, SMP schedules and roofline results are
-        bit-identical either way (the differential suite pins this down);
-        the reference paths exist for exactly those equivalence runs.  Per-
-        pass IR verification is not a spec knob: set ``REPRO_VERIFY_IR=1``.
+        code on the batch-retiring engine and synthetic traces retire in
+        batches.  ``False`` selects every reference path at once: the
+        reference interpreter and per-op retirement, for the PMU runs and
+        the roofline phases alike.  The cache hierarchy has one walk either
+        way, checked against an independent LRU oracle in the tests.
+        Counters, multiplex times, sample streams, SMP schedules and
+        roofline results are bit-identical either way (the differential
+        suite pins this down); the reference paths exist for exactly those
+        equivalence runs.  Per-pass IR verification is not a spec knob: set
+        ``REPRO_VERIFY_IR=1``.
     analyses:
         Which of :data:`ANALYSES` to derive.  ``stat`` counts (no samples);
         ``hotspots`` and ``flamegraph`` need one sampling recording (shared);

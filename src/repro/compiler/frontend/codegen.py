@@ -104,9 +104,9 @@ class _LoopContext:
 class CodeGenerator:
     """Generates a :class:`Module` from a checked translation unit."""
 
-    def __init__(self, unit: TranslationUnit, module_name: str = ""):
+    def __init__(self, unit: TranslationUnit):
         self.unit = unit
-        self.module = Module(module_name or unit.filename)
+        self.module = Module(unit.filename)
         self.builder = IRBuilder()
         self._locals: Dict[str, Alloca] = {}
         self._loop_stack: List[_LoopContext] = []

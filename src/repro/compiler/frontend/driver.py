@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.compiler.frontend.codegen import CodeGenerator
 from repro.compiler.frontend.parser import Parser
 from repro.compiler.frontend.sema import SemanticAnalyzer
@@ -11,27 +9,14 @@ from repro.compiler.ir.module import Module
 from repro.compiler.ir.verifier import verify_module
 
 
-def compile_source(source: str, filename: str = "<source>",
-                   module_name: Optional[str] = None,
-                   verify: bool = True) -> Module:
-    """Compile KernelC *source* into a verified IR module.
+def compile_source(source: str, filename: str = "<source>") -> Module:
+    """Compile KernelC *source* into a verified IR module named *filename*.
 
-    Parameters
-    ----------
-    source:
-        The program text.
-    filename:
-        Used in diagnostics and attached to instructions as source locations
-        (and therefore visible in roofline reports).
-    module_name:
-        Name of the resulting module (defaults to *filename*).
-    verify:
-        Run the IR verifier on the result (on by default; switching it off is
-        only useful when measuring compilation overhead in benchmarks).
+    *filename* is also used in diagnostics and attached to instructions as
+    source locations (and therefore visible in roofline reports).
     """
     unit = Parser(source, filename).parse()
     SemanticAnalyzer(unit).analyze()
-    module = CodeGenerator(unit, module_name or filename).generate()
-    if verify:
-        verify_module(module)
+    module = CodeGenerator(unit).generate()
+    verify_module(module)
     return module

@@ -29,7 +29,7 @@ from repro.compiler.ir.instructions import (
 )
 from repro.compiler.ir.module import BasicBlock, Function
 from repro.compiler.ir.types import FloatType, IntType, Type
-from repro.compiler.ir.values import Constant, Value
+from repro.compiler.ir.values import Value
 
 
 class IRBuilder:
@@ -68,12 +68,6 @@ class IRBuilder:
         self.block.append(instruction)
         return instruction
 
-    # -- constants --------------------------------------------------------------------
-
-    @staticmethod
-    def const(type_: Type, value) -> Constant:
-        return Constant(type_, value)
-
     # -- arithmetic -------------------------------------------------------------------
 
     def binary(self, opcode: str, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
@@ -88,23 +82,8 @@ class IRBuilder:
     def mul(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
         return self.binary("mul", lhs, rhs, name)
 
-    def sdiv(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
-        return self.binary("sdiv", lhs, rhs, name)
-
-    def srem(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
-        return self.binary("srem", lhs, rhs, name)
-
-    def fadd(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
-        return self.binary("fadd", lhs, rhs, name)
-
     def fsub(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
         return self.binary("fsub", lhs, rhs, name)
-
-    def fmul(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
-        return self.binary("fmul", lhs, rhs, name)
-
-    def fdiv(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
-        return self.binary("fdiv", lhs, rhs, name)
 
     # -- comparisons -------------------------------------------------------------------
 
@@ -172,9 +151,6 @@ class IRBuilder:
 
     def fptosi(self, value: Value, to_type: IntType, name: str = "") -> Cast:
         return self.cast("fptosi", value, to_type, name)
-
-    def sext(self, value: Value, to_type: IntType, name: str = "") -> Cast:
-        return self.cast("sext", value, to_type, name)
 
     def trunc(self, value: Value, to_type: IntType, name: str = "") -> Cast:
         return self.cast("trunc", value, to_type, name)

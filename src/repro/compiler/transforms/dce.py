@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.compiler.ir.instructions import Alloca, Instruction, Phi
+from repro.compiler.ir.instructions import Instruction, Phi
 from repro.compiler.ir.module import Function
 from repro.compiler.transforms.pass_manager import FunctionPass
 
@@ -19,8 +19,7 @@ class DeadCodeEliminationPass(FunctionPass):
 
     name = "dce"
 
-    def __init__(self, remove_dead_allocas: bool = True):
-        self.remove_dead_allocas = remove_dead_allocas
+    def __init__(self):
         self._removed = 0
 
     @property
@@ -31,8 +30,6 @@ class DeadCodeEliminationPass(FunctionPass):
         if inst.has_side_effects or inst.is_terminator:
             return False
         if inst.type.is_void:
-            return False
-        if isinstance(inst, Alloca) and not self.remove_dead_allocas:
             return False
         # An instruction is dead when no instruction in the function uses it.
         for block in function.blocks:

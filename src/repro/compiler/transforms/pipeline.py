@@ -12,7 +12,7 @@ Two pipelines are provided:
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import Optional
 
 from repro.compiler.transforms.constfold import ConstantFoldPass
 from repro.compiler.transforms.dce import DeadCodeEliminationPass
@@ -47,7 +47,6 @@ def resolve_verify_each(verify_each: Optional[bool]) -> bool:
 
 def default_optimization_pipeline(vector_width: int = 8,
                                   enable_vectorizer: bool = True,
-                                  promote_scalars: bool = True,
                                   verify_each: Optional[bool] = None,
                                   ) -> PassManager:
     """Cleanup + scalar promotion + (optional) vectorisation, no instrumentation."""
@@ -55,8 +54,7 @@ def default_optimization_pipeline(vector_width: int = 8,
     manager.add(ConstantFoldPass())
     manager.add(SimplifyCfgPass())
     manager.add(DeadCodeEliminationPass())
-    if promote_scalars:
-        manager.add(PromoteScalarsPass())
+    manager.add(PromoteScalarsPass())
     if enable_vectorizer and vector_width > 1:
         manager.add(LoopVectorizePass(vector_width=vector_width))
     return manager
@@ -64,8 +62,6 @@ def default_optimization_pipeline(vector_width: int = 8,
 
 def build_roofline_pipeline(vector_width: int = 8,
                             enable_vectorizer: bool = True,
-                            promote_scalars: bool = True,
-                            only_functions: Optional[List[str]] = None,
                             instrument_first: bool = False,
                             verify_each: Optional[bool] = None) -> PassManager:
     """The full pipeline with Roofline instrumentation.
@@ -75,12 +71,11 @@ def build_roofline_pipeline(vector_width: int = 8,
     study of the paper's "apply the pass late" design choice.
     """
     manager = PassManager(verify_each=resolve_verify_each(verify_each))
-    instrumentation = RooflineInstrumentationPass(only_functions=only_functions)
+    instrumentation = RooflineInstrumentationPass()
     manager.add(ConstantFoldPass())
     manager.add(SimplifyCfgPass())
     manager.add(DeadCodeEliminationPass())
-    if promote_scalars:
-        manager.add(PromoteScalarsPass())
+    manager.add(PromoteScalarsPass())
     if instrument_first:
         manager.add(instrumentation)
         if enable_vectorizer and vector_width > 1:

@@ -29,7 +29,7 @@ Loop metadata (function name, source file/line) is registered in the module's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.compiler.analysis.regions import RegionInfo
 from repro.compiler.ir.instructions import BinaryOp, Branch, Call, Jump, Load, Store
@@ -105,9 +105,7 @@ class RooflineInstrumentationPass(ModulePass):
 
     name = "roofline-instrument"
 
-    def __init__(self, only_functions: Optional[List[str]] = None):
-        #: Restrict instrumentation to these function names (None = all).
-        self.only_functions = only_functions
+    def __init__(self):
         self._instrumented_loops = 0
         self._skipped_non_sese = 0
 
@@ -152,11 +150,7 @@ class RooflineInstrumentationPass(ModulePass):
             return True
         if function.name.endswith(INSTRUMENTED_SUFFIX):
             return True
-        if function.name.startswith("mperf_roofline_internal"):
-            return True
-        if self.only_functions is not None and function.name not in self.only_functions:
-            return True
-        return False
+        return function.name.startswith("mperf_roofline_internal")
 
     # -- per-function work --------------------------------------------------------------------
 

@@ -45,11 +45,10 @@ class LoopVectorizePass(FunctionPass):
 
     name = "loop-vectorize"
 
-    def __init__(self, vector_width: int = 8, allow_reductions: bool = True):
+    def __init__(self, vector_width: int = 8):
         if vector_width < 1:
             raise ValueError("vector_width must be >= 1")
         self.vector_width = vector_width
-        self.allow_reductions = allow_reductions
         self._vectorized = 0
         self._rejected_calls = 0
         self._rejected_dependence = 0
@@ -115,7 +114,7 @@ class LoopVectorizePass(FunctionPass):
     def _loop_is_vectorizable(self, loop: Loop) -> bool:
         if loop.subloops:
             return False  # only innermost loops
-        reductions = self._reduction_allocas(loop) if self.allow_reductions else set()
+        reductions = self._reduction_allocas(loop)
         for inst in loop.instructions():
             if isinstance(inst, Call):
                 self._rejected_calls += 1

@@ -15,7 +15,6 @@ from repro.cpu.core import (
     CoreTimingModel,
     InOrderCore,
     OutOfOrderCore,
-    RetireResult,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "CoreTimingModel",
     "InOrderCore",
     "OutOfOrderCore",
-    "RetireResult",
 ]

@@ -81,9 +81,10 @@ class Cache:
     repeated access to that line is guaranteed to hit -- nothing can have
     evicted it in between, because every other hit or fill would have
     retargeted the memo -- and its LRU move is a no-op (the line is already
-    most-recently-used), so with the hierarchy's fast path on the walk skips
-    the move and counts the hit in ``mru_hits`` as well.  Hits, misses, LRU
-    order, dirty bits and writebacks are identical with the fast path off.
+    most-recently-used), so the walk skips the move and counts the hit in
+    ``mru_hits`` as well.  Hits, misses, LRU order, dirty bits and writebacks
+    are those of a plain LRU walk (``tests/test_cache_oracle.py`` checks them
+    against an independent list-based model).
     """
 
     def __init__(self, config: CacheConfig):
@@ -144,7 +145,6 @@ class CacheHierarchy:
         self.dram_read_bytes = 0
         self.dram_write_bytes = 0
         self.dram_accesses = 0
-        self.fast_path = True
         l1 = self.levels[0]
         self._l1 = l1
         self._line_bytes = l1.config.line_bytes
@@ -169,14 +169,6 @@ class CacheHierarchy:
         # In the degenerate case where L1 is a shared level, its memo asserts
         # residency whichever hart touched the line last.
         self._l1_hit = self._walk[0][1]
-
-    def set_fast_path(self, enabled: bool) -> None:
-        """Toggle the same-line short-circuits of the walk.
-
-        Results are bit-identical either way; the switch exists so
-        differential suites can run the plain walk as the reference.
-        """
-        self.fast_path = enabled
 
     def access(self, address: int, size_bytes: int, is_store: bool) -> AccessResult:
         """Walk one memory access through the hierarchy (see
@@ -216,7 +208,6 @@ class CacheHierarchy:
         l1_sets = l1.sets
         l1_num_sets = l1.num_sets
         walk = self._walk
-        fast = self.fast_path
         l1_hit = self._l1_hit
         results = self._results
         controller = self.controller
@@ -225,7 +216,7 @@ class CacheHierarchy:
                 raise ValueError("size_bytes must be positive")
             line = address >> shift
             last = (address + size_bytes - 1) >> shift
-            if fast and line == l1.mru_line and line == last:
+            if line == l1.mru_line and line == last:
                 l1.hits += 1
                 l1.mru_hits += 1
                 if is_store:
@@ -239,7 +230,7 @@ class CacheHierarchy:
                     bucket = cache.sets[line % cache.num_sets]
                     if line in bucket:
                         cache.hits += 1
-                        if fast and line == cache.mru_line:
+                        if line == cache.mru_line:
                             cache.mru_hits += 1
                             if is_store:
                                 bucket[line] = True

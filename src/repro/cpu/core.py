@@ -140,19 +140,6 @@ class BlockDelta:
     """
 
 
-@dataclass
-class RetireResult:
-    """What retiring one machine op cost."""
-
-    cycles: int
-    base_cycles: float
-    stall_cycles: float
-    l1_miss: bool = False
-    llc_miss: bool = False
-    mispredicted: bool = False
-    dram_bytes: int = 0
-
-
 class CoreTimingModel:
     """Common machinery shared by the in-order and out-of-order models."""
 
@@ -204,7 +191,7 @@ class CoreTimingModel:
     def elapsed_seconds(self) -> float:
         return self.total_cycles / self.config.frequency_hz
 
-    def retire(self, op: MachineOp) -> RetireResult:
+    def retire(self, op: MachineOp) -> None:
         """Retire one machine op: advance time, publish PMU events."""
         mem: Optional[AccessResult] = None
         mispredicted = False
@@ -215,24 +202,14 @@ class CoreTimingModel:
             mispredicted = self.predictor.update(op.pc, op.target, op.taken)
 
         base, frontend, backend = self._op_cost(op, mem, mispredicted)
-        cycles = self._retire_one(op, mem, mispredicted,
-                                  base + frontend + backend, frontend, backend)
-
-        return RetireResult(
-            cycles=cycles,
-            base_cycles=base,
-            stall_cycles=frontend + backend,
-            l1_miss=bool(mem and mem.l1_miss),
-            llc_miss=bool(mem and mem.llc_miss),
-            mispredicted=mispredicted,
-            dram_bytes=mem.dram_bytes if mem else 0,
-        )
+        self._retire_one(op, mem, mispredicted, base + frontend + backend,
+                         frontend, backend)
 
     def _retire_one(self, op: MachineOp, mem: Optional[AccessResult],
                     mispredicted: bool, total: float, frontend: float,
-                    backend: float) -> int:
+                    backend: float) -> None:
         """Advance time by one op costing *total* cycles and publish its
-        events op-precisely; returns the integer cycles it retired."""
+        events op-precisely."""
         self.frontend_stall_cycles += frontend
         self.backend_stall_cycles += backend
         self._cycle_remainder += total
@@ -242,7 +219,6 @@ class CoreTimingModel:
         self.retired_instructions += 1
         self.mode_cycles.add(self.privilege_mode, cycles)
         self._publish(op, mem, mispredicted, cycles, frontend, backend)
-        return cycles
 
     # -- batched retirement -----------------------------------------------------
 

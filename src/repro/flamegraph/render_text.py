@@ -27,15 +27,15 @@ def _layout(node: FlameNode, start: float, width: float, rows: List[List[tuple]]
         offset += child_width
 
 
-def render_text(root: FlameNode, width: int = 100, show_root: bool = False) -> str:
-    """Render the flame graph as fixed-width text, one row per depth."""
+def render_text(root: FlameNode, width: int = 100) -> str:
+    """Render the flame graph as fixed-width text, one row per depth (the
+    root row is left out)."""
     if root.value == 0:
         return "(empty flame graph)"
     rows: List[List[tuple]] = []
     _layout(root, 0.0, float(width), rows)
     lines: List[str] = []
-    start_row = 0 if show_root else 1
-    for depth in range(len(rows) - 1, start_row - 1, -1):
+    for depth in range(len(rows) - 1, 0, -1):
         line = [" "] * width
         for start, cell_width, name in rows[depth]:
             begin = int(round(start))

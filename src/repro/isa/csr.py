@@ -136,7 +136,6 @@ class CsrFile:
         if not 0 <= num_hpm_counters <= 29:
             raise ValueError("num_hpm_counters must be in [0, 29]")
         self._identity = identity
-        self._num_hpm = num_hpm_counters
         self._regs: Dict[int, int] = {
             CSR_MVENDORID: identity.mvendorid & MASK64,
             CSR_MARCHID: identity.marchid & MASK64,
@@ -157,10 +156,6 @@ class CsrFile:
     @property
     def identity(self) -> CpuIdentity:
         return self._identity
-
-    @property
-    def num_hpm_counters(self) -> int:
-        return self._num_hpm
 
     # -- raw access (machine mode / firmware) -------------------------------
 

@@ -226,16 +226,17 @@ class PerfEventSubsystem:
 
     # -- enable / disable -----------------------------------------------------------
 
-    def enable(self, fd: int, whole_group: bool = True) -> None:
-        """PERF_EVENT_IOC_ENABLE (optionally with IOC_FLAG_GROUP semantics)."""
+    def enable(self, fd: int) -> None:
+        """PERF_EVENT_IOC_ENABLE; on a group leader, the whole group
+        (IOC_FLAG_GROUP semantics)."""
         event = self.event(fd)
-        targets = event.group_events() if whole_group and event.is_leader else [event]
+        targets = event.group_events() if event.is_leader else [event]
         for target in targets:
             self._enable_one(target)
 
-    def disable(self, fd: int, whole_group: bool = True) -> None:
+    def disable(self, fd: int) -> None:
         event = self.event(fd)
-        targets = event.group_events() if whole_group and event.is_leader else [event]
+        targets = event.group_events() if event.is_leader else [event]
         for target in targets:
             self._disable_one(target)
 

@@ -81,9 +81,7 @@ class HotspotReport:
         return "\n".join(lines)
 
 
-def build_hotspot_report(recording: RecordingResult,
-                         cycles_event: HwEvent = HwEvent.CYCLES,
-                         instructions_event: HwEvent = HwEvent.INSTRUCTIONS) -> HotspotReport:
+def build_hotspot_report(recording: RecordingResult) -> HotspotReport:
     """Aggregate a recording into a hotspot table.
 
     Group readouts are cumulative at each sample, so the delta between
@@ -91,6 +89,8 @@ def build_hotspot_report(recording: RecordingResult,
     attributed to the function on top of the stack at sample time, the same
     approximation ``perf report`` makes.
     """
+    cycles_key = HwEvent.CYCLES.value
+    instructions_key = HwEvent.INSTRUCTIONS.value
     samples = recording.samples
     report = HotspotReport(platform=recording.platform, total_samples=len(samples),
                            overall_ipc=recording.overall_ipc)
@@ -106,8 +106,8 @@ def build_hotspot_report(recording: RecordingResult,
     for sample in samples:
         function = sample.leaf_function
         per_function_samples[function] = per_function_samples.get(function, 0) + 1
-        cycles_now = sample.group_values.get(cycles_event.value, 0)
-        instructions_now = sample.group_values.get(instructions_event.value, 0)
+        cycles_now = sample.group_values.get(cycles_key, 0)
+        instructions_now = sample.group_values.get(instructions_key, 0)
         delta_cycles = max(0, cycles_now - previous_cycles)
         delta_instructions = max(0, instructions_now - previous_instructions)
         previous_cycles = max(previous_cycles, cycles_now)

@@ -5,11 +5,11 @@
 * :meth:`stat` -- counting mode;
 * :meth:`record` -- sampling mode (with the group-leader workaround when the
   identified CPU needs it);
-* :meth:`hotspots` -- Table-2 style hotspot tables from a recording;
-* :meth:`flamegraph` -- folded-stack flame graphs from a recording;
-* :meth:`roofline` -- the compiler-driven roofline flow (two-phase execution
-  of an instrumented module), which is hardware-agnostic and therefore works
-  identically on every platform model.
+* :meth:`hotspots` -- Table-2 style hotspot tables from a recording.
+
+Flame graphs come from :func:`repro.flamegraph.build_flame_graph` over a
+recording's samples, and the compiler-driven roofline flow from
+:class:`repro.roofline.runner.RooflineRunner`.
 """
 
 from __future__ import annotations
@@ -54,35 +54,6 @@ class Miniperf:
 
     def hotspots(self, recording: RecordingResult) -> HotspotReport:
         return build_hotspot_report(recording)
-
-    # -- flame graphs -----------------------------------------------------------------------
-
-    def flamegraph(self, recording: RecordingResult, weight: str = "samples"):
-        """Build a flame graph from a recording.
-
-        ``weight`` selects what frame widths represent: ``"samples"`` (the
-        classic cycle-proportional graph when cycles lead the sampling) or
-        the name of a group event (e.g. ``"instructions"``) to weight each
-        sample by that event's delta -- the instructions-retired flame graphs
-        of the paper's Figure 3.
-        """
-        from repro.flamegraph import build_flame_graph
-        return build_flame_graph(recording.samples, weight=weight)
-
-    # -- roofline ---------------------------------------------------------------------------
-
-    def roofline(self, source: str, function: str, args_builder,
-                 repeats: int = 1, vector_width: Optional[int] = None):
-        """Run the compiler-driven roofline flow for one kernel.
-
-        See :class:`repro.roofline.runner.RooflineRunner` for the full
-        parameter description; this is a convenience wrapper bound to this
-        Miniperf instance's machine.
-        """
-        from repro.roofline.runner import RooflineRunner
-        runner = RooflineRunner(self.machine.descriptor)
-        return runner.run_source(source, function, args_builder,
-                                 repeats=repeats, vector_width=vector_width)
 
     def describe(self) -> str:
         lines = [

@@ -129,7 +129,7 @@ class Machine:
 
     # -- execution -------------------------------------------------------------------
 
-    def execute(self, op: MachineOp, task: Optional[Task] = None):
+    def execute(self, op: MachineOp, task: Optional[Task] = None) -> None:
         """Retire one machine op on this machine's core.
 
         When *task* is given its program counter is updated first so any
@@ -139,7 +139,7 @@ class Machine:
             task.set_pc(op.pc)
         if self._access_recorder is not None and op.is_memory and op.address is not None:
             self._access_recorder(op.address, op.size_bytes, op.is_store)
-        return self.core.retire(op)
+        self.core.retire(op)
 
     def execute_batch(self, ops: Sequence[MachineOp],
                       task: Optional[Task] = None,
@@ -176,14 +176,6 @@ class Machine:
         observation only -- timing, counters and samples are unaffected.
         """
         self._access_recorder = recorder
-
-    def set_cache_fast_path(self, enabled: bool) -> None:
-        """Toggle the memory hierarchy's same-line short-circuits.
-
-        Bit-identical results either way; differential suites turn the fast
-        path off to run the plain per-level walk as the reference.
-        """
-        self.hierarchy.set_fast_path(enabled)
 
     def set_privilege_mode(self, mode: PrivilegeMode) -> None:
         self.core.set_privilege_mode(mode)

@@ -52,9 +52,6 @@ class PmuUnit:
     event_codes:
         Mapping from :class:`HwEvent` to the vendor's raw selector code
         (what would be written into ``mhpmevent``).
-    fixed_counter_events:
-        Events served by fixed-function counters (index -> event); on RISC-V
-        these are mcycle (0) and minstret (2).
     fixed_counters_support_sampling:
         Whether the fixed-function counters can raise overflow interrupts.
         This is the knob that is *False* on the SpacemiT X60 and creates the
@@ -72,7 +69,6 @@ class PmuUnit:
         bus: EventBus,
         capabilities: PmuCapabilities,
         event_codes: Dict[HwEvent, int],
-        fixed_counter_events: Optional[Dict[int, HwEvent]] = None,
         fixed_counters_support_sampling: bool = True,
         generic_counters_support_sampling: bool = True,
     ):
@@ -81,14 +77,12 @@ class PmuUnit:
         self._event_codes = dict(event_codes)
         self._counters: Dict[int, HardwareCounter] = {}
 
-        fixed = fixed_counter_events
-        if fixed is None:
-            fixed = {
-                self.FIXED_CYCLE_INDEX: HwEvent.CYCLES,
-                self.FIXED_INSTRET_INDEX: HwEvent.INSTRUCTIONS,
-            }
-        self._fixed_events = dict(fixed)
-        for index, event in fixed.items():
+        # The fixed-function counters: mcycle (0) and minstret (2).
+        self._fixed_events = {
+            self.FIXED_CYCLE_INDEX: HwEvent.CYCLES,
+            self.FIXED_INSTRET_INDEX: HwEvent.INSTRUCTIONS,
+        }
+        for index, event in self._fixed_events.items():
             counter = HardwareCounter(index, fixed_counters_support_sampling)
             counter.configure(event)
             self._counters[index] = counter

@@ -16,7 +16,7 @@ plus the instrumentation-overhead figure the paper discusses in Section 4.4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.compiler.frontend import compile_source
 from repro.compiler.ir.module import Module
@@ -151,24 +151,19 @@ class RooflineRunner:
     """Coordinates compilation, the two executions and their correlation."""
 
     def __init__(self, descriptor: PlatformDescriptor,
-                 roofs: Optional[MachineRoofs] = None,
-                 vector_width: Optional[int] = None,
                  enable_vectorizer: bool = True,
                  instrument_first: bool = False,
                  vendor_driver: bool = True,
                  fast_dispatch: bool = True):
         self.descriptor = descriptor
-        self.roofs = roofs or theoretical_roofs(descriptor)
-        self.vector_width = (
-            vector_width if vector_width is not None else descriptor.vector.sp_lanes()
-        )
+        self.roofs = theoretical_roofs(descriptor)
         self.enable_vectorizer = enable_vectorizer
         self.instrument_first = instrument_first
         # The two-phase flow is hardware-agnostic (no PMU events are opened),
         # but the machines it builds should still model the configured kernel.
         self.vendor_driver = vendor_driver
-        # ``False`` runs both phases on every reference path -- interpreter,
-        # per-op retirement, plain cache walk -- with bit-identical results.
+        # ``False`` runs both phases on every reference path -- interpreter
+        # and per-op retirement -- with bit-identical results.
         self.fast_dispatch = fast_dispatch
 
     # -- compilation -------------------------------------------------------------------------
@@ -176,7 +171,7 @@ class RooflineRunner:
     def compile(self, source: str, filename: str = "kernel.c") -> Module:
         module = compile_source(source, filename)
         pipeline = build_roofline_pipeline(
-            vector_width=self.vector_width,
+            vector_width=self.descriptor.vector.sp_lanes(),
             enable_vectorizer=self.enable_vectorizer,
             instrument_first=self.instrument_first,
         )
@@ -188,7 +183,6 @@ class RooflineRunner:
     def _execute(self, module: Module, function: str, args_builder: ArgsBuilder,
                  instrumented: bool, repeats: int) -> (Machine, RooflineRuntime):
         machine = Machine(self.descriptor, vendor_driver=self.vendor_driver)
-        machine.set_cache_fast_path(self.fast_dispatch)
         target = target_for_platform(self.descriptor)
         task = machine.create_task(function)
         runtime = RooflineRuntime(module, machine, instrumented=instrumented)
@@ -252,10 +246,7 @@ class RooflineRunner:
         return result
 
     def run_source(self, source: str, function: str, args_builder: ArgsBuilder,
-                   repeats: int = 1, filename: str = "kernel.c",
-                   vector_width: Optional[int] = None) -> KernelRooflineResult:
+                   repeats: int = 1, filename: str = "kernel.c") -> KernelRooflineResult:
         """Compile KernelC source and run the two-phase flow."""
-        if vector_width is not None:
-            self.vector_width = vector_width
         module = self.compile(source, filename)
         return self.run_module(module, function, args_builder, repeats=repeats)

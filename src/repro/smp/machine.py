@@ -119,23 +119,18 @@ class MultiHartMachine:
         How many harts to instantiate.
     vendor_driver:
         Propagated to every hart's kernel PMU driver.
-    contention_per_hart / contention_window:
-        Parameters of the DRAM bandwidth-contention model (see
-        :class:`~repro.smp.memory.MemoryController`).
+
+    The harts share a :class:`~repro.smp.memory.SharedMemorySystem` with the
+    default DRAM bandwidth-contention model.
     """
 
     def __init__(self, descriptor: PlatformDescriptor, cpus: int,
-                 vendor_driver: bool = True,
-                 contention_per_hart: float = 0.5,
-                 contention_window: int = 32):
+                 vendor_driver: bool = True):
         check_cpus(descriptor, cpus)
         self.descriptor = descriptor
         self.vendor_driver = vendor_driver
-        self.memory_system = SharedMemorySystem(
-            descriptor.caches, descriptor.memory,
-            window=contention_window,
-            contention_per_hart=contention_per_hart,
-        )
+        self.memory_system = SharedMemorySystem(descriptor.caches,
+                                                descriptor.memory)
         self.harts: List[Machine] = [
             Machine(
                 descriptor,
@@ -164,12 +159,6 @@ class MultiHartMachine:
 
     def hart(self, hart_id: int) -> Machine:
         return self.harts[hart_id]
-
-    def set_cache_fast_path(self, enabled: bool) -> None:
-        """Toggle the same-line short-circuits on every hart's hierarchy
-        (private levels and the shared LLC alike); bit-identical either way."""
-        for hart in self.harts:
-            hart.set_cache_fast_path(enabled)
 
     def create_task(self, name: str, hart_id: int = 0) -> Task:
         return self.harts[hart_id].create_task(name)

@@ -51,9 +51,8 @@ machine (per-hart columns, cpu-tagged samples, hart-labelled flame graphs);
 emits the machine-consumable export of the same run.
 ``--no-fast-dispatch`` on stat/record/flamegraph/compare selects every
 reference path at once -- the reference interpreter instead of the
-generated batch-retiring engine, per-op retirement instead of batches, and
-the plain cache walk instead of the same-line short-circuits, for the
-PMU runs and (on compare --roofline) the roofline phases alike.  Output is
+generated batch-retiring engine and per-op retirement instead of batches,
+for the PMU runs and (on compare --roofline) the roofline phases alike.  Output is
 bit-identical, only slower; the flag exists for differential runs.
 Each subcommand builds one ProfileSpec from its flags and sends that same
 spec down the local and the ``--server`` path.  Per-pass IR verification is
@@ -633,8 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_dispatch(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--no-fast-dispatch", action="store_true",
                          help="select every reference path: the reference "
-                              "interpreter, per-op retirement and the plain "
-                              "cache walk (bit-identical results, slower; "
+                              "interpreter and per-op retirement "
+                              "(bit-identical results, slower; "
                               "for differential runs)")
 
     identify = subparsers.add_parser("identify", help="cpuid-based identification")

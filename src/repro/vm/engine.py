@@ -790,6 +790,15 @@ class ExecutionEngine:
     fast_dispatch:
         Run each function as one generated Python generator (default).
         The slow path is the reference interpreter used by equivalence tests.
+
+    An instruction that raises (a float conversion that overflows, say)
+    raises the same exception type and message on both paths.  The state it
+    leaves behind is not specified: the reference path has retired and
+    counted the instructions before it, the fast path may still hold them
+    unflushed, so machine counters and :attr:`stats` differ.  No caller
+    reads that state -- ``Session.run`` propagates the error and
+    ``run_plan`` records it as a ``RunFailure`` -- so an engine and its
+    machine are discarded after a raise.
     """
 
     #: Pending machine ops are flushed to the machine once the buffer reaches

@@ -62,13 +62,11 @@ class Memory:
 
     # -- allocation --------------------------------------------------------------------
 
-    def malloc(self, size: int, align: int = 16) -> int:
+    def malloc(self, size: int) -> int:
         """Allocate *size* bytes on the heap; returns the address."""
         if size <= 0:
             raise MemoryError_("allocation size must be positive")
-        top = self._heap_top
-        if top % align:
-            top += align - (top % align)
+        top = (self._heap_top + 15) & -16       # 16-byte aligned
         address = top
         new_top = top + size
         needed = new_top - self.heap_base
@@ -85,12 +83,10 @@ class Memory:
         """Begin a stack frame; returns a token for :meth:`pop_stack_frame`."""
         return self._stack_top
 
-    def stack_alloc(self, size: int, align: int = 16) -> int:
+    def stack_alloc(self, size: int) -> int:
         if size <= 0:
             raise MemoryError_("allocation size must be positive")
-        top = self._stack_top
-        if top % align:
-            top += align - (top % align)
+        top = (self._stack_top + 15) & -16      # 16-byte aligned
         address = top
         self._stack_top = top + size
         used = self._stack_top - self.STACK_BASE

@@ -1,4 +1,4 @@
-"""Differential suite for the dispatch/retirement/cache fast paths and the
+"""Differential suite for the dispatch/retirement fast paths and the
 executor.
 
 Two layers of evidence that the perf subsystem changes nothing observable:

@@ -2,9 +2,9 @@
 contention window against a direct model of it.
 
 ``CacheHierarchy.access_lines`` resolves each line in one pass over dict-
-ordered sets and hands out shared result instances; ``access()`` and the
-plain (``set_fast_path(False)``) walk go through the same code, so none of
-them can serve as the others' reference.  The oracle here is the former
+ordered sets, short-circuits repeated same-line accesses and hands out
+shared result instances; ``access()`` goes through the same code, so it
+cannot serve as its reference.  The oracle here is the former
 list-based true-LRU walk: each set keeps a list of tags in LRU order plus a
 dirty map, each line is looked up level by level and the upper levels are
 filled on the way back, and a line-crossing access walks its lines one by
@@ -229,11 +229,10 @@ def _counters(stats: dict) -> dict:
 
 
 @pytest.mark.parametrize("seed", range(2))
-@pytest.mark.parametrize("fast", (True, False), ids=("fast", "plain"))
 @pytest.mark.parametrize("harts", (1, 2, 3, 4))
 @pytest.mark.parametrize("descriptor", all_platforms(),
                          ids=lambda descriptor: descriptor.name)
-def test_walk_matches_list_lru_oracle(descriptor, harts, fast, seed):
+def test_walk_matches_list_lru_oracle(descriptor, harts, seed):
     """*harts* = 1 is the single-hart hierarchy (fixed DRAM latency); more
     harts share the last level and the contended controller, and their
     accesses interleave in random chunks through ``access_lines`` or
@@ -252,8 +251,6 @@ def test_walk_matches_list_lru_oracle(descriptor, harts, fast, seed):
         controller = _OracleController(memory)
         oracles = [_OracleHierarchy(caches[:-1], memory, shared, controller,
                                     hart) for hart in range(harts)]
-    for model in models:
-        model.set_fast_path(fast)
     streams = [_stream(rng, descriptor, 1200, hart) for hart in range(harts)]
     cursors = [0] * harts
     crossings = 0
@@ -278,14 +275,12 @@ def test_walk_matches_list_lru_oracle(descriptor, harts, fast, seed):
     if system is not None:
         assert system.controller.stats() == controller.stats()
         assert controller.contended > 0
-    # Not vacuous: crossings, dirty writebacks and stores that hit occur.
+    # Not vacuous: crossings, dirty writebacks, stores that hit and
+    # same-line short-circuits occur.
     assert crossings > 0
     assert sum(cache.writebacks for cache in oracles[0].levels) > 0
     assert any(cache.hits for cache in oracles[0].levels)
-    if fast:
-        assert models[0].fast_path_hits()[caches[0].name] > 0
-    else:
-        assert not any(models[0].fast_path_hits().values())
+    assert models[0].fast_path_hits()[caches[0].name] > 0
 
 
 def test_results_are_canonical_and_immutable():

@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.compiler.frontend import compile_source
-from repro.compiler.ir import F32, I32, I64, FunctionType, IRBuilder, Module
+from repro.compiler.ir import F32, F64, I32, I64, FunctionType, IRBuilder, Module
 from repro.compiler.targets import target_for_platform
 from repro.compiler.transforms import build_roofline_pipeline
 from repro.cpu.events import HwEvent
@@ -110,6 +110,30 @@ class TestFloatSemantics:
         assert engine.run("f", [nan, nan]) == 0
         assert engine.run("f", [1.0, 2.0]) == 1
         assert engine.run("f", [1.0, 1.0]) == 0
+
+
+def test_mid_block_raise_matches_across_paths():
+    """An instruction that raises after others in its block raises the same
+    exception on both paths; the state left behind is not compared (see the
+    :class:`ExecutionEngine` docstring)."""
+    module = Module("m")
+    function = module.create_function("f", FunctionType(F32, [I64, I64, F64]),
+                                      ["a", "b", "x"])
+    builder = IRBuilder(function.add_block("entry"))
+    total = builder.add(function.args[0], function.args[1])
+    builder.mul(total, function.args[1])
+    builder.ret(builder.cast("fptrunc", function.args[2], F32))
+    descriptor = spacemit_x60()
+    raised = []
+    for fast in (True, False):
+        engine = ExecutionEngine(module, Machine(descriptor),
+                                 target_for_platform(descriptor),
+                                 fast_dispatch=fast)
+        with pytest.raises(Exception) as info:
+            engine.run("f", [1, 2, 1e300])
+        raised.append((info.type, str(info.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] is OverflowError
 
 
 class TestLibmMinMax:

@@ -181,10 +181,9 @@ def _without_shared(stats):
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("batched", (False, True), ids=("access", "access_lines"))
-@pytest.mark.parametrize("fast", (True, False), ids=("fast", "plain"))
 @pytest.mark.parametrize("descriptor", all_platforms(),
                          ids=lambda descriptor: descriptor.name)
-def test_one_hart_smp_walk_matches_single_hart(descriptor, fast, batched, seed):
+def test_one_hart_smp_walk_matches_single_hart(descriptor, batched, seed):
     rng = random.Random(seed)
     stream = _random_stream(rng, descriptor, 1500)
     single = CacheHierarchy(descriptor.caches, descriptor.memory)
@@ -193,7 +192,6 @@ def test_one_hart_smp_walk_matches_single_hart(descriptor, fast, batched, seed):
     chunking = rng.getstate()
     observed = []
     for hierarchy in (single, hart):
-        hierarchy.set_fast_path(fast)
         rng.setstate(chunking)
         observed.append([
             (r.hit_level, r.latency, r.l1_miss, r.llc_miss, r.dram_bytes)
