@@ -8,10 +8,10 @@ cannot serve as its reference.  The oracle here is the former
 list-based true-LRU walk: each set keeps a list of tags in LRU order plus a
 dirty map, each line is looked up level by level and the upper levels are
 filled on the way back, and a line-crossing access walks its lines one by
-one and combines fresh results.  Seeded random streams -- single-hart, and
-2-4 harts sharing the last level and the memory controller -- must produce
-the same results, counters, DRAM traffic and controller statistics on every
-platform.
+one and combines fresh results.  Seeded streams -- scattered mixes and
+kernel-shaped sweeps, single-hart and 2-4 harts sharing the last level and
+the memory controller -- must produce the same results, counters, DRAM
+traffic and controller statistics on every platform.
 """
 
 import random
@@ -188,7 +188,7 @@ class _OracleHierarchy:
 # -- streams ------------------------------------------------------------------------
 
 
-def _stream(rng: random.Random, descriptor, length: int, hart: int):
+def _mixed_stream(rng: random.Random, descriptor, length: int, hart: int):
     """Loads and stores of 1-64 bytes at any alignment (so some cross a
     line), over a hart-private hot region that is stored to and read back,
     a region every hart shares, addresses that all map to one set of every
@@ -214,6 +214,42 @@ def _stream(rng: random.Random, descriptor, length: int, hart: int):
     return stream
 
 
+def _sweep_stream(rng: random.Random, descriptor, length: int, hart: int):
+    """Kernel-shaped sweeps, the pattern the same-line short-circuit serves:
+    in turn a triad (load b[i], load c[i], store a[i]), an in-place update
+    (load b[i], store b[i]) and stores down one column of a matrix whose
+    rows lie one last-level set span apart (so they share a set at every
+    level and dirty lines are evicted).  Elements are 4, 8 or 12 bytes, so a 12-byte element
+    sometimes crosses a line, and each sweep starts at a random index, so
+    earlier sweeps leave lines to hit."""
+    llc = descriptor.caches[-1]
+    set_span = llc.num_sets * llc.line_bytes
+    a, b, c = (0x1000_0000 + hart * 0x10_0000 + k * 0x4_0000
+               for k in range(3))
+    matrix = 0x4000_0000 + hart * 0x2000
+    rows = 2 * llc.associativity + 2
+    stream = []
+    kernel = 0
+    while len(stream) < length:
+        size = rng.choice((4, 8, 12))
+        start = rng.randrange(512)
+        indices = range(start, start + rng.randint(16, 96))
+        if kernel == 0:
+            for i in indices:
+                stream += [(b + i * size, size, False),
+                           (c + i * size, size, False),
+                           (a + i * size, size, True)]
+        elif kernel == 1:
+            for i in indices:
+                stream += [(b + i * size, size, False),
+                           (b + i * size, size, True)]
+        else:
+            stream += [(matrix + start * size + row * set_span, size, True)
+                       for row in range(rows)]
+        kernel = (kernel + 1) % 3
+    return stream[:length]
+
+
 def _fields(result) -> tuple:
     return (result.hit_level, result.latency, result.l1_miss,
             result.llc_miss, result.dram_bytes)
@@ -229,10 +265,12 @@ def _counters(stats: dict) -> dict:
 
 
 @pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("pattern", (_mixed_stream, _sweep_stream),
+                         ids=("mixed", "sweep"))
 @pytest.mark.parametrize("harts", (1, 2, 3, 4))
 @pytest.mark.parametrize("descriptor", all_platforms(),
                          ids=lambda descriptor: descriptor.name)
-def test_walk_matches_list_lru_oracle(descriptor, harts, seed):
+def test_walk_matches_list_lru_oracle(descriptor, harts, pattern, seed):
     """*harts* = 1 is the single-hart hierarchy (fixed DRAM latency); more
     harts share the last level and the contended controller, and their
     accesses interleave in random chunks through ``access_lines`` or
@@ -251,7 +289,7 @@ def test_walk_matches_list_lru_oracle(descriptor, harts, seed):
         controller = _OracleController(memory)
         oracles = [_OracleHierarchy(caches[:-1], memory, shared, controller,
                                     hart) for hart in range(harts)]
-    streams = [_stream(rng, descriptor, 1200, hart) for hart in range(harts)]
+    streams = [pattern(rng, descriptor, 1200, hart) for hart in range(harts)]
     cursors = [0] * harts
     crossings = 0
     while any(cursor < len(stream)

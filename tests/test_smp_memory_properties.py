@@ -163,6 +163,36 @@ def _random_stream(rng: random.Random, descriptor, length: int):
     return stream
 
 
+def _sweep_stream(rng: random.Random, descriptor, length: int):
+    """Kernel-shaped sweeps of 4-12 byte elements, where consecutive
+    accesses keep hitting one line: in turn a triad (load b[i], load c[i],
+    store a[i]), an in-place update (load b[i], store b[i]) and stores
+    down one column of a matrix whose rows all map to one LLC set."""
+    llc = descriptor.caches[-1]
+    set_span = llc.num_sets * llc.line_bytes
+    a, b, c = (0x1000_0000 + k * 0x4_0000 for k in range(3))
+    stream = []
+    kernel = 0
+    while len(stream) < length:
+        size = rng.choice((4, 8, 12))
+        start = rng.randrange(512)
+        indices = range(start, start + rng.randint(16, 96))
+        if kernel == 0:
+            for i in indices:
+                stream += [(b + i * size, size, False),
+                           (c + i * size, size, False),
+                           (a + i * size, size, True)]
+        elif kernel == 1:
+            for i in indices:
+                stream += [(b + i * size, size, False),
+                           (b + i * size, size, True)]
+        else:
+            stream += [(0x4000_0000 + start * size + row * set_span, size, True)
+                       for row in range(2 * llc.associativity + 2)]
+        kernel = (kernel + 1) % 3
+    return stream[:length]
+
+
 def _resolve(hierarchy, stream, batched: bool, rng: random.Random):
     if not batched:
         return [hierarchy.access(*access) for access in stream]
@@ -181,11 +211,14 @@ def _without_shared(stats):
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("batched", (False, True), ids=("access", "access_lines"))
+@pytest.mark.parametrize("pattern", (_random_stream, _sweep_stream),
+                         ids=("mixed", "sweep"))
 @pytest.mark.parametrize("descriptor", all_platforms(),
                          ids=lambda descriptor: descriptor.name)
-def test_one_hart_smp_walk_matches_single_hart(descriptor, batched, seed):
+def test_one_hart_smp_walk_matches_single_hart(descriptor, pattern, batched,
+                                               seed):
     rng = random.Random(seed)
-    stream = _random_stream(rng, descriptor, 1500)
+    stream = pattern(rng, descriptor, 1500)
     single = CacheHierarchy(descriptor.caches, descriptor.memory)
     hart = SharedMemorySystem(descriptor.caches,
                               descriptor.memory).hierarchy_for_hart(0)
