@@ -19,32 +19,26 @@ Quick start::
 
 __version__ = "1.2.0"
 
-from repro.platforms import (
-    Machine,
-    all_platforms,
-    intel_i5_1135g7,
-    platform_by_name,
-    sifive_u74,
-    spacemit_x60,
-    thead_c910,
-)
-from repro.miniperf import Miniperf
-from repro.api import Comparison, ProfileSpec, Run, Session
-from repro.smp import MultiHartMachine
+# The package namespace loads each name's module on first access: a
+# synthetic-trace record never imports the compiler, the VM or the SMP model.
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "Machine",
-    "MultiHartMachine",
-    "Miniperf",
-    "Session",
-    "ProfileSpec",
-    "Run",
-    "Comparison",
-    "all_platforms",
-    "platform_by_name",
-    "spacemit_x60",
-    "sifive_u74",
-    "thead_c910",
-    "intel_i5_1135g7",
-]
+_EXPORTS = {
+    "Machine": "repro.platforms",
+    "MultiHartMachine": "repro.smp",
+    "Miniperf": "repro.miniperf",
+    "Session": "repro.api",
+    "ProfileSpec": "repro.api",
+    "Run": "repro.api",
+    "Comparison": "repro.api",
+    "all_platforms": "repro.platforms",
+    "platform_by_name": "repro.platforms",
+    "spacemit_x60": "repro.platforms",
+    "sifive_u74": "repro.platforms",
+    "thead_c910": "repro.platforms",
+    "intel_i5_1135g7": "repro.platforms",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -28,28 +28,28 @@ Quick start::
     comparison = Session.compare(["SpacemiT X60", "Intel Core i5-1135G7"],
                                  "sqlite3-like", ProfileSpec())
     print(comparison.report())
+
+The re-exported names load their module on first access, so a process that
+never fans runs out over worker processes never imports
+:mod:`repro.api.executor` (and with it :mod:`multiprocessing`).
 """
 
-from repro.api.spec import ANALYSES, ProfileSpec
-from repro.api.workload import (
-    CompiledKernelWorkload,
-    SyntheticTraceWorkload,
-    Workload,
-)
-from repro.api.executor import RunRequest, execute_request, run_many
-from repro.api.run import Comparison, Run
-from repro.api.session import Session
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ANALYSES",
-    "ProfileSpec",
-    "Workload",
-    "SyntheticTraceWorkload",
-    "CompiledKernelWorkload",
-    "Run",
-    "RunRequest",
-    "run_many",
-    "execute_request",
-    "Comparison",
-    "Session",
-]
+_EXPORTS = {
+    "ANALYSES": "repro.api.spec",
+    "ProfileSpec": "repro.api.spec",
+    "Workload": "repro.api.workload",
+    "SyntheticTraceWorkload": "repro.api.workload",
+    "CompiledKernelWorkload": "repro.api.workload",
+    "Run": "repro.api.run",
+    "RunRequest": "repro.api.executor",
+    "run_many": "repro.api.executor",
+    "execute_request": "repro.api.executor",
+    "Comparison": "repro.api.run",
+    "Session": "repro.api.session",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

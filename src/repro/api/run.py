@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.api.spec import ProfileSpec
 from repro.cpu.events import HwEvent
@@ -27,7 +27,9 @@ from repro.miniperf.report import HotspotReport
 from repro.miniperf.stat import StatResult
 from repro.roofline.model import RooflineModel
 from repro.roofline.plot import render_ascii_roofline, render_svg_roofline
-from repro.roofline.runner import KernelRooflineResult
+
+if TYPE_CHECKING:
+    from repro.roofline.runner import KernelRooflineResult
 
 
 def strip_timings(payload):

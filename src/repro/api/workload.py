@@ -15,19 +15,22 @@ Concrete workloads are usually looked up by name in the registry
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, runtime_checkable
 
+# A module-level name, so profilers can wrap it; importing the compile cache
+# loads no compiler code until the first compile.
 from repro.compiler.cache import compile_source_cached
-from repro.compiler.targets import target_for_platform
 from repro.kernel.task import Task
 from repro.platforms.descriptors import PlatformDescriptor
 from repro.platforms.machine import Machine
-from repro.roofline.runner import ArgsBuilder, KernelRooflineResult, RooflineRunner
-from repro.vm import ExecutionEngine, Memory
 from repro.workloads.sqlite3_like import instruction_factor_for
 from repro.workloads.synthetic import SyntheticWorkload, TraceExecutor
 
 from repro.api.spec import ProfileSpec
+
+if TYPE_CHECKING:
+    # The VM and the roofline runner load when a compiled kernel first runs.
+    from repro.roofline.runner import ArgsBuilder, KernelRooflineResult
 
 
 @runtime_checkable
@@ -137,6 +140,9 @@ class CompiledKernelWorkload:
         # and the platform target lowering is shared process-wide, so
         # repeated runs -- and every hart of an SMP machine -- reuse one
         # module and one warm lowering cache.
+        from repro.compiler.targets import target_for_platform
+        from repro.vm import ExecutionEngine, Memory
+
         descriptor = machine.descriptor
         module = compile_source_cached(self.source, self.filename, descriptor,
                                        spec.enable_vectorizer)
@@ -159,6 +165,8 @@ class CompiledKernelWorkload:
 
     def roofline(self, descriptor: PlatformDescriptor,
                  spec: ProfileSpec) -> KernelRooflineResult:
+        from repro.roofline.runner import RooflineRunner
+
         runner = RooflineRunner(
             descriptor,
             enable_vectorizer=spec.enable_vectorizer,

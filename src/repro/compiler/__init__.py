@@ -18,17 +18,22 @@ pass needs, built from scratch:
   kernel can be compiled from source text.
 * :mod:`repro.compiler.targets` -- per-target lowering cost models (RV64GC,
   RV64GCV, x86-64 AVX2) used by the execution engine.
+
+The re-exported names load the IR on first access, so importing
+:mod:`repro.compiler.cache` alone stays cheap.
 """
 
-from repro.compiler.ir.module import Module, Function, BasicBlock
-from repro.compiler.ir.builder import IRBuilder
-from repro.compiler.ir.verifier import verify_module, VerificationError
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Module",
-    "Function",
-    "BasicBlock",
-    "IRBuilder",
-    "verify_module",
-    "VerificationError",
-]
+_EXPORTS = {
+    "Module": "repro.compiler.ir.module",
+    "Function": "repro.compiler.ir.module",
+    "BasicBlock": "repro.compiler.ir.module",
+    "IRBuilder": "repro.compiler.ir.builder",
+    "verify_module": "repro.compiler.ir.verifier",
+    "VerificationError": "repro.compiler.ir.verifier",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

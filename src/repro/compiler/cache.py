@@ -30,18 +30,16 @@ cold and warm processes, with disk activity tallied separately.
 from __future__ import annotations
 
 import pickle
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from repro import faults as _faults
 from repro.cache import keys as cache_keys
 from repro.cache.store import default_store
-from repro.compiler.frontend import compile_source
-from repro.compiler.ir.module import Module
-from repro.compiler.ir.verifier import verify_module
-from repro.compiler.transforms import default_optimization_pipeline
-from repro.compiler.transforms.pipeline import verify_ir_requested
 from repro.platforms.descriptors import PlatformDescriptor
 from repro.telemetry import span as _span
+
+if TYPE_CHECKING:
+    from repro.compiler.ir.module import Module
 
 #: Memoized modules by their full content address (source + filename +
 #: canonical lowering config); see :func:`module_cache_key`.
@@ -103,6 +101,13 @@ def compile_source_cached(source: str, filename: str,
     verified module without recompiling.
     """
     global _CACHE_HITS, _CACHE_MISSES, _DISK_HITS
+    # The compiler loads with the first kernel, not with this module, so
+    # processes that only replay synthetic traces never import it; the
+    # frontend loads only when a module is really compiled.
+    from repro.compiler.ir.verifier import verify_module
+    from repro.compiler.transforms import default_optimization_pipeline
+    from repro.compiler.transforms.pipeline import verify_ir_requested
+
     verify_each = verify_ir_requested()
     key = module_cache_key(source, filename, descriptor, enable_vectorizer)
     store = default_store()
@@ -133,6 +138,7 @@ def compile_source_cached(source: str, filename: str,
             # Chaos hook: fires only on a true compile (memo and disk both
             # missed), so a cached module never turns into a failure.
             _faults.fail("compiler.compile_fail")
+            from repro.compiler.frontend import compile_source
             with _span("compile_kernel", cat="compiler", filename=filename,
                        march=descriptor.march):
                 module = compile_source(source, filename)

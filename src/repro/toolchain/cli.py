@@ -67,6 +67,11 @@ writes it as Chrome trace-event JSON -- loadable in Perfetto or
 ``chrome://tracing`` -- or as JSONL when PATH ends in ``.jsonl``.  Tracing
 is observability only: the profiled output is byte-identical with and
 without it.
+
+Each subcommand imports what only it uses -- the session, the static
+analyzers, the roofline plots, the service client and daemon -- so
+``repro platforms`` loads none of them, and a synthetic-trace ``record``
+loads no compiler, VM, analysis or service code.
 """
 
 from __future__ import annotations
@@ -75,24 +80,20 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.analysis.lint import default_lint_root, iter_python_files, lint_paths
-from repro.analysis.report import (
-    build_analyze_report,
-    failed_certifications,
-    format_analyze_report,
-)
-from repro.api import ProfileSpec, Session
+from repro.api.spec import ProfileSpec
 from repro.flamegraph import render_text
 from repro.miniperf import Miniperf
 from repro.miniperf.groups import SamplingNotSupportedError
 from repro.kernel.perf_event import PerfEventOpenError
 from repro.platforms import Machine, all_platforms, platform_by_name
 from repro.pmu.vendors import all_capabilities
-from repro.roofline.plot import render_ascii_roofline, render_svg_roofline
 from repro.telemetry import span as _span
 from repro.workloads import registry
+
+if TYPE_CHECKING:
+    from repro.api.session import Session
 
 
 def _format_table(keys: List[str], rows: List[dict]) -> str:
@@ -159,6 +160,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
 
 
 def _session(args: argparse.Namespace) -> Session:
+    from repro.api.session import Session
     return Session(platform_by_name(args.platform),
                    vendor_driver=not args.no_vendor_driver)
 
@@ -316,6 +318,7 @@ def cmd_flamegraph(args: argparse.Namespace) -> int:
 
 
 def cmd_roofline(args: argparse.Namespace) -> int:
+    from repro.roofline.plot import render_ascii_roofline, render_svg_roofline
     spec = _spec(args, analyses=("roofline",),
                  enable_vectorizer=not args.no_vectorize)
     run = _session(args).run(_workload(args), spec)
@@ -368,6 +371,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # up front (unknown or duplicate names raise one clean ValueError).  The
     # workload travels by registry name so --workers can ship it to worker
     # processes.
+    from repro.api.session import Session
     comparison = Session.compare(
         args.platforms, args.workload, spec,
         workers=args.workers, workload_params=_workload_params(args))
@@ -382,6 +386,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.analysis.report import (
+        build_analyze_report,
+        failed_certifications,
+        format_analyze_report,
+    )
     cpus = 1 if args.cpus is None else args.cpus
     if getattr(args, "server", None):
         from repro.service.client import ServiceError
@@ -549,6 +558,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    from repro.analysis.lint import default_lint_root, iter_python_files, lint_paths
     paths = args.paths or [default_lint_root()]
     missing = [path for path in paths if not os.path.exists(path)]
     if missing:
@@ -871,7 +881,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (KeyError, ValueError, SamplingNotSupportedError,
             PerfEventOpenError) as error:
-        print(f"error: {error}", file=sys.stderr)
+        # str(KeyError) is the repr of its argument; print the message.
+        message = (error.args[0] if isinstance(error, KeyError) and error.args
+                   else error)
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

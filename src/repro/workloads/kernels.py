@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-from repro.vm.memory import Memory
+if TYPE_CHECKING:
+    from repro.vm.memory import Memory
 
 #: The paper's tiled matmul kernel (TILE_SIZE = 32).
 MATMUL_TILED_SOURCE = """

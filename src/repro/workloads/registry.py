@@ -143,11 +143,6 @@ def _register_builtins(reg: WorkloadRegistry) -> None:
     # the workload leaf modules, so a top-level import would be circular when
     # ``repro.api`` is imported first.
     from repro.api.workload import CompiledKernelWorkload, SyntheticTraceWorkload
-    from repro.workloads.parallel import (
-        ForkJoinCalltreeWorkload,
-        MatmulParallelWorkload,
-        StreamTriadMtWorkload,
-    )
 
     def add_synthetic(name: str, tree_factory: Callable[..., SyntheticWorkload],
                       description: str) -> None:
@@ -168,16 +163,19 @@ def _register_builtins(reg: WorkloadRegistry) -> None:
             )
         reg.register(name, factory, description)
 
-    def add_parallel(name: str, workload_factory, parameter: str,
+    def add_parallel(name: str, class_name: str, parameter: str,
                      description: str) -> None:
         def factory(**params):
+            # The parallel workloads (and the static race analysis their
+            # shard plans use) load when one is first created.
+            from repro.workloads import parallel
+            workload_factory = getattr(parallel, class_name)
             value = params.get(parameter)
             if value is not None:
                 _require_positive(name, parameter, value)
                 return workload_factory(**{parameter: value})
             return workload_factory()
         # Give the factory an inspectable signature for registry.params().
-        import inspect
         factory.__signature__ = inspect.Signature([
             inspect.Parameter(parameter, inspect.Parameter.KEYWORD_ONLY,
                               default=None)
@@ -201,11 +199,11 @@ def _register_builtins(reg: WorkloadRegistry) -> None:
                4096, "3-point stencil")
     add_kernel("memset", MEMSET_SOURCE, "fill", memset_args_builder,
                8192, "store-only fill loop")
-    add_parallel("matmul-parallel", MatmulParallelWorkload, "n",
+    add_parallel("matmul-parallel", "MatmulParallelWorkload", "n",
                  "row-sharded parallel matmul (strong scaling, --cpus N)")
-    add_parallel("stream-triad-mt", StreamTriadMtWorkload, "n",
+    add_parallel("stream-triad-mt", "StreamTriadMtWorkload", "n",
                  "multi-threaded STREAM triad (weak scaling, LLC contention)")
-    add_parallel("forkjoin-calltree", ForkJoinCalltreeWorkload, "scale",
+    add_parallel("forkjoin-calltree", "ForkJoinCalltreeWorkload", "scale",
                  "fork-join call-tree replay, 2 worker threads per hart")
 
 

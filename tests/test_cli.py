@@ -41,12 +41,12 @@ class TestGlobalSubcommands:
     def test_unknown_platform_is_a_clean_error(self, capsys):
         code, _, err = run_cli(capsys, "identify", "--platform", "ENIAC")
         assert code == 2
-        assert "unknown platform" in err
+        assert err.startswith("error: unknown platform 'ENIAC'; available: ")
 
     def test_unknown_workload_is_a_clean_error(self, capsys):
         code, _, err = run_cli(capsys, "stat", "--workload", "nope")
         assert code == 2
-        assert "unknown workload" in err
+        assert err.startswith("error: unknown workload 'nope'; available: ")
 
 
 @pytest.mark.parametrize("platform", ALL_PLATFORMS)
