@@ -103,10 +103,8 @@ def compile_source_cached(source: str, filename: str,
     global _CACHE_HITS, _CACHE_MISSES, _DISK_HITS
     # The compiler loads with the first kernel, not with this module, so
     # processes that only replay synthetic traces never import it; the
-    # frontend loads only when a module is really compiled.
-    from repro.compiler.ir.verifier import verify_module
-    from repro.compiler.transforms import default_optimization_pipeline
-    from repro.compiler.transforms.pipeline import verify_ir_requested
+    # frontend and the passes load only when a module is really compiled.
+    from repro.compiler.ir.verifier import verify_ir_requested, verify_module
 
     verify_each = verify_ir_requested()
     key = module_cache_key(source, filename, descriptor, enable_vectorizer)
@@ -139,6 +137,8 @@ def compile_source_cached(source: str, filename: str,
             # missed), so a cached module never turns into a failure.
             _faults.fail("compiler.compile_fail")
             from repro.compiler.frontend import compile_source
+            from repro.compiler.transforms.pipeline import (
+                default_optimization_pipeline)
             with _span("compile_kernel", cat="compiler", filename=filename,
                        march=descriptor.march):
                 module = compile_source(source, filename)

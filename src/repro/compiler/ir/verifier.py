@@ -7,6 +7,7 @@ pass fails loudly instead of producing silently wrong instrumentation counts.
 
 from __future__ import annotations
 
+import os
 from typing import List, Set
 
 from repro.compiler.ir.instructions import (
@@ -21,6 +22,16 @@ from repro.compiler.ir.instructions import (
 )
 from repro.compiler.ir.module import BasicBlock, Function, Module
 from repro.compiler.ir.values import Argument, Constant, UndefValue, Value
+
+#: Environment flag forcing per-pass IR verification in every pipeline --
+#: the one switch for it outside an explicit ``PassManager(verify_each=)``.
+VERIFY_IR_ENV = "REPRO_VERIFY_IR"
+
+
+def verify_ir_requested() -> bool:
+    """Whether the :data:`VERIFY_IR_ENV` debug flag is set (and truthy)."""
+    return os.environ.get(VERIFY_IR_ENV, "").strip().lower() in (
+        "1", "true", "yes", "on")
 
 
 class VerificationError(Exception):

@@ -8,56 +8,38 @@ in the optimization pipeline" guidance):
    vectoriser),
 3. Roofline instrumentation (outline SESE loop nests, clone, insert counting
    and runtime notification calls).
+
+The re-exported names load their pass on first access, so importing one
+pass module (the execution engine needs two) loads no other.
 """
 
-from repro.compiler.transforms.pass_manager import (
-    FunctionPass,
-    ModulePass,
-    PassManager,
-    PassResult,
-)
-from repro.compiler.transforms.constfold import ConstantFoldPass
-from repro.compiler.transforms.dce import DeadCodeEliminationPass
-from repro.compiler.transforms.simplifycfg import SimplifyCfgPass
-from repro.compiler.transforms.cloning import clone_function
-from repro.compiler.transforms.regpromote import PromoteScalarsPass, REG_PROMOTED_KEY
-from repro.compiler.transforms.vectorize import LoopVectorizePass
-from repro.compiler.transforms.extractor import CodeExtractor, ExtractionResult
-from repro.compiler.transforms.roofline_pass import (
-    RooflineInstrumentationPass,
-    LoopDescriptor,
-    MPERF_LOOPS_KEY,
-    RUNTIME_NOTIFY_BEGIN,
-    RUNTIME_NOTIFY_END,
-    RUNTIME_IS_INSTRUMENTED,
-    RUNTIME_BLOCK_EXEC,
-)
-from repro.compiler.transforms.pipeline import (
-    default_optimization_pipeline,
-    build_roofline_pipeline,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FunctionPass",
-    "ModulePass",
-    "PassManager",
-    "PassResult",
-    "ConstantFoldPass",
-    "DeadCodeEliminationPass",
-    "SimplifyCfgPass",
-    "clone_function",
-    "PromoteScalarsPass",
-    "REG_PROMOTED_KEY",
-    "LoopVectorizePass",
-    "CodeExtractor",
-    "ExtractionResult",
-    "RooflineInstrumentationPass",
-    "LoopDescriptor",
-    "MPERF_LOOPS_KEY",
-    "RUNTIME_NOTIFY_BEGIN",
-    "RUNTIME_NOTIFY_END",
-    "RUNTIME_IS_INSTRUMENTED",
-    "RUNTIME_BLOCK_EXEC",
-    "default_optimization_pipeline",
-    "build_roofline_pipeline",
-]
+_EXPORTS = {
+    "FunctionPass": "repro.compiler.transforms.pass_manager",
+    "ModulePass": "repro.compiler.transforms.pass_manager",
+    "PassManager": "repro.compiler.transforms.pass_manager",
+    "PassResult": "repro.compiler.transforms.pass_manager",
+    "ConstantFoldPass": "repro.compiler.transforms.constfold",
+    "DeadCodeEliminationPass": "repro.compiler.transforms.dce",
+    "SimplifyCfgPass": "repro.compiler.transforms.simplifycfg",
+    "clone_function": "repro.compiler.transforms.cloning",
+    "PromoteScalarsPass": "repro.compiler.transforms.regpromote",
+    "REG_PROMOTED_KEY": "repro.compiler.transforms.regpromote",
+    "LoopVectorizePass": "repro.compiler.transforms.vectorize",
+    "CodeExtractor": "repro.compiler.transforms.extractor",
+    "ExtractionResult": "repro.compiler.transforms.extractor",
+    "RooflineInstrumentationPass": "repro.compiler.transforms.roofline_pass",
+    "LoopDescriptor": "repro.compiler.transforms.roofline_pass",
+    "MPERF_LOOPS_KEY": "repro.compiler.transforms.roofline_pass",
+    "RUNTIME_NOTIFY_BEGIN": "repro.compiler.transforms.roofline_pass",
+    "RUNTIME_NOTIFY_END": "repro.compiler.transforms.roofline_pass",
+    "RUNTIME_IS_INSTRUMENTED": "repro.compiler.transforms.roofline_pass",
+    "RUNTIME_BLOCK_EXEC": "repro.compiler.transforms.roofline_pass",
+    "default_optimization_pipeline": "repro.compiler.transforms.pipeline",
+    "build_roofline_pipeline": "repro.compiler.transforms.pipeline",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -11,9 +11,9 @@ Two pipelines are provided:
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
+from repro.compiler.ir.verifier import verify_ir_requested
 from repro.compiler.transforms.constfold import ConstantFoldPass
 from repro.compiler.transforms.dce import DeadCodeEliminationPass
 from repro.compiler.transforms.pass_manager import PassManager
@@ -22,19 +22,9 @@ from repro.compiler.transforms.roofline_pass import RooflineInstrumentationPass
 from repro.compiler.transforms.simplifycfg import SimplifyCfgPass
 from repro.compiler.transforms.vectorize import LoopVectorizePass
 
-#: Environment flag forcing per-pass IR verification in every pipeline --
-#: the one switch for it outside an explicit ``PassManager(verify_each=)``.
-VERIFY_IR_ENV = "REPRO_VERIFY_IR"
-
-
-def verify_ir_requested() -> bool:
-    """Whether the :data:`VERIFY_IR_ENV` debug flag is set (and truthy)."""
-    return os.environ.get(VERIFY_IR_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on")
-
 
 def resolve_verify_each(verify_each: Optional[bool]) -> bool:
-    """An explicit choice wins; ``None`` defers to :data:`VERIFY_IR_ENV`.
+    """An explicit choice wins; ``None`` defers to ``REPRO_VERIFY_IR``.
 
     Either way the module is verified once after the pipeline completes
     (:meth:`PassManager.run`); per-pass verification exists to *localise*

@@ -35,7 +35,7 @@ from repro.isa.machine_ops import (
     OpClass,
     VECTOR_OP_CLASSES,
 )
-from repro.isa.privilege import ModeCycleAccounting, PrivilegeMode
+from repro.isa.privilege import PrivilegeMode
 
 if TYPE_CHECKING:
     from repro.kernel.task import Task
@@ -158,17 +158,14 @@ class CoreTimingModel:
         #: The PMU on *bus*, whose armed counters bound retire_batch's aggregates.
         self.pmu = pmu
         self.privilege_mode = PrivilegeMode.USER
-        self.mode_cycles = ModeCycleAccounting()
         self.retired_instructions = 0
         self.total_cycles = 0
         self._cycle_remainder = 0.0
-        self.frontend_stall_cycles = 0.0
-        self.backend_stall_cycles = 0.0
         # Batched-retirement dispatch tables, built lazily on first use (the
         # config is immutable after construction): per-opclass cost/flag
         # rows, and a mem-latency -> cost memo shared by all memory classes.
         self._batch_info: Optional[list] = None
-        self._mem_cost_cache: Dict[int, float] = {}
+        self._mem_cost_cache: Dict[int, Tuple[float, int, int]] = {}
 
     # -- to be provided by subclasses ------------------------------------------
 
@@ -201,36 +198,32 @@ class CoreTimingModel:
         if op.is_branch:
             mispredicted = self.predictor.update(op.pc, op.target, op.taken)
 
-        base, frontend, backend = self._op_cost(op, mem, mispredicted)
-        self._retire_one(op, mem, mispredicted, base + frontend + backend,
-                         frontend, backend)
+        self._retire_one(op, mem, mispredicted,
+                         *self._cost_row(op, mem, mispredicted))
 
     def _retire_one(self, op: MachineOp, mem: Optional[AccessResult],
-                    mispredicted: bool, total: float, frontend: float,
-                    backend: float) -> None:
+                    mispredicted: bool, total: float, frontend_pulse: int,
+                    backend_pulse: int) -> None:
         """Advance time by one op costing *total* cycles and publish its
         events op-precisely."""
-        self.frontend_stall_cycles += frontend
-        self.backend_stall_cycles += backend
         self._cycle_remainder += total
         cycles = int(self._cycle_remainder)
         self._cycle_remainder -= cycles
         self.total_cycles += cycles
         self.retired_instructions += 1
-        self.mode_cycles.add(self.privilege_mode, cycles)
-        self._publish(op, mem, mispredicted, cycles, frontend, backend)
+        self._publish(op, mem, mispredicted, cycles, frontend_pulse,
+                      backend_pulse)
 
     # -- batched retirement -----------------------------------------------------
 
-    def _cost_row(self, op: MachineOp, mispredicted: bool = False) -> Tuple:
-        """``(total, frontend, backend, frontend_pulse, backend_pulse)`` for
-        one op retired with no memory result -- the same arithmetic, float op
-        for float op, as the per-op path, frozen into a table row."""
-        base, frontend, backend = self._op_cost(op, None, mispredicted)
-        total = base + frontend + backend
-        fp = int(frontend) if frontend >= 1.0 else 0
-        bp = int(backend) if backend >= 1.0 else 0
-        return (total, frontend, backend, fp, bp)
+    def _cost_row(self, op: MachineOp, mem: Optional[AccessResult] = None,
+                  mispredicted: bool = False) -> Tuple[float, int, int]:
+        """``(total, frontend_pulse, backend_pulse)`` for one op: its
+        fractional cycles and the whole stall cycles it publishes."""
+        base, frontend, backend = self._op_cost(op, mem, mispredicted)
+        return (base + frontend + backend,
+                int(frontend) if frontend >= 1.0 else 0,
+                int(backend) if backend >= 1.0 else 0)
 
     def _build_batch_info(self) -> list:
         """Per-opclass dispatch rows for :meth:`retire_batch`.
@@ -255,7 +248,7 @@ class CoreTimingModel:
             elif opclass is OpClass.BRANCH:
                 rows = [
                     [self._cost_row(MachineOp(OpClass.BRANCH, taken=taken),
-                                    mispredicted)
+                                    None, mispredicted)
                      for mispredicted in (False, True)]
                     for taken in (False, True)
                 ]
@@ -280,7 +273,9 @@ class CoreTimingModel:
         """Retire a chunk of ops with coalesced event publication.
 
         Cache, predictor and fractional-cycle state advance op by op as in a
-        :meth:`retire` loop; event pulses are aggregated up to the PMU's
+        :meth:`retire` loop (whole cycles stepped as ``r // 1.0``, exact
+        like ``int(r)`` for ``r >= 0``, and summed as a float converted once
+        per pass); event pulses are aggregated up to the PMU's
         overflow horizon (:meth:`~repro.pmu.unit.PmuUnit.overflow_horizon`).
         At the first op whose pulses would reach it, the aggregate before it
         (which cannot overflow) is published, the task pc is set, that
@@ -301,11 +296,10 @@ class CoreTimingModel:
             self._batch_info = table
         predictor_update = self.predictor.update
         mem_costs = self._mem_cost_cache
-        op_cost = self._op_cost
+        cost_row = self._cost_row
         publish = self.bus.publish
         pmu = self.pmu
-        mode = self.privilege_mode
-        mode_event = _MODE_CYCLE_EVENT[mode]
+        mode_event = _MODE_CYCLE_EVENT[self.privilege_mode]
         mem_index = 0
         cycles_before = self.total_cycles
         remaining = iter(ops)   # each pass resumes just past the crossing op
@@ -316,8 +310,8 @@ class CoreTimingModel:
                 pmu.overflow_horizon(mode_event) if pmu is not None
                 else (UNBOUNDED, UNBOUNDED))
             remainder = self._cycle_remainder
-            frontend_total = backend_total = 0.0
-            count = cycles_total = frontend_pulses = backend_pulses = 0
+            cycles_total = 0.0
+            count = frontend_pulses = backend_pulses = 0
             loads = stores = branches = branch_misses = 0
             load_misses = store_misses = llc_misses = dram_read = dram_write = 0
             flops = int_ops = vector_ops = 0
@@ -326,30 +320,24 @@ class CoreTimingModel:
                 info = table[op.opclass.index]
                 kind = info[0]
                 if kind == 0:
-                    total, frontend, backend, fp, bp = info[1]
+                    total, fp, bp = info[1]
                 elif kind == 1:
                     if op.address is not None and op.size_bytes > 0:
                         mem = mem_results[mem_index]
                         mem_index += 1
                         cached = mem_costs.get(mem.latency)
                         if cached is None:
-                            base, frontend, backend = op_cost(op, mem, False)
-                            cached = (base + frontend + backend, backend,
-                                      int(backend) if backend >= 1.0 else 0)
-                            mem_costs[mem.latency] = cached
-                        total, backend, bp = cached
-                        frontend = 0.0
-                        fp = 0
+                            cached = mem_costs[mem.latency] = cost_row(op, mem)
+                        total, fp, bp = cached
                     else:
                         mem = None
-                        total, frontend, backend, fp, bp = info[1]
+                        total, fp, bp = info[1]
                 else:
                     mispredicted = predictor_update(op.pc, op.target, op.taken)
-                    total, frontend, backend, fp, bp = \
-                        info[1][op.taken][mispredicted]
+                    total, fp, bp = info[1][op.taken][mispredicted]
 
                 r = remainder + total
-                cycles = int(r)
+                cycles = r // 1.0
                 cycles_total += cycles
                 count += 1
                 if cycles_total >= cycles_left or count >= instructions_left:
@@ -357,8 +345,6 @@ class CoreTimingModel:
                     count -= 1
                     break
                 remainder = r - cycles
-                frontend_total += frontend
-                backend_total += backend
                 frontend_pulses += fp
                 backend_pulses += bp
                 if kind == 0:
@@ -400,11 +386,9 @@ class CoreTimingModel:
             # Publish the ops before the crossing op (or the whole rest of
             # the chunk): by construction their pulses reach no horizon.
             self._cycle_remainder = remainder
+            cycles_total = int(cycles_total)
             self.total_cycles += cycles_total
             self.retired_instructions += count
-            self.frontend_stall_cycles += frontend_total
-            self.backend_stall_cycles += backend_total
-            self.mode_cycles.add(mode, cycles_total)
             if cycles_total:
                 publish(HwEvent.CYCLES, cycles_total)
                 publish(mode_event, cycles_total)
@@ -451,15 +435,14 @@ class CoreTimingModel:
             if task is not None:
                 _sync_pc(task, ops, index)
             self._retire_one(op, mem if kind == 1 else None,
-                             kind == 2 and mispredicted, total, frontend,
-                             backend)
+                             kind == 2 and mispredicted, total, fp, bp)
             start = index + 1
 
     # -- event publication ------------------------------------------------------
 
     def _publish(self, op: MachineOp, mem: Optional[AccessResult],
                  mispredicted: bool, cycles: int,
-                 frontend: float, backend: float) -> None:
+                 frontend_pulse: int, backend_pulse: int) -> None:
         bus = self.bus
         if cycles:
             bus.publish(HwEvent.CYCLES, cycles)
@@ -502,25 +485,15 @@ class CoreTimingModel:
         if op.is_vector:
             bus.publish(HwEvent.VECTOR_OPS_RETIRED, 1)
 
-        if frontend >= 1.0:
-            bus.publish(HwEvent.STALLED_CYCLES_FRONTEND, int(frontend))
-        if backend >= 1.0:
-            bus.publish(HwEvent.STALLED_CYCLES_BACKEND, int(backend))
+        if frontend_pulse:
+            bus.publish(HwEvent.STALLED_CYCLES_FRONTEND, frontend_pulse)
+        if backend_pulse:
+            bus.publish(HwEvent.STALLED_CYCLES_BACKEND, backend_pulse)
 
     # -- misc -------------------------------------------------------------------
 
     def set_privilege_mode(self, mode: PrivilegeMode) -> None:
         self.privilege_mode = mode
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "instructions": self.retired_instructions,
-            "cycles": self.total_cycles,
-            "ipc": self.ipc,
-            "frontend_stall_cycles": self.frontend_stall_cycles,
-            "backend_stall_cycles": self.backend_stall_cycles,
-            "branch_miss_rate": self.predictor.miss_rate,
-        }
 
 
 class InOrderCore(CoreTimingModel):

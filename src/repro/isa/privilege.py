@@ -11,8 +11,6 @@ enumeration and the trap objects used to model that boundary.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Tuple
 
 
 class PrivilegeMode(enum.IntEnum):
@@ -64,44 +62,3 @@ def ecall_cause_for_mode(mode: PrivilegeMode) -> TrapCause:
     if mode is PrivilegeMode.SUPERVISOR:
         return TrapCause.ECALL_FROM_S
     return TrapCause.ECALL_FROM_M
-
-
-@dataclass
-class ModeCycleAccounting:
-    """Per-privilege-mode cycle accounting.
-
-    The SpacemiT X60 exposes three non-standard counters -- ``u_mode_cycle``,
-    ``m_mode_cycle`` and ``s_mode_cycle`` -- that count cycles spent in each
-    privilege mode and, unlike ``mcycle``/``minstret`` on that part, support
-    overflow interrupts.  The machine model keeps this accounting so the X60
-    PMU can expose those events.
-    """
-
-    user_cycles: int = 0
-    supervisor_cycles: int = 0
-    machine_cycles: int = 0
-
-    def add(self, mode: PrivilegeMode, cycles: int) -> None:
-        if cycles < 0:
-            raise ValueError("cycles must be non-negative")
-        if mode is PrivilegeMode.USER:
-            self.user_cycles += cycles
-        elif mode is PrivilegeMode.SUPERVISOR:
-            self.supervisor_cycles += cycles
-        else:
-            self.machine_cycles += cycles
-
-    def get(self, mode: PrivilegeMode) -> int:
-        if mode is PrivilegeMode.USER:
-            return self.user_cycles
-        if mode is PrivilegeMode.SUPERVISOR:
-            return self.supervisor_cycles
-        return self.machine_cycles
-
-    @property
-    def total(self) -> int:
-        return self.user_cycles + self.supervisor_cycles + self.machine_cycles
-
-    def split(self) -> Tuple[int, int, int]:
-        """Return cycles as ``(user, supervisor, machine)``."""
-        return (self.user_cycles, self.supervisor_cycles, self.machine_cycles)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.compiler.transforms.roofline_pass import (
     LoopDescriptor,
@@ -110,33 +110,21 @@ class RooflineRuntime:
 
     # -- external-call handler protocol ---------------------------------------------------
 
-    _HANDLED = frozenset({
-        RUNTIME_NOTIFY_BEGIN,
-        RUNTIME_NOTIFY_END,
-        RUNTIME_IS_INSTRUMENTED,
-        RUNTIME_BLOCK_EXEC,
-    })
-
-    def handles(self, name: str) -> bool:
-        return name in self._HANDLED
+    def entry(self, name: str) -> Optional[Callable[..., object]]:
+        """The bound entry point implementing *name* (called with the IR
+        arguments), or None for a name this runtime does not implement."""
+        return {
+            RUNTIME_NOTIFY_BEGIN: self._notify_begin,
+            RUNTIME_NOTIFY_END: self._notify_end,
+            RUNTIME_IS_INSTRUMENTED: self._is_instrumented,
+            RUNTIME_BLOCK_EXEC: self._block_exec,
+        }.get(name)
 
     def observes_machine(self, name: str) -> bool:
         """Only the loop begin/end notifications read the machine (its
         clock and instruction count), so only they need every op the
         program executed before the call already retired."""
         return name in (RUNTIME_NOTIFY_BEGIN, RUNTIME_NOTIFY_END)
-
-    def call(self, name: str, args: List[object]) -> object:
-        if name == RUNTIME_IS_INSTRUMENTED:
-            return 1 if self.instrumented else 0
-        if name == RUNTIME_NOTIFY_BEGIN:
-            return self._notify_begin(int(args[0]))
-        if name == RUNTIME_BLOCK_EXEC:
-            return self._block_exec(int(args[0]), int(args[1]), int(args[2]),
-                                    int(args[3]), int(args[4]))
-        if name == RUNTIME_NOTIFY_END:
-            return self._notify_end(int(args[0]))
-        raise KeyError(f"RooflineRuntime does not handle {name!r}")
 
     # -- entry points ------------------------------------------------------------------------
 
@@ -146,7 +134,11 @@ class RooflineRuntime:
     def _instructions_now(self) -> int:
         return self.machine.instructions if self.machine is not None else 0
 
+    def _is_instrumented(self) -> int:
+        return 1 if self.instrumented else 0
+
     def _notify_begin(self, loop_id: int) -> int:
+        loop_id = int(loop_id)
         handle = self._next_handle
         self._next_handle += 1
         record = LoopExecutionRecord(
@@ -159,17 +151,17 @@ class RooflineRuntime:
 
     def _block_exec(self, handle: int, loaded: int, stored: int,
                     int_ops: int, fp_ops: int) -> None:
-        active = self._active.get(handle)
+        active = self._active.get(int(handle))
         if active is None:
             return
         record = active.record
-        record.loaded_bytes += loaded
-        record.stored_bytes += stored
-        record.int_ops += int_ops
-        record.fp_ops += fp_ops
+        record.loaded_bytes += int(loaded)
+        record.stored_bytes += int(stored)
+        record.int_ops += int(int_ops)
+        record.fp_ops += int(fp_ops)
 
     def _notify_end(self, handle: int) -> None:
-        active = self._active.pop(handle, None)
+        active = self._active.pop(int(handle), None)
         if active is None:
             return
         record = active.record

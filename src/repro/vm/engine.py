@@ -11,7 +11,8 @@ Semantics and timing are computed together, instruction by instruction:
   and therefore can raise sampling interrupts mid-run.
 
 External calls (the ``mperf_roofline_internal_*`` runtime and a small libm
-subset) are dispatched to registered Python handlers.
+subset) go to registered Python handlers: a handler's ``entry(name)``
+returns the callable implementing *name*, called with the IR arguments.
 
 Dispatch architecture
 ---------------------
@@ -27,6 +28,12 @@ The engine has two dispatch strategies over the same semantics:
   operand kind, opcode, integer wrap, ``struct`` format, vector gate, the
   target lowering memoized by ``TargetLowering.lower_cached``) is decided
   once and written into the source.
+
+  Each external callee is resolved once, at predecode, to the callable
+  the call site invokes directly.  The executed IR instructions, machine
+  ops and external calls are counted in locals of the frame and added to
+  :attr:`ExecutionEngine.stats` only at three sync points: before a
+  quantum ``yield``, before an internal call and when the frame exits.
 
   Retired machine ops accumulate in a pending buffer that is flushed in
   chunks through :meth:`~repro.platforms.machine.Machine.execute_batch` --
@@ -55,9 +62,10 @@ fuel cell parked out of reach, so it never suspends.  Both paths decrement
 one shared fuel cell by each completed block's instruction count, so they
 are preempted after exactly the same dynamic instruction, and a multi-hart
 schedule (and every per-hart sample stream) is bit-identical across the
-two.  Pending batched machine ops are flushed *before* yielding: once
-another hart runs, the shared LLC and the contended memory controller must
-have observed every access this hart already executed, in program order.
+two.  Pending batched machine ops are flushed, and the frame's counts
+added to ``stats``, *before* yielding: once another hart runs, the shared
+LLC and the contended memory controller must have observed every access
+this hart already executed, in program order.
 The locals of every frame on the call stack survive the yield, so a thread
 resumes mid-function exactly where it was preempted.
 """
@@ -207,12 +215,15 @@ class _Codegen:
     """Python source for one function: one generator, ``run(*args)``.
 
     An int ``b`` selects the next block through a balanced ``if b < k``
-    tree inside one loop, whose tail charges the block's instruction count
-    and spends the shared fuel.  Arguments, SSA values and phis are locals
-    of the one frame; phis are assigned in parallel on each edge.  So is
-    the content of every *localized* slot: an ``alloca`` whose address
-    never escapes (``PromoteScalarsPass._is_promotable``), accessed with one
-    scalar type that has a stack codec.  Its local starts as the bytes at
+    tree inside one loop, whose tail adds the block's instruction count to
+    the frame's ``ni`` and spends the shared fuel.  ``ni``, ``nm`` (machine
+    ops) and ``ne`` (external calls) reach ``stats`` only before a quantum
+    ``yield``, before an internal call and in the frame's ``finally``.
+    Arguments, SSA values and phis are locals of the one frame; phis are
+    assigned in parallel on each edge.  So is the content of every
+    *localized* slot: an ``alloca`` whose address never escapes
+    (``PromoteScalarsPass._is_promotable``), accessed with one scalar type
+    that has a stack codec.  Its local starts as the bytes at
     its address and is written back when the ``alloca`` runs again and when
     the frame exits, so the stack ends up as the reference path leaves it.
     The source is a factory whose parameters bind the objects it refers to.
@@ -230,6 +241,16 @@ class _Codegen:
         self.lines: List[str] = []
         self.temps = 0
         self.ids = {block: index for index, block in enumerate(function.blocks)}
+        # The frame's count locals, and the statement adding them to stats.
+        counted = [("ni", "stats.ir_instructions"),
+                   ("ni", f"per_fn[{function.name!r}]")]
+        if self.accounted:
+            counted.append(("nm", "stats.machine_ops"))
+        if any(isinstance(inst, Call) and self.internal(inst) is None
+               for block in function.blocks for inst in block.instructions):
+            counted.append(("ne", "stats.external_calls"))
+        self.counters = " = ".join(dict.fromkeys(name for name, _ in counted)) + " = 0"
+        self.sync = "; ".join(f"{stat} += {name}" for name, stat in counted)
         # Each block's non-phi instructions up to its first terminator.
         self.bodies: Dict[BasicBlock, tuple] = {}
         home: Dict[Alloca, BasicBlock] = {}
@@ -254,6 +275,15 @@ class _Codegen:
         # Localized slots whose alloca can run twice in one activation.
         self.reentered = {alloca for alloca, (_, _, block) in self.slots.items()
                           if self.cyclic(block)}
+
+    def internal(self, inst: Call) -> Optional[Function]:
+        """The defined function *inst* calls; None for an external call."""
+        callee = inst.callee
+        if isinstance(callee, str) and self.engine.module.has_function(callee):
+            callee = self.engine.module.get_function(callee)
+        if isinstance(callee, Function) and not callee.is_declaration:
+            return callee
+        return None
 
     def cyclic(self, start: BasicBlock) -> bool:
         """Whether *start* can run again after it runs."""
@@ -397,7 +427,7 @@ class _Codegen:
             self.emit(f"if not {self.gate} % {self.width}:")
             self.indent += "    "
             if self.gated:
-                run.append(f"stats.machine_ops += {self.gated}")
+                run.append(f"nm += {self.gated}")
         for constant, items in groupby(run, lambda item: item.__class__ is MachineOp):
             items = tuple(items)
             if not constant:
@@ -456,10 +486,9 @@ class _Codegen:
         block's instructions, for exits that skip the loop's tail), *line*."""
         self.flush_run()
         if self.constant:
-            self.emit(f"stats.machine_ops += {self.constant}")
+            self.emit(f"nm += {self.constant}")
         if charge:
-            self.emit(f"stats.ir_instructions += {self.count}")
-            self.emit(f"per_fn[{self.function.name!r}] += {self.count}")
+            self.emit(f"ni += {self.count}")
         self.emit(line)
 
     # .. blocks ................................................................................
@@ -698,21 +727,31 @@ class _Codegen:
         return value, None
 
     def call(self, inst: Call) -> None:
-        """Arguments, the call's account, the flush it needs, the call."""
+        """Arguments, the call's account, the flush it needs, the call: an
+        internal one after the frame's counts sync, an external one
+        straight to the callable it resolves to (``dispatch`` raises for a
+        name nothing resolves, when executed)."""
         engine = self.engine
-        args = ", ".join(self.operand(arg) for arg in inst.operands)
+        callee = self.internal(inst)
+        entry = builtin = None
+        if callee is None:
+            name = inst.callee if isinstance(inst.callee, str) else inst.callee.name
+            entry, observes = engine._external(name)
+            if entry is None:
+                builtin = _BUILTIN_MATH.get(name)
+        args = ", ".join(self.operand(arg, "f" if builtin else None)
+                         for arg in inst.operands)
         self.account_plain(inst)
         self.flush_run()
         self.gate = None
-        callee = inst.callee
-        if isinstance(callee, str) and engine.module.has_function(callee):
-            callee = engine.module.get_function(callee)
-        if isinstance(callee, Function) and not callee.is_declaration:
+        if callee is not None:
             observes = True
+            self.emit(self.sync + "; " + self.counters)
             expr = f"(yield from call({self.bind(callee, True)}, [{args}]))"
+        elif entry is not None or builtin is not None:
+            self.emit("ne += 1")
+            expr = f"{self.bind(entry or builtin, True)}({args})"
         else:
-            name = callee if isinstance(callee, str) else callee.name
-            observes = engine._observes_machine(name)
             expr = f"dispatch({name!r}, [{args}])"
         if observes and engine.machine is not None:
             self.emit("flush()")
@@ -726,27 +765,23 @@ class _Codegen:
         engine, function = self.engine, self.function
         args = "".join(f"{self.local(arg)}, " for arg in function.args)
         entry_phis = [self.local(phi) for phi in function.entry_block.phis()]
-        name = repr(function.name)
-        pad = "    " if self.slots else ""
-        self.indent = pad + " " * 12
+        self.indent = " " * 16
         self.tree(function.blocks)
-        for line in ("stats.ir_instructions += n", f"per_fn[{name}] += n",
-                     "fuel[0] -= n", "if fuel[0] <= 0:", "    flush()", "    yield"):
+        for line in ("ni += n", "fuel[0] -= n", "if fuel[0] <= 0:",
+                     f"    {self.sync}; {self.counters}", "    flush()", "    yield"):
             self.emit(line)
         if self.accounted:
             self.emit(f"elif len(pending) >= {engine._FLUSH_THRESHOLD}:")
             self.emit("    flush()")
-        head = [f"    def run({args}*_):", f"        per_fn.setdefault({name}, 0)",
-                "        b = 0"]
+        head = [f"    def run({args}*_):",
+                f"        per_fn.setdefault({function.name!r}, 0)",
+                f"        b = {self.counters}"]
         if entry_phis:      # no edge enters the entry block
             head.append("        " + " = ".join(entry_phis) + " = None")
-        if self.slots:
-            head.append("        try:")
-        head.append(pad + "        while True:")
-        if self.slots:
-            self.lines.append("        finally:")
-            for alloca in self.slots:
-                self.lines.extend("            " + line for line in self.write_back(alloca))
+        head += ["        try:", "            while True:"]
+        self.lines += ["        finally:", "            " + self.sync]
+        for alloca in self.slots:
+            self.lines.extend("            " + line for line in self.write_back(alloca))
         params = ", ".join([_FIXED_PARAMS] + [f"k{i}" for i in range(len(self.objects))])
         source = "\n".join([f"def factory({params}):", *head, *self.lines,
                             "    return run"])
@@ -782,11 +817,15 @@ class ExecutionEngine:
         Shared memory object (one is created if not supplied), so callers can
         pre-allocate and later inspect arrays.
     external_handlers:
-        Objects with ``handles(name) -> bool`` and ``call(name, args)``
-        methods consulted (in order) for calls to declared-only functions,
-        and optionally ``observes_machine(name) -> bool``: an entry point
-        that does not read the machine lets the fast path skip the flush
-        before calling it.  The roofline runtime registers itself this way.
+        Objects consulted (in order, before the builtin math) for calls to
+        declared-only functions.  ``entry(name)`` returns the callable
+        implementing *name*, called with the IR arguments as positional
+        arguments, or None when the handler does not implement it.  The
+        fast path resolves each call site once, at predecode.  An optional
+        ``observes_machine(name) -> bool`` says whether an entry point
+        reads the machine; one that does not lets the fast path skip the
+        flush before calling it.  The roofline runtime registers itself
+        this way.
     fast_dispatch:
         Run each function as one generated Python generator (default).
         The slow path is the reference interpreter used by equivalence tests.
@@ -1087,14 +1126,17 @@ class ExecutionEngine:
                 return width
         return 0
 
-    def _observes_machine(self, name: str) -> bool:
-        """Whether a call to external *name* may read the machine (and so
-        needs every pending op retired first)."""
+    def _external(self, name: str) -> tuple:
+        """``(entry, observes)`` for external *name*: the first handler's
+        entry point for it (None if no handler has one) and whether calling
+        *name* may read the machine (and so needs every pending op retired
+        first)."""
         for handler in self.external_handlers:
-            if handler.handles(name):
+            entry = handler.entry(name)
+            if entry is not None:
                 observes = getattr(handler, "observes_machine", None)
-                return observes is None or bool(observes(name))
-        return name not in _BUILTIN_MATH
+                return entry, observes is None or bool(observes(name))
+        return None, name not in _BUILTIN_MATH
 
     def _account_general(self, inst: Instruction, address: int, pc: int,
                          width: int) -> None:
@@ -1266,9 +1308,9 @@ class ExecutionEngine:
 
     def _dispatch_external(self, name: str, args: List[object]) -> object:
         self.stats.external_calls += 1
-        for handler in self.external_handlers:
-            if handler.handles(name):
-                return handler.call(name, args)
+        entry = self._external(name)[0]
+        if entry is not None:
+            return entry(*args)
         builtin = _BUILTIN_MATH.get(name)
         if builtin is not None:
             return builtin(*[float(a) for a in args])

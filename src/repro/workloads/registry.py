@@ -13,7 +13,7 @@ Third-party code can add its own entries with :meth:`WorkloadRegistry.register`.
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict, Iterator, List, Mapping, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.workloads.kernels import (
     DOT_PRODUCT_SOURCE,
@@ -38,17 +38,21 @@ class WorkloadRegistry(Mapping[str, object]):
     def __init__(self) -> None:
         self._factories: Dict[str, Callable[..., object]] = {}
         self._descriptions: Dict[str, str] = {}
+        self._kinds: Dict[str, Optional[str]] = {}
         self._populated = False
 
     # -- registration -------------------------------------------------------------------
 
     def register(self, name: str, factory: Callable[..., object],
-                 description: str = "") -> None:
+                 description: str = "", kind: Optional[str] = None) -> None:
+        """Add *factory* under *name*.  *kind* is the ``kind`` its workloads
+        have; without it, :meth:`describe` builds one to read it."""
         # Populate builtins first so a third-party registration under a
         # builtin name sticks instead of being clobbered by the lazy fill.
         self._ensure_builtins()
         self._factories[name] = factory
         self._descriptions[name] = description
+        self._kinds[name] = kind
 
     def _ensure_builtins(self) -> None:
         if not self._populated:
@@ -98,9 +102,10 @@ class WorkloadRegistry(Mapping[str, object]):
         self._ensure_builtins()
         rows: List[Tuple[str, str, str]] = []
         for name in sorted(self._factories):
-            workload = self.create(name)
-            rows.append((name, getattr(workload, "kind", "?"),
-                         self._descriptions.get(name, "")))
+            kind = self._kinds.get(name)
+            if kind is None:
+                kind = getattr(self.create(name), "kind", "?")
+            rows.append((name, kind, self._descriptions.get(name, "")))
         name_width = max(len(r[0]) for r in rows)
         kind_width = max(len(r[1]) for r in rows)
         lines = [f"{'Name'.ljust(name_width)}  {'Kind'.ljust(kind_width)}  Description"]
@@ -150,7 +155,7 @@ def _register_builtins(reg: WorkloadRegistry) -> None:
             _require_positive(name, "scale", scale)
             return SyntheticTraceWorkload(tree=tree_factory(scale=scale),
                                           description=description)
-        reg.register(name, factory, description)
+        reg.register(name, factory, description, SyntheticTraceWorkload.kind)
 
     def add_kernel(name: str, source: str, function: str, args_builder_factory,
                    default_n: int, description: str) -> None:
@@ -161,9 +166,9 @@ def _register_builtins(reg: WorkloadRegistry) -> None:
                 args_builder=args_builder_factory(n),
                 filename=f"{function}.c", description=description,
             )
-        reg.register(name, factory, description)
+        reg.register(name, factory, description, CompiledKernelWorkload.kind)
 
-    def add_parallel(name: str, class_name: str, parameter: str,
+    def add_parallel(name: str, class_name: str, parameter: str, kind: str,
                      description: str) -> None:
         def factory(**params):
             # The parallel workloads (and the static race analysis their
@@ -180,7 +185,7 @@ def _register_builtins(reg: WorkloadRegistry) -> None:
             inspect.Parameter(parameter, inspect.Parameter.KEYWORD_ONLY,
                               default=None)
         ])
-        reg.register(name, factory, description)
+        reg.register(name, factory, description, kind)
 
     add_synthetic("sqlite3-like", sqlite3_like_workload,
                   "sqlite3-shaped call tree (Table 2 / Figure 3 hotspots)")
@@ -200,10 +205,13 @@ def _register_builtins(reg: WorkloadRegistry) -> None:
     add_kernel("memset", MEMSET_SOURCE, "fill", memset_args_builder,
                8192, "store-only fill loop")
     add_parallel("matmul-parallel", "MatmulParallelWorkload", "n",
+                 "parallel-kernel",
                  "row-sharded parallel matmul (strong scaling, --cpus N)")
     add_parallel("stream-triad-mt", "StreamTriadMtWorkload", "n",
+                 "parallel-kernel",
                  "multi-threaded STREAM triad (weak scaling, LLC contention)")
     add_parallel("forkjoin-calltree", "ForkJoinCalltreeWorkload", "scale",
+                 "parallel-synthetic",
                  "fork-join call-tree replay, 2 worker threads per hart")
 
 

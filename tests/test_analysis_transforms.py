@@ -347,11 +347,8 @@ class TestVerifyEachWiring:
             manager.run(self._module())
 
     def test_env_flag_requests_verification(self, monkeypatch):
-        from repro.compiler.transforms.pipeline import (
-            VERIFY_IR_ENV,
-            resolve_verify_each,
-            verify_ir_requested,
-        )
+        from repro.compiler.ir.verifier import VERIFY_IR_ENV, verify_ir_requested
+        from repro.compiler.transforms.pipeline import resolve_verify_each
 
         monkeypatch.delenv(VERIFY_IR_ENV, raising=False)
         assert not verify_ir_requested()
@@ -366,7 +363,7 @@ class TestVerifyEachWiring:
 
     def test_env_flag_verifies_through_compile_cache(self, monkeypatch):
         from repro.compiler.cache import compile_source_cached
-        from repro.compiler.transforms.pipeline import VERIFY_IR_ENV
+        from repro.compiler.ir.verifier import VERIFY_IR_ENV
         from repro.platforms import spacemit_x60
 
         monkeypatch.setenv(VERIFY_IR_ENV, "1")

@@ -96,6 +96,25 @@ class TestRegistry:
         for name in registry:
             assert name in table
 
+    def test_describe_is_byte_identical_to_building_every_workload(self):
+        """The kinds recorded at registration are the kinds the workloads
+        have: a registry without them, which builds each workload to read
+        its kind, prints the same table."""
+        from repro.workloads.registry import WorkloadRegistry
+        built = WorkloadRegistry()
+        for name in registry:
+            built.register(name, lambda name=name: registry.create(name),
+                           registry.description(name))
+        assert built.describe() == registry.describe()
+
+    def test_reregistering_without_a_kind_reads_the_built_workload(self):
+        from repro.workloads.registry import WorkloadRegistry
+        fresh = WorkloadRegistry()
+        fresh.register("sqlite3-like", lambda: registry.create("memset", n=8))
+        row = next(line for line in fresh.describe().splitlines()
+                   if line.startswith("sqlite3-like "))
+        assert row.split()[1] == "kernel"
+
     def test_register_before_first_lookup_overrides_builtin(self):
         from repro.workloads.registry import WorkloadRegistry
         fresh = WorkloadRegistry()

@@ -3,8 +3,10 @@
 A synthetic-trace record -- the paper's sqlite3 ``miniperf record`` -- and
 the CLI's listing subcommands must not import the compiler, the VM, the
 roofline runner, the process-pool executor, the static analyzers, the SMP
-model or the service.  The import checks run in a fresh interpreter, so
-modules the test process has already loaded cannot hide an import edge.
+model or the service, and a kernel run whose module comes from the disk
+cache must not import the passes only a compile runs.  The import checks
+run in a fresh interpreter, so modules the test process has already
+loaded cannot hide an import edge.
 The lazy package namespaces must still resolve every name they export.
 """
 
@@ -38,7 +40,8 @@ HEAVY = (
 )
 
 #: The package namespaces that export names lazily (PEP 562).
-LAZY_PACKAGES = ("repro", "repro.api", "repro.compiler", "repro.roofline")
+LAZY_PACKAGES = ("repro", "repro.api", "repro.compiler",
+                 "repro.compiler.transforms", "repro.roofline")
 
 #: Names perfbench's layer profiler wraps in their modules; the code must
 #: keep calling them through these module attributes.
@@ -110,6 +113,50 @@ def test_cli_subcommand_loads_no_heavy_module(tmp_path, argv):
         print(json.dumps({{"after": sorted(sys.modules)}}))
         """, tmp_path)
     assert heavy_loaded(modules["after"]) == []
+
+
+def test_workloads_listing_builds_no_workload(tmp_path):
+    """``repro workloads`` reads each builtin's recorded kind instead of
+    building it, so neither the parallel workloads nor the VM load."""
+    modules = run_script("""
+        import contextlib, io, json, sys
+        from repro.toolchain.cli import main
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["workloads"])
+        assert code == 0, code
+        print(json.dumps({"after": sorted(sys.modules)}))
+        """, tmp_path)
+    loaded = modules["after"]
+    assert "repro.workloads.parallel" not in loaded
+    assert not [name for name in loaded
+                if name == "repro.vm" or name.startswith("repro.vm.")]
+    assert heavy_loaded(loaded) == []
+
+
+#: The passes only a true compile runs.
+COMPILE_ONLY_PASSES = tuple(
+    f"repro.compiler.transforms.{name}"
+    for name in ("constfold", "dce", "simplifycfg", "extractor", "cloning",
+                 "roofline_pass", "pipeline"))
+
+
+def test_warm_cache_kernel_stat_loads_no_compile_pass(tmp_path):
+    """A kernel ``stat`` whose module comes from the disk cache runs no
+    pass, so it loads none (the engine needs only two pass modules)."""
+    script = """
+        import contextlib, io, json, sys
+        from repro.toolchain.cli import main
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["stat", "--workload", "memset", "-p", "x60"])
+        assert code == 0, code
+        print(json.dumps({"after": sorted(sys.modules)}))
+        """
+    cold = run_script(script, tmp_path)["after"]
+    assert set(COMPILE_ONLY_PASSES) <= set(cold)       # it did compile
+    warm = run_script(script, tmp_path)["after"]
+    assert [name for name in COMPILE_ONLY_PASSES if name in warm] == []
 
 
 def test_package_imports_load_no_heavy_module(tmp_path):

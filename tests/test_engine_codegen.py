@@ -84,19 +84,19 @@ class GenHandler:
         self.machine = machine
         self.clocks = []
 
-    def handles(self, name):
-        return name in ("gen_pure", "gen_observe")
+    def entry(self, name):
+        return {"gen_pure": self.pure, "gen_observe": self.observe}.get(name)
 
     def observes_machine(self, name):
         return name == "gen_observe"
 
-    def call(self, name, args):
-        value = int(args[0])
-        if name == "gen_pure":
-            return value * 3 - int(args[1])
+    def pure(self, value, other):
+        return int(value) * 3 - int(other)
+
+    def observe(self, value):
         clock = self.machine.clock() if self.machine is not None else 0
         self.clocks.append(clock)
-        return clock + (value & 0xFF)
+        return clock + (int(value) & 0xFF)
 
 
 class KernelGenerator:

@@ -24,7 +24,7 @@ from repro.miniperf.correction import reconcile_group_samples
 from repro.platforms import Machine, intel_i5_1135g7, spacemit_x60
 from repro.runtime import RooflineRuntime
 from repro.vm import ExecutionEngine, Memory
-from repro.vm.engine import _BUILTIN_MATH
+from repro.vm.engine import _BUILTIN_MATH, ExternalCallError
 from repro.workloads import (
     DOT_PRODUCT_SOURCE,
     MATMUL_TILED_SOURCE,
@@ -433,13 +433,13 @@ class TestFlushElision:
                 self.machine = machine
                 self.seen = []
 
-            def handles(self, name):
-                return name == "fabsf"
+            def entry(self, name):
+                return self.fabsf if name == "fabsf" else None
 
-            def call(self, name, args):
+            def fabsf(self, value):
                 self.seen.append((self.machine.clock(),
                                   self.machine.instructions))
-                return abs(args[0])
+                return abs(value)
 
         def run(fast):
             machine = Machine(descriptor)
@@ -458,3 +458,48 @@ class TestFlushElision:
         fast, reference = run(True), run(False)
         assert fast == reference
         assert len(fast[1]) == 40
+
+
+class TestUnresolvedExternal:
+    """A call nothing resolves (no handler entry, no builtin) predecodes
+    fine and raises only when executed, the same way on both paths."""
+
+    SOURCE = """
+    float guarded(float* x, long n, long take) {
+      float acc = 0.0f;
+      for (long i = 0; i < n; i++) {
+        acc = acc + x[i];
+        if (i == take) { acc = acc + expf(x[i]); }
+      }
+      return acc;
+    }
+    """
+
+    def _run(self, fast, take):
+        descriptor = spacemit_x60()
+        machine = Machine(descriptor)
+        module = _compiled(self.SOURCE, descriptor, "guarded.c")
+        memory = Memory()
+        x = memory.alloc_float_array([0.5 * i for i in range(16)])
+        engine = ExecutionEngine(module, machine, target_for_platform(descriptor),
+                                 task=machine.create_task("guarded"),
+                                 memory=memory,
+                                 external_handlers=[RooflineRuntime(
+                                     module, machine, instrumented=True)],
+                                 fast_dispatch=fast)
+        try:
+            outcome = engine.run("guarded", [x, 16, take])
+        except ExternalCallError as exc:
+            outcome = str(exc)
+        return outcome, engine.stats.external_calls
+
+    def test_untaken_branch_runs_and_taken_branch_raises_alike(self, monkeypatch):
+        monkeypatch.delitem(_BUILTIN_MATH, "expf")
+        untaken = self._run(True, -1)
+        assert untaken == self._run(False, -1)
+        assert untaken[0] == sum(0.5 * i for i in range(16))
+        assert untaken[1] > 16          # the runtime's block_exec calls
+        taken = self._run(True, 5)
+        assert taken == self._run(False, 5)
+        assert taken[0] == "no handler registered for external function @expf"
+        assert 0 < taken[1] < untaken[1]

@@ -25,7 +25,7 @@ from repro.isa.machine_ops import (
     vector_fma,
     vector_load,
 )
-from repro.isa.privilege import ModeCycleAccounting, Trap, TrapCause, ecall_cause_for_mode
+from repro.isa.privilege import Trap, TrapCause, ecall_cause_for_mode
 from repro.isa.registers import IntRegisterFile, VectorRegisterFile
 
 
@@ -99,16 +99,6 @@ class TestPrivilege:
     def test_trap_is_exception(self):
         with pytest.raises(Trap):
             raise Trap(TrapCause.ILLEGAL_INSTRUCTION, tval=0xB00)
-
-    def test_mode_cycle_accounting(self):
-        accounting = ModeCycleAccounting()
-        accounting.add(PrivilegeMode.USER, 100)
-        accounting.add(PrivilegeMode.SUPERVISOR, 20)
-        accounting.add(PrivilegeMode.MACHINE, 5)
-        assert accounting.split() == (100, 20, 5)
-        assert accounting.total == 125
-        with pytest.raises(ValueError):
-            accounting.add(PrivilegeMode.USER, -1)
 
 
 class TestCsrFile:

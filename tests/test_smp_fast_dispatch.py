@@ -171,9 +171,11 @@ class TestEngineQuantum:
 
     def test_yield_inside_callee_lands_on_same_machine_state(self):
         """A quantum that runs out inside a callee preempts both engines at
-        the same modelled machine state.  (``stats`` may differ at such a
-        yield: inside a callee the fast path counts a block's instructions
-        when it enters the block, the reference path as it executes them.)"""
+        the same modelled machine state, with the same instructions counted
+        for the callee, and both end with the same ``stats``.  The caller's
+        count lags at such a yield by its block in flight: the reference
+        path has counted that block up to the call, the fast path counts a
+        block when it completes."""
         from repro.compiler.cache import compile_source_cached
         from repro.compiler.targets import target_for_platform
         from repro.platforms import Machine, spacemit_x60
@@ -194,14 +196,15 @@ class TestEngineQuantum:
         descriptor = spacemit_x60()
         module = compile_source_cached(source, "calls.c", descriptor,
                                        enable_vectorizer=True)
-        runs = {}
+        runs, callers = {}, {}
         for fast in (True, False):
             machine = Machine(descriptor)
             task = machine.create_task("calls")
             engine = ExecutionEngine(module, machine,
                                      target_for_platform(descriptor),
                                      task=task, fast_dispatch=fast)
-            points = []
+            per_fn = engine.stats.per_function_instructions
+            points, callers[fast] = [], []
             preempted = engine.run_yielding("caller", [0.0], quantum=37)
             while True:
                 try:
@@ -210,12 +213,19 @@ class TestEngineQuantum:
                     result = stop.value
                     break
                 points.append((machine.cycles, machine.instructions,
-                               task.callchain()))
-            runs[fast] = (result, points, machine.cycles, machine.instructions)
+                               task.callchain(), per_fn.get("helper")))
+                callers[fast].append(per_fn.get("caller"))
+            runs[fast] = (result, points, machine.cycles, machine.instructions,
+                          engine.stats)
         assert runs[True] == runs[False]
-        result, points, _cycles, _instructions = runs[True]
+        result, points, _cycles, _instructions, stats = runs[True]
+        assert stats.calls == 5 and stats.per_function_instructions["helper"] > 800
         assert result == 800.0
         assert sum(1 for point in points if point[2][0] == "helper") > 4
+        lags = {(point[2][0], slow - fast)
+                for point, fast, slow in zip(points, callers[True], callers[False])}
+        (in_flight,) = {lag for name, lag in lags if name == "helper"}
+        assert in_flight > 0 and {lag for name, lag in lags if name == "caller"} == {0}
 
     @pytest.mark.parametrize("fast", [True, False], ids=["fast", "slow"])
     def test_run_yielding_matches_plain_run(self, fast):
@@ -283,12 +293,12 @@ class TestEngineQuantum:
                                        enable_vectorizer=True)
 
         class Reentrant:
-            def handles(self, name):
-                return name == "fabsf"
+            def entry(self, name):
+                return self.fabsf if name == "fabsf" else None
 
-            def call(self, name, args):
+            def fabsf(self, value):
                 assert engine.run("helper", [3.0]) == 6.0
-                return abs(args[0])
+                return abs(value)
 
         undisturbed = sum(1 for _ in ExecutionEngine(module, fast_dispatch=fast)
                           .run_yielding("looper", [0.0, 500], quantum=50))
