@@ -371,6 +371,8 @@ class ReproService:
             headers[name.strip().lower()] = value.strip()
         try:
             length = int(headers.get("content-length", "0") or "0")
+            if length < 0:
+                raise ValueError(length)
         except ValueError:
             raise _Reject(400, wire.error_payload(
                 "BadRequest", "malformed Content-Length")) from None

@@ -43,6 +43,11 @@ class Memory:
     reset.  All addresses are stable for the lifetime of the Memory object,
     which the cache simulator relies on.  Both segments are zero-filled on
     demand, never all ``STACK_SIZE`` bytes up front.
+
+    :meth:`load_typed` and :meth:`store_typed` are the one implementation of
+    typed access.  The execution engine's generated code reads and writes
+    the segments :meth:`segments` hands out inline and falls back to them
+    for every access it cannot serve in place, and for every i1.
     """
 
     HEAP_BASE = 0x0001_0000
@@ -150,99 +155,21 @@ class Memory:
             value = float(value) if isinstance(type_, FloatType) else int(value)
         self.write_bytes(address, codec.pack(value))
 
-    # -- predecoded access (execution-engine fast path) ---------------------------------------
+    def segments(self, type_: Type):
+        """``(unpack_from, pack_into, stack, heap)`` for *type_* (None for i1).
 
-    def load_fn(self, type_: Type):
-        """Return a specialised ``loader(address) -> value`` for *type_*.
-
-        Predecode hook used by the execution engine's fast dispatch: the type
-        dispatch and struct-format selection happen once per instruction
-        instead of once per access.  Bounds checking and results are
-        identical to :meth:`load_typed`.  In-bounds accesses resolve their
-        segment inline: both backing bytearrays are stable objects for the
-        lifetime of the Memory (both segments grow in place), so the
-        closures capture them once -- workload arrays live on the heap,
-        escaping locals and stack arrays on the stack -- and only
-        addresses past a segment's current end fall back to
-        :meth:`_backing`, which grows the stack or raises.
-        """
-        backing_of = self._backing
-        heap, heap_base = self._heap, self.heap_base
-        stack, stack_base = self._stack, self.STACK_BASE
-        if isinstance(type_, IntType) and type_.bits == 1:
-            def load_i1(address: int) -> int:
-                backing, offset = backing_of(address, 1)
-                return backing[offset] & 1
-            return load_i1
-        codec = _codec(type_)
-        if codec is None:
-            raise MemoryError_(f"cannot load value of type {type_}")
-        size, unpack_from = codec.size, codec.unpack_from
-
-        def load(address: int):
-            offset = address - stack_base
-            if 0 <= offset:
-                if offset + size <= len(stack):
-                    return unpack_from(stack, offset)[0]
-            else:
-                offset = address - heap_base
-                if 0 <= offset and offset + size <= len(heap):
-                    return unpack_from(heap, offset)[0]
-            backing, offset = backing_of(address, size)
-            return unpack_from(backing, offset)[0]
-        return load
-
-    def store_fn(self, type_: Type):
-        """Return a specialised ``storer(address, value)`` for *type_*.
-
-        The counterpart of :meth:`load_fn`; semantics match
-        :meth:`store_typed` (integers are wrapped to the type's range before
-        being packed), including the heap fast path.
-        """
-        backing_of = self._backing
-        heap, heap_base = self._heap, self.heap_base
-        stack, stack_base = self._stack, self.STACK_BASE
-        if isinstance(type_, IntType) and type_.bits == 1:
-            def store_i1(address: int, value) -> None:
-                backing, offset = backing_of(address, 1)
-                backing[offset] = int(value) & 1
-            return store_i1
-        codec = _codec(type_)
-        if codec is None:
-            raise MemoryError_(f"cannot store value of type {type_}")
-        size, pack_into = codec.size, codec.pack_into
-        if isinstance(type_, IntType):
-            wrap = type_.wrap
-
-            def coerce(value) -> int:
-                return wrap(int(value))
-        else:
-            coerce = float if isinstance(type_, FloatType) else int
-
-        def store(address: int, value) -> None:
-            offset = address - stack_base
-            if 0 <= offset:
-                if offset + size <= len(stack):
-                    pack_into(stack, offset, coerce(value))
-                    return
-            else:
-                offset = address - heap_base
-                if 0 <= offset and offset + size <= len(heap):
-                    pack_into(heap, offset, coerce(value))
-                    return
-            backing, offset = backing_of(address, size)
-            pack_into(backing, offset, coerce(value))
-        return store
-
-    def stack_slot(self, type_: Type):
-        """``(unpack_from, pack_into, stack)`` for *type_* (None for i1).
-
-        The engine's generated code accesses ``alloca``'d slots -- always
-        inside the stack segment -- at ``address - STACK_BASE`` through
-        these, and reads and writes back the slots it keeps in locals.
+        The engine's generated code accesses memory through these.  An
+        ``alloca``'d slot always lies inside the stack segment, so it is
+        accessed at ``address - STACK_BASE``.  Any other address is checked
+        with one compare per segment (``>= STACK_BASE`` the stack, ``>=
+        heap_base`` the heap) and accessed at its offset there; an address
+        below the heap or past a segment's current end falls back to
+        :meth:`load_typed`/:meth:`store_typed`, which grow the stack or
+        raise.  Both segments grow in place, so the bytearrays stay valid
+        for the Memory's lifetime.
         """
         codec = _codec(type_)
-        return codec and (codec.unpack_from, codec.pack_into, self._stack)
+        return codec and (codec.unpack_from, codec.pack_into, self._stack, self._heap)
 
     # -- convenience for tests and workloads --------------------------------------------------
 

@@ -57,6 +57,7 @@ from repro.cpu.events import HwEvent
 from repro.kernel.perf_event import PerfEventAttr, ReadFormat, SampleType
 from repro.platforms import Machine, spacemit_x60
 from repro.vm import ExecutionEngine, Memory
+from repro.vm.engine import _compiled
 
 INT_TYPES = (I1, I8, I16, I32, I64)
 FLOAT_TYPES = (F32, F64)
@@ -723,3 +724,62 @@ def test_slot_store_out_of_range_raises_alike(type_, value, error):
             ExecutionEngine(module, fast_dispatch=fast).run("f", [value])
         raised.append(str(caught.value))
     assert raised[0] == raised[1]
+
+
+# -- the compiled-code memo ----------------------------------------------------------------
+
+
+def _seeded(seed: int):
+    generator = KernelGenerator(seed)
+    arguments_seed = generator.rng.random()
+
+    def args_of(memory):
+        generator.rng = random.Random(arguments_seed)
+        return generator.arguments(memory)
+    return generator.module, args_of
+
+
+def test_engines_over_one_module_share_compiled_code():
+    """Each generated source is compiled once per process: later engines
+    over the module reuse its code object and observe what a cold one does."""
+    module, args_of = _seeded(5)
+    _compiled.cache_clear()
+    cold = _observe(module, args_of, True, True)
+    compiled = _compiled.cache_info().misses
+    for _ in range(2):
+        assert _observe(module, args_of, True, True) == cold
+    assert _compiled.cache_info().misses == compiled
+    engines = [ExecutionEngine(module, external_handlers=[GenHandler(None)])
+               for _ in range(2)]
+    for engine in engines:
+        engine.run("kernel", args_of(engine.memory))
+    codes = [{function: run.__code__ for function, (run, _) in engine._generated.items()}
+             for engine in engines]
+    assert codes[0] and codes[0].keys() == codes[1].keys()
+    assert all(codes[0][function] is codes[1][function] for function in codes[0])
+    assert engines[0].stats == engines[1].stats
+
+
+def test_use_before_definition_is_reported_from_memoised_code():
+    module, function, (entry, late, early) = _function("entry", "late", "early")
+    a, p = function.args
+    b = IRBuilder(entry)
+    b.br(b.icmp("slt", a, Constant(I64, 0)), late, early)
+    b.set_insertion_point(late)
+    value = b.binary("add", a, Constant(I64, 1), name="v")
+    b.jmp(early)
+    b.set_insertion_point(early)
+    b.store(a, p)
+    b.ret(b.binary("add", value, Constant(I64, 1)))
+    _run_expecting(module, r"value %v used before definition in @f", True)
+    hits = _compiled.cache_info().hits
+    _run_expecting(module, r"value %v used before definition in @f", True)
+    assert _compiled.cache_info().hits == hits + 1
+
+
+def test_compiled_code_memo_is_bounded():
+    bound = _compiled.cache_info().maxsize
+    assert bound == 256
+    for index in range(bound + 8):
+        _compiled(f"x = {index}", "<memo bound>")
+    assert _compiled.cache_info().currsize == bound

@@ -15,6 +15,7 @@ in-process CLI modulo the stripped ``timings`` key.
 import json
 import os
 import re
+import socket
 import threading
 import time
 import urllib.request
@@ -453,6 +454,22 @@ def test_bad_requests_are_400s(server, client):
             client.run(payload)
         assert excinfo.value.status == 400, payload
         assert excinfo.value.kind == "BadRequest"
+
+
+@pytest.mark.parametrize("length", ["-5", "five"])
+def test_malformed_content_length_is_a_400(server, length):
+    host, port = server.address.split("//")[1].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(f"POST /run HTTP/1.1\r\nHost: {host}\r\n"
+                     f"Content-Length: {length}\r\n\r\n".encode("latin-1"))
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _sep, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].split(b" ")[1] == b"400", reply
+    error = json.loads(body)["error"]
+    assert (error["type"], error["message"]) == (
+        "BadRequest", "malformed Content-Length")
 
 
 def test_plan_flood_is_rejected_with_retry_after():
