@@ -25,6 +25,7 @@ from repro.api import ProfileSpec, Session
 from repro.compiler.frontend import compile_source
 from repro.compiler.targets import target_for_platform
 from repro.compiler.transforms import build_roofline_pipeline
+from repro.isa.machine_ops import with_addresses
 from repro.platforms import Machine, spacemit_x60
 from repro.runtime import RooflineRuntime
 from repro.vm import ExecutionEngine, Memory
@@ -104,10 +105,14 @@ def _retire_per_op(machine) -> None:
     """Route *machine*'s batched retirement through a per-op
     ``Machine.execute`` loop: fast dispatch still builds the batches, but
     every op retires (and walks the cache hierarchy) through
-    ``CoreTimingModel.retire``, so the batch's pre-collected *mem_accesses*
-    go unused."""
+    ``CoreTimingModel.retire``.  Batched memory ops name only their site,
+    so each gets its address back from the batch's *mem_accesses*
+    (``with_addresses``); the batch must follow that contract."""
     def execute_batch(ops, task=None, mem_accesses=()):
-        for op in ops:
+        memory = [op for op in ops if op.is_memory]
+        assert all(op.address is None for op in memory)
+        assert sum(op.size_bytes > 0 for op in memory) == len(mem_accesses)
+        for op in with_addresses(ops, mem_accesses):
             machine.execute(op, task)
     machine.execute_batch = execute_batch
 

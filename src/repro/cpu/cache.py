@@ -188,7 +188,7 @@ class CacheHierarchy:
         """Walk a stream of memory accesses through the hierarchy, in order.
 
         *accesses* is a sequence of ``(address, size_bytes, is_store)``
-        tuples -- the addressed memory ops of one retired batch, in program
+        tuples -- the memory accesses of one retired batch, in program
         order.  Returns one :class:`AccessResult` per access.  When an
         access spans several cache lines each line is walked in turn and the
         results are combined: the worst latency is reported (the lines are

@@ -284,11 +284,11 @@ class CoreTimingModel:
         callchain, and group values count the crossing op's events published
         before the leader's and none after: bit-identical to per-op retirement.
 
-        *mem_results* holds the chunk's addressed-access results from
-        ``access_lines``, one per memory op with an address and a positive
-        size, in order; it is required whenever the chunk has such ops.
-        *task*, if given, ends at the chunk's last pc.  Returns the integer
-        cycles the chunk consumed.
+        A chunk's ops name their sites (class, pc, size, lanes); their
+        ``address`` fields are not read.  *mem_results* holds the chunk's
+        access results from ``access_lines``, in order: every memory op of
+        positive size consumes the next one.  *task*, if given, ends at the
+        chunk's last pc.  Returns the integer cycles the chunk consumed.
         """
         table = self._batch_info
         if table is None:
@@ -322,7 +322,7 @@ class CoreTimingModel:
                 if kind == 0:
                     total, fp, bp = info[1]
                 elif kind == 1:
-                    if op.address is not None and op.size_bytes > 0:
+                    if op.size_bytes > 0:
                         mem = mem_results[mem_index]
                         mem_index += 1
                         cached = mem_costs.get(mem.latency)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import List, Optional, Sequence
 
 
 class OpClass(enum.Enum):
@@ -99,9 +99,11 @@ class MachineOp:
         Bytes transferred for memory operations (0 otherwise).  For vector
         memory operations this is the *total* payload of the access.
     address:
-        Effective address for memory operations, used by the cache model.
-        ``None`` for non-memory ops or synthetic traces that only model an
-        access-pattern statistically.
+        Effective address for memory operations, read by the cache model
+        when the op retires on its own (``Machine.execute``).  ``None`` for
+        non-memory ops.  A batched op names only its site (traces and
+        generated code leave this ``None``): its address travels in the
+        batch's ``mem_accesses`` (see :func:`with_addresses`).
     lanes:
         Number of vector lanes (1 for scalar ops).
     taken:
@@ -130,8 +132,8 @@ class MachineOp:
             raise ValueError("lanes must be >= 1")
         # A frozen dataclass's own __init__ goes through object.__setattr__
         # per field; the slot descriptors' setters skip the attribute lookup
-        # and about halve the cost of building an op (the VM engine builds
-        # one per memory access, a synthetic trace one per load and store).
+        # and about halve the cost of building an op (the reference
+        # interpreter builds one per memory access).
         (set_opclass, set_size_bytes, set_address, set_lanes, set_taken,
          set_target, set_pc) = _FIELD_SETTERS
         set_opclass(self, opclass)
@@ -192,6 +194,17 @@ class MachineOp:
 #: The slot setters of :class:`MachineOp`, in field order.
 _FIELD_SETTERS = tuple(getattr(MachineOp, f.name).__set__
                        for f in fields(MachineOp))
+
+
+def with_addresses(ops: Sequence[MachineOp],
+                   mem_accesses: Sequence[tuple]) -> List[MachineOp]:
+    """A batch as per-op replay retires it: each memory op of positive size
+    in *ops* rebuilt with the address of the next of *mem_accesses*."""
+    addresses = (address for address, _, _ in mem_accesses)
+    return [MachineOp(op.opclass, op.size_bytes, next(addresses), op.lanes,
+                      op.taken, op.target, op.pc)
+            if op.size_bytes > 0 and op.opclass in MEMORY_OP_CLASSES else op
+            for op in ops]
 
 
 def op_is_memory(opclass: OpClass) -> bool:

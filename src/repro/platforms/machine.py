@@ -91,7 +91,7 @@ class Machine:
         )
         self._tasks: Dict[int, Task] = {}
         #: Optional ``(address, size_bytes, is_store) -> None`` observer of
-        #: every addressed memory op this hart retires, on both the per-op
+        #: every memory access this hart's caches see, on both the per-op
         #: and the batched path.  The static race detector's dynamic
         #: validator installs one per hart to record actual per-thread access
         #: sets; ``None`` (the default) costs one predicate per execute call.
@@ -137,7 +137,8 @@ class Machine:
         """
         if task is not None and op.pc:
             task.set_pc(op.pc)
-        if self._access_recorder is not None and op.is_memory and op.address is not None:
+        if (self._access_recorder is not None and op.is_memory
+                and op.address is not None and op.size_bytes > 0):
             self._access_recorder(op.address, op.size_bytes, op.is_store)
         self.core.retire(op)
 
@@ -146,10 +147,10 @@ class Machine:
                       mem_accesses: Sequence = ()) -> None:
         """Retire a chunk of machine ops (the engine's batched accounting).
 
-        *mem_accesses* carries the batch's addressed accesses as ``(address,
-        size_bytes, is_store)`` tuples, one per memory op with an address and
-        a positive size, in stream order.  It is required whenever *ops* has
-        such ops: every batch resolves its memory in one
+        Each op names its site; addresses travel only in *mem_accesses*, as
+        ``(address, size_bytes, is_store)`` tuples, one per memory op of
+        positive size (whatever its ``address``), in stream order.  Every
+        batch resolves its memory in one
         :meth:`~repro.cpu.cache.CacheHierarchy.access_lines` call, and
         :meth:`~repro.cpu.core.CoreTimingModel.retire_batch` consumes the
         results.  ``retire_batch`` coalesces event publication and retires
@@ -161,9 +162,8 @@ class Machine:
             return
         if self._access_recorder is not None:
             record = self._access_recorder
-            for op in ops:
-                if op.is_memory and op.address is not None:
-                    record(op.address, op.size_bytes, op.is_store)
+            for access in mem_accesses:
+                record(*access)
         mem_results = (self.hierarchy.access_lines(mem_accesses)
                        if mem_accesses else ())
         self.core.retire_batch(ops, mem_results, task)
@@ -172,7 +172,8 @@ class Machine:
         """Install (or clear, with ``None``) the memory-access observer.
 
         *recorder* is called as ``recorder(address, size_bytes, is_store)``
-        for every addressed memory op retired on this hart.  Recording is
+        for every access this hart's caches see, in order: one per addressed
+        memory op of positive size on both paths.  Recording is
         observation only -- timing, counters and samples are unaffected.
         """
         self._access_recorder = recorder

@@ -49,8 +49,10 @@ The engine has two dispatch strategies over the same semantics:
   machine (a handler may declare ``observes_machine(name) -> bool``;
   builtin math does not observe), at function return (before the task's
   stack frame pops, so samples attribute correctly) and at a size
-  threshold.  ``execute_batch`` keeps counters, bus totals and samples
-  bit-identical to the per-op path, and resolves a flush's addressed
+  threshold.  A load or store queues its lowering's address-free template
+  (a constant) and appends its access to a parallel list, where alone its
+  address travels.  ``execute_batch`` keeps counters, bus totals and
+  samples bit-identical to the per-op path, and resolves a flush's
   accesses in one batched ``hierarchy.access_lines`` call.
 
 * **Slow dispatch** (``fast_dispatch=False``): the original instruction-at-
@@ -218,8 +220,8 @@ _SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^
 
 #: The engine objects every generated factory binds first, in this order.
 _FIXED_PARAMS = ("pending_append, pending_extend, pending_mem_append, pending, "
-                 "stats, per_fn, fuel, MachineOp, flush, dispatch, call, "
-                 "stack_alloc, general, heap_base, load_typed, store_typed")
+                 "stats, per_fn, fuel, flush, dispatch, call, stack_alloc, "
+                 "general, heap_base, load_typed, store_typed")
 
 
 @functools.lru_cache(maxsize=256)
@@ -495,13 +497,11 @@ class _Codegen:
             return      # register-promoted access: nothing retires
         if len(ops) == 1 and ops[0].is_memory:
             op = ops[0]
-            lines = [f"pending_append(MachineOp({self.bind(op.opclass, True)}, "
-                     f"{op.size_bytes}, {address}, {op.lanes}, {op.taken}, "
-                     f"{self.literal(op.target)}, {op.pc}))"]
+            items: list = [op]
             if op.size_bytes > 0:
-                lines.append(f"pending_mem_append(({address}, {op.size_bytes}, "
+                items.append(f"pending_mem_append(({address}, {op.size_bytes}, "
                              f"{op.is_store}))")
-            self.queue(width, lines, 1)
+            self.queue(width, items, 1)
         else:
             # Several ops per access: lowered per execution, so the address
             # lands wherever the target puts it.
@@ -855,7 +855,7 @@ class _Codegen:
         run = namespace["factory"](
             pending.append, pending.extend, engine._pending_mem.append, pending,
             engine.stats, engine.stats.per_function_instructions, engine._fuel,
-            MachineOp, engine._flush, engine._dispatch_external,
+            engine._flush, engine._dispatch_external,
             engine._call_function, memory.stack_alloc, engine._account_general,
             memory.heap_base, memory.load_typed, memory.store_typed, *self.objects)
         values = {local: value for value, local in self.names.items()}
@@ -935,9 +935,9 @@ class ExecutionEngine:
         self._pc_of: Dict[Instruction, int] = {}
         self._assign_pcs()
         self.fast_dispatch = fast_dispatch
-        # Fast-dispatch state: pending retired ops, the addressed accesses
-        # among them in stream order (for the hierarchy's batched
-        # access_lines) and each function's generated generator.
+        # Fast-dispatch state: pending retired ops (sites, no addresses),
+        # their memory accesses in stream order (for the hierarchy's
+        # batched access_lines) and each function's generated generator.
         self._pending: List[MachineOp] = []
         self._pending_mem: List[tuple] = []
         self._generated: Dict[Function, tuple] = {}
@@ -1209,10 +1209,10 @@ class ExecutionEngine:
         lowered = self.target.lower(inst, address=address, pc=pc,
                                     vector_width=width)
         self._pending.extend(lowered)
-        # retire_batch's addressed-memory predicate keeps the streams aligned.
+        # retire_batch's memory predicate keeps the streams aligned.
         self._pending_mem.extend(
             (op.address, op.size_bytes, op.is_store) for op in lowered
-            if op.is_memory and op.address is not None and op.size_bytes > 0)
+            if op.is_memory and op.size_bytes > 0)
         self.stats.machine_ops += len(lowered)
 
     # -- instruction execution (reference path) -------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.machine_ops import MachineOp, OpClass
+from repro.isa.machine_ops import MachineOp, OpClass, with_addresses
 from repro.kernel.task import Task
 from repro.platforms.machine import Machine
 
@@ -95,22 +95,22 @@ _MIX_OPCLASS = {"int_alu": OpClass.INT_ALU, "int_mul": OpClass.INT_MUL,
                 "fp": OpClass.FP_MUL}
 
 #: How :meth:`TraceExecutor._fill` emits a kind: an interned op per slot, an
-#: interned ``(not taken, taken)`` pair per slot, or a fresh load/store
-#: from an ``(opclass, is_store)`` row.
+#: interned ``(not taken, taken)`` pair per slot, or an interned load/store
+#: site per slot plus its access, from a ``(sites, is_store)`` row.
 _PLAIN, _BRANCH, _MEMORY = 0, 1, 2
 
 
 class _OpTable:
     """The ops of one function that do not depend on the random stream.
 
-    Body slot *s* sits at ``pc_base + (s % 64) * 4``, so every ALU, multiply
-    and fp op is one of 64 values per kind and every branch one of 64 pairs;
-    only loads and stores carry a fresh address and are built per op.  The
-    ops are immutable, so one instance serves every segment that retires it.
+    Body slot *s* sits at ``pc_base + (s % 64) * 4``, so every op is one of
+    64 values per kind (loads and stores are address-free sites) and every
+    branch one of 64 pairs.  The ops are immutable, so one instance serves
+    every segment that retires it.
     """
 
-    __slots__ = ("mix", "bounds", "codes", "rows", "working_set", "pc_base",
-                 "call", "ret")
+    __slots__ = ("mix", "bounds", "codes", "rows", "working_set", "call",
+                 "ret")
 
     def __init__(self, function: SyntheticFunction):
         mix = function.mix
@@ -134,7 +134,8 @@ class _OpTable:
             opclass = _MIX_OPCLASS.get(kind)
             if opclass is OpClass.LOAD or opclass is OpClass.STORE:
                 codes.append(_MEMORY)
-                rows.append((opclass, opclass is OpClass.STORE))
+                rows.append((tuple(MachineOp(opclass, 8, pc=pc) for pc in pcs),
+                             opclass is OpClass.STORE))
             elif opclass is not None:
                 codes.append(_PLAIN)
                 rows.append(tuple(MachineOp(opclass, pc=pc) for pc in pcs))
@@ -151,7 +152,6 @@ class _OpTable:
         self.codes = codes
         self.rows = rows
         self.working_set = max(64, mix.working_set_bytes)
-        self.pc_base = pc_base
         self.call = MachineOp(OpClass.CALL, taken=True, pc=pc_base)
         self.ret = MachineOp(OpClass.RET, taken=True, pc=pc_base + 4)
 
@@ -163,18 +163,19 @@ class TraceExecutor:
     a segment share one call chain: one ``Machine.execute_batch`` call each,
     with the segment's ``(address, size_bytes, is_store)`` accesses collected
     alongside so the machine resolves them in one ``access_lines`` call, or
-    op by op through ``Machine.execute`` without ``batched`` (the per-op
-    reference).  The op stream depends only on the seed either way.
+    op by op through ``Machine.execute`` after ``with_addresses`` without
+    ``batched`` (the per-op reference).  The op stream depends only on the
+    seed either way.
 
     Generation costs about as much as its random draws.  The first run of a
     function builds its :class:`_OpTable`, kept for the executor's lifetime
     and keyed by function name (rebuilt if a later tree gives the name
-    another mix), and :meth:`_fill` appends interned table ops; only loads
-    and stores build a new :class:`MachineOp`.  Each body slot draws its
-    kind; a load or store then draws whether it is sequential and, if not, a
-    random offset in the working set; a branch draws whether it is
-    predictable and, if not, whether it is taken.  A function's heap base is
-    allocated at its first load or store, in trace order.
+    another mix), and :meth:`_fill` appends interned table ops and builds
+    no :class:`MachineOp`.  Each body slot draws its kind; a load or store
+    then draws whether it is sequential and, if not, a random offset in the
+    working set; a branch draws whether it is predictable and, if not,
+    whether it is taken.  A function's heap base is allocated at its first
+    load or store, in trace order.
     """
 
     def __init__(self, machine: Machine, task: Task, seed: int = 42,
@@ -219,7 +220,7 @@ class TraceExecutor:
         if self.batched:
             self.machine.execute_batch(segment, self.task, accesses)
         else:
-            for op in segment:
+            for op in with_addresses(segment, accesses):
                 self.machine.execute(op, self.task)
         segment.clear()
         accesses.clear()
@@ -264,7 +265,7 @@ class TraceExecutor:
         append = segment.append
         access = accesses.append
         bounds, codes, rows = table.bounds, table.codes, table.rows
-        working_set, pc_base = table.working_set, table.pc_base
+        working_set = table.working_set
         mix = function.mix
         locality = mix.locality
         predictability = mix.branch_predictability
@@ -285,9 +286,8 @@ class TraceExecutor:
                     cursor = (cursor + 8) % working_set
                 else:
                     address = base + (randrange(working_set) & ~0x7)
-                opclass, is_store = rows[index]
-                append(MachineOp(opclass, size_bytes=8, address=address,
-                                 pc=pc_base + (slot & 63) * 4))
+                sites, is_store = rows[index]
+                append(sites[slot & 63])
                 access((address, 8, is_store))
             else:
                 pair = rows[index][slot & 63]

@@ -783,3 +783,35 @@ def test_compiled_code_memo_is_bounded():
     for index in range(bound + 8):
         _compiled(f"x = {index}", "<memo bound>")
     assert _compiled.cache_info().currsize == bound
+
+
+# -- memory accounting: site ops, addresses in the access list ----------------------------
+
+
+def test_generated_code_builds_no_machine_op(monkeypatch):
+    """A load or store retires its lowering's address-free template, bound
+    to the factory as a constant, and appends its access: no generated
+    source builds a ``MachineOp`` per access, and no factory takes the
+    class."""
+    import repro.vm.engine as engine_module
+    from repro.api import ProfileSpec, Session
+    from repro.workloads import registry
+
+    sources = []
+
+    def capture(source, filename):
+        sources.append(source)
+        return _compiled(source, filename)
+
+    monkeypatch.setattr(engine_module, "_compiled", capture)
+    for seed in range(4):
+        _observe(*_seeded(seed), True, True)
+    Session("SpacemiT X60").run(registry.create("matmul-tiled", n=4),
+                                ProfileSpec().counting())
+    assert any("matmul_tiled" in source for source in sources)
+    assert any("pending_mem_append((" in source for source in sources)
+    assert not [source for source in sources if "MachineOp(" in source]
+    assert all(source.startswith("def factory(")
+               and "MachineOp" not in source.split("\n", 1)[0]
+               for source in sources)
+    assert "MachineOp" not in engine_module._FIXED_PARAMS

@@ -26,6 +26,7 @@ import random
 import pytest
 
 from repro.cpu.events import HwEvent
+from repro.isa.machine_ops import MEMORY_OP_CLASSES, MachineOp, OpClass
 from repro.miniperf.cpuid import identify_machine
 from repro.miniperf.groups import GroupPlan, plan_sampling_group
 from repro.platforms import Machine, platform_by_name
@@ -98,6 +99,15 @@ def _group_plan(machine: Machine, leader, members, period: int) -> GroupPlan:
 
 def record_trace(group: str, period: int, seed: int, batched: bool) -> dict:
     """Sample one generated trace; everything observable, minus pid/tid."""
+    def drive(machine: Machine, task) -> None:
+        TraceExecutor(machine, task, seed=seed, batched=batched).run(
+            random_tree(seed))
+    return _record(group, period, drive)
+
+
+def _record(group: str, period: int, drive) -> dict:
+    """Sample what ``drive(machine, task)`` retires under *group*;
+    everything observable, minus pid/tid."""
     platform, leader, members = GROUPS[group]
     machine = Machine(platform_by_name(platform))
     task = machine.create_task("generated")
@@ -108,8 +118,7 @@ def record_trace(group: str, period: int, seed: int, batched: bool) -> dict:
                   for attr in plan.member_attrs()]
     buffer = perf.mmap(leader_fd)
     perf.enable(leader_fd)
-    TraceExecutor(machine, task, seed=seed, batched=batched).run(
-        random_tree(seed))
+    drive(machine, task)
     reads = [perf.read(fd) for fd in [leader_fd] + member_fds]
     perf.disable(leader_fd)
     return {
@@ -177,3 +186,85 @@ def test_single_op_can_overflow_several_times():
     result = _assert_identical("i5-cycles", 1, 0)
     times = [sample[1] for sample in result["samples"]]
     assert len(times) > len(set(times))
+
+
+# -- site ops: addresses only in mem_accesses ---------------------------------
+
+_SCALAR_MEMORY = (OpClass.LOAD, OpClass.STORE)
+_VECTOR_MEMORY = (OpClass.VECTOR_LOAD, OpClass.VECTOR_STORE)
+_PLAIN = (OpClass.INT_ALU, OpClass.INT_DIV, OpClass.FP_FMA, OpClass.VECTOR_FMA)
+
+
+def addressed_segments(seed: int) -> list:
+    """Seeded segments of addressed ops: every dispatch kind, scalar and
+    vector memory ops (some of size 0, some crossing a line) and taken and
+    not-taken branches."""
+    rng = random.Random(seed)
+    segments = []
+    for _ in range(40):
+        ops = []
+        for _ in range(rng.randint(1, 60)):
+            pc = 0x1000 + 4 * rng.randrange(256)
+            draw = rng.random()
+            if draw < 0.45:
+                vector = rng.random() < 0.3
+                opclass = rng.choice(_VECTOR_MEMORY if vector else _SCALAR_MEMORY)
+                size = rng.choice((0, 32, 64)) if vector else rng.choice((0, 4, 8))
+                ops.append(MachineOp(opclass, size,
+                                     0x4000_0000 + rng.randrange(1 << 18),
+                                     8 if vector else 1, pc=pc))
+            elif draw < 0.7:
+                ops.append(MachineOp(OpClass.BRANCH, taken=rng.random() < 0.6,
+                                     target=pc + 16, pc=pc))
+            else:
+                opclass = rng.choice(_PLAIN)
+                ops.append(MachineOp(
+                    opclass, lanes=8 if opclass is OpClass.VECTOR_FMA else 1,
+                    pc=pc))
+        segments.append(ops)
+    return segments
+
+
+def _site(op: MachineOp) -> MachineOp:
+    """*op* as a batch carries it: a memory op without its address."""
+    if op.opclass not in MEMORY_OP_CLASSES:
+        return op
+    return MachineOp(op.opclass, op.size_bytes, None, op.lanes, op.taken,
+                     op.target, op.pc)
+
+
+def retire_sites(machine: Machine, task, seed: int, batched: bool) -> None:
+    """Retire :func:`addressed_segments` each under its own call chain:
+    batched as site ops plus ``mem_accesses``, or op by op with addresses."""
+    for index, ops in enumerate(addressed_segments(seed)):
+        task.push_frame(f"site{index % 3}")
+        if batched:
+            machine.execute_batch(
+                [_site(op) for op in ops], task,
+                [(op.address, op.size_bytes, op.is_store) for op in ops
+                 if op.is_memory and op.size_bytes > 0])
+        else:
+            for op in ops:
+                machine.execute(op, task)
+        if index % 2:
+            task.pop_frame()
+
+
+def record_sites(group: str, period: int, seed: int, batched: bool) -> dict:
+    """Sample :func:`retire_sites` under *group*."""
+    return _record(group, period, lambda machine, task: retire_sites(
+        machine, task, seed, batched))
+
+
+@pytest.mark.parametrize("period", (1, 7, 997))
+@pytest.mark.parametrize("group", sorted(GROUPS))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_site_ops_with_accesses_match_addressed_per_op(group, period, seed):
+    """Batches of address-free site ops whose addresses travel only in
+    ``mem_accesses`` sample, count and fill the caches exactly as per-op
+    retirement of the same ops with their addresses."""
+    per_op = record_sites(group, period, seed, batched=False)
+    assert record_sites(group, period, seed, batched=True) == per_op
+    if period <= (1 if group == "i5-cache-misses" else 7):
+        chains = {sample[4] for sample in per_op["samples"]}
+        assert len(chains) > 1      # crossings under several call chains

@@ -6,7 +6,9 @@ segment.  ``ReferenceTraceExecutor`` below is the straightforward generator
 it replaced: one validated :class:`MachineOp` per draw, addresses from
 ``_address_for``.  Both must produce the same stream, op for op and segment
 for segment, because every digest and golden depends on the draw order and
-on the order in which functions receive their heap bases.
+on the order in which functions receive their heap bases.  Batched loads
+and stores name only their site; their addresses travel in the batch's
+``mem_accesses`` and are put back per op before the comparison.
 
 The second half runs the ``sqlite-record-x60`` benchmark workload through a
 full ``Session`` and compares its output digest with the committed
@@ -25,7 +27,7 @@ from typing import Dict, List, Sequence
 
 import pytest
 
-from repro.isa.machine_ops import MachineOp, OpClass
+from repro.isa.machine_ops import MachineOp, OpClass, with_addresses
 from repro.workloads.synthetic import (
     InstructionMix,
     SyntheticFunction,
@@ -136,9 +138,16 @@ class ReferenceTraceExecutor:
 
 class RecordingMachine:
     """Records every retired op, field by field, one list per segment, and
-    each batch's ``mem_accesses`` in :attr:`accesses` (one list per batch)."""
+    each batch's ``mem_accesses`` in :attr:`accesses` (one list per batch).
 
-    def __init__(self):
+    With *site_ops*, every batch must follow the batched-retirement
+    contract -- its memory ops carry no address, and there is one access
+    per memory op of positive size -- and is recorded as per-op replay
+    rebuilds it (``with_addresses``), so it compares field by field with
+    the reference's addressed ops."""
+
+    def __init__(self, site_ops: bool = False):
+        self.site_ops = site_ops
         self.segments: List[list] = []
         self.accesses: List[list] = []
 
@@ -148,6 +157,12 @@ class RecordingMachine:
                 op.target, op.pc)
 
     def execute_batch(self, ops, task=None, mem_accesses=()) -> None:
+        if self.site_ops:
+            memory = [op for op in ops if op.is_memory]
+            assert all(op.address is None for op in memory)
+            assert (sum(op.size_bytes > 0 for op in memory)
+                    == len(mem_accesses))
+            ops = with_addresses(ops, mem_accesses)
         self.segments.append([self._fields(op) for op in ops])
         self.accesses.append(list(mem_accesses))
 
@@ -168,7 +183,7 @@ class FrameStack:
 
 def record(executor_cls, trees, seed: int, invocations: int = 2,
            **options) -> List[list]:
-    machine = RecordingMachine()
+    machine = RecordingMachine(site_ops=executor_cls is TraceExecutor)
     executor = executor_cls(machine, FrameStack(), seed=seed, **options)
     for tree in trees:
         executor.run(tree, invocations=invocations)
@@ -209,7 +224,7 @@ def test_random_trees_match_reference(seed):
 def test_batches_carry_their_memory_accesses(seed):
     """Every batch hands the machine its loads' and stores' ``(address,
     size_bytes, is_store)``, in op order, for one ``access_lines`` call."""
-    machine = RecordingMachine()
+    machine = RecordingMachine(site_ops=True)
     executor = TraceExecutor(machine, FrameStack(), seed=seed)
     executor.run(random_tree(seed), invocations=2)
     executor.run(tree("f", SyntheticFunction("f", 300, MEMORY)))
@@ -220,6 +235,25 @@ def test_batches_carry_their_memory_accesses(seed):
                             if opclass in (OpClass.LOAD, OpClass.STORE)]
     flags = {is_store for batch in machine.accesses for *_, is_store in batch}
     assert flags == {False, True}
+
+
+def test_fill_builds_no_machine_op(monkeypatch):
+    """Once a function's table exists, its segments retire interned ops
+    only: loads and stores are sites, and their addresses are accesses."""
+    workload = random_tree(2)
+    executor = TraceExecutor(RecordingMachine(), FrameStack(), seed=2)
+    executor.run(workload)
+    built = []
+    init = MachineOp.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MachineOp, "__init__", counting)
+    executor.run(workload, invocations=2)
+    assert built == []
+    assert memory_ops(executor.machine.segments)
 
 
 def test_per_op_path_matches_reference():
