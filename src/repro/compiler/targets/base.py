@@ -133,10 +133,10 @@ class TargetLowering:
         """Memoized :meth:`lower` for the engine's predecode phase.
 
         The result is cached per ``(instruction, taken, vector_width)``;
-        memory instructions are lowered with ``address=None`` and the engine
-        patches the effective address into the cached template per execution.
-        Lowerings must therefore be pure functions of those keys, which every
-        built-in target satisfies.
+        memory instructions are lowered with ``address=None`` to at most one
+        memory op, which the engine retires as a template while the
+        effective address travels beside it.  Lowerings must therefore be
+        pure functions of those keys, which every built-in target satisfies.
         """
         per_inst = self._lower_cache.get(inst)
         if per_inst is None:

@@ -9,7 +9,7 @@ and the memory/compute roofs that bound the roofline plot.
 
 from repro.cpu.events import HwEvent, EventCounts, EventBus
 from repro.cpu.cache import Cache, CacheConfig, CacheHierarchy, MemoryConfig, AccessResult
-from repro.cpu.branch import BranchPredictor, GsharePredictor, AlwaysTakenPredictor
+from repro.cpu.branch import GsharePredictor
 from repro.cpu.core import (
     CoreConfig,
     CoreTimingModel,
@@ -26,9 +26,7 @@ __all__ = [
     "CacheHierarchy",
     "MemoryConfig",
     "AccessResult",
-    "BranchPredictor",
     "GsharePredictor",
-    "AlwaysTakenPredictor",
     "CoreConfig",
     "CoreTimingModel",
     "InOrderCore",

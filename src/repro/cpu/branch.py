@@ -1,10 +1,15 @@
-"""Branch predictors.
+"""The branch predictor.
 
 Branch mispredictions are one of the stall sources the in-order timing model
 exposes directly, and ``branch-misses`` is one of the generic perf events the
-PMU must be able to count.  Two predictors are provided: a gshare-style
-history predictor (used by the real platform models) and an always-taken
-predictor (useful as a pessimistic baseline in ablations).
+PMU must be able to count.  Every platform model predicts with gshare
+(McFarling, "Combining Branch Predictors", WRL TN-36, 1993): the global
+branch history XOR the pc indexes a table of 2-bit saturating counters.
+
+:meth:`GsharePredictor.update` is the per-op reference that
+``CoreTimingModel.retire`` calls.  ``CoreTimingModel.retire_batch`` runs the
+same update inline on the predictor's fields, so the two must change
+together.
 """
 
 from __future__ import annotations
@@ -12,28 +17,7 @@ from __future__ import annotations
 from typing import Dict
 
 
-class BranchPredictor:
-    """Interface: update with each real outcome, which reports the miss."""
-
-    def update(self, pc: int, target: int, taken: bool) -> bool:
-        """Record the outcome; return True when the prediction was wrong."""
-        raise NotImplementedError
-
-    @property
-    def mispredictions(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def predictions(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.predictions
-        return self.mispredictions / total if total else 0.0
-
-
-class GsharePredictor(BranchPredictor):
+class GsharePredictor:
     """A gshare predictor: global history XOR PC indexes a table of 2-bit counters."""
 
     def __init__(self, table_bits: int = 12, history_bits: int = 12):
@@ -73,25 +57,7 @@ class GsharePredictor(BranchPredictor):
     def predictions(self) -> int:
         return self._predictions
 
-
-class AlwaysTakenPredictor(BranchPredictor):
-    """Predicts every branch taken; a floor for ablation studies."""
-
-    def __init__(self) -> None:
-        self._predictions = 0
-        self._mispredictions = 0
-
-    def update(self, pc: int, target: int, taken: bool) -> bool:
-        self._predictions += 1
-        mispredicted = not taken
-        if mispredicted:
-            self._mispredictions += 1
-        return mispredicted
-
     @property
-    def mispredictions(self) -> int:
-        return self._mispredictions
-
-    @property
-    def predictions(self) -> int:
-        return self._predictions
+    def miss_rate(self) -> float:
+        total = self._predictions
+        return self._mispredictions / total if total else 0.0

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from repro.cpu.branch import BranchPredictor, GsharePredictor
+from repro.cpu.branch import GsharePredictor
 from repro.cpu.cache import AccessResult, CacheHierarchy
 from repro.cpu.events import UNBOUNDED, EventBus, HwEvent
 from repro.isa.machine_ops import (
@@ -148,7 +148,7 @@ class CoreTimingModel:
         config: CoreConfig,
         hierarchy: CacheHierarchy,
         bus: EventBus,
-        predictor: Optional[BranchPredictor] = None,
+        predictor: Optional[GsharePredictor] = None,
         pmu: Optional[PmuUnit] = None,
     ):
         self.config = config
@@ -275,14 +275,21 @@ class CoreTimingModel:
         Cache, predictor and fractional-cycle state advance op by op as in a
         :meth:`retire` loop (whole cycles stepped as ``r // 1.0``, exact
         like ``int(r)`` for ``r >= 0``, and summed as a float converted once
-        per pass); event pulses are aggregated up to the PMU's
-        overflow horizon (:meth:`~repro.pmu.unit.PmuUnit.overflow_horizon`).
-        At the first op whose pulses would reach it, the aggregate before it
+        per pass); event pulses are aggregated up to the PMU's overflow
+        horizon (:meth:`~repro.pmu.unit.PmuUnit.overflow_horizon`).  At the
+        first op whose pulses would reach it, the aggregate before it
         (which cannot overflow) is published, the task pc is set, that
         *crossing* op retires through the per-op :meth:`_publish` order and
         the horizon is re-read.  Samples see the exact pc, clock and
         callchain, and group values count the crossing op's events published
         before the leader's and none after: bit-identical to per-op retirement.
+
+        The predictor is gshare, updated inline as
+        :meth:`GsharePredictor.update` would be: its history and tables are
+        read into locals at the start of each pass, and its history and
+        counts are written back at the end of the pass, before a crossing
+        op retires.  A crossing branch is predicted in the pass and counted
+        there once.
 
         A chunk's ops name their sites (class, pc, size, lanes); their
         ``address`` fields are not read.  *mem_results* holds the chunk's
@@ -294,7 +301,10 @@ class CoreTimingModel:
         if table is None:
             table = self._build_batch_info()
             self._batch_info = table
-        predictor_update = self.predictor.update
+        predictor = self.predictor
+        counters = predictor._counters
+        table_size = predictor._table_size
+        history_mask = predictor._history_mask
         mem_costs = self._mem_cost_cache
         cost_row = self._cost_row
         publish = self.bus.publish
@@ -310,6 +320,7 @@ class CoreTimingModel:
                 pmu.overflow_horizon(mode_event) if pmu is not None
                 else (UNBOUNDED, UNBOUNDED))
             remainder = self._cycle_remainder
+            history = predictor._history
             cycles_total = 0.0
             count = frontend_pulses = backend_pulses = 0
             loads = stores = branches = branch_misses = 0
@@ -332,9 +343,20 @@ class CoreTimingModel:
                     else:
                         mem = None
                         total, fp, bp = info[1]
-                else:
-                    mispredicted = predictor_update(op.pc, op.target, op.taken)
-                    total, fp, bp = info[1][op.taken][mispredicted]
+                else:       # GsharePredictor.update, inline
+                    taken = op.taken
+                    index = ((op.pc >> 2) ^ history) % table_size
+                    counter = counters.get(index, 2)
+                    mispredicted = (counter >= 2) != taken
+                    if taken:
+                        if counter < 3:
+                            counters[index] = counter + 1
+                        history = ((history << 1) | 1) & history_mask
+                    else:
+                        if counter:
+                            counters[index] = counter - 1
+                        history = (history << 1) & history_mask
+                    total, fp, bp = info[1][taken][mispredicted]
 
                 r = remainder + total
                 cycles = r // 1.0
@@ -382,6 +404,14 @@ class CoreTimingModel:
                         branch_misses += 1
             else:
                 op = None       # no crossing op: the chunk is exhausted
+
+            # Write the predictor back before the crossing op publishes; a
+            # crossing branch was predicted above, so it counts here once.
+            crossing_branch = op is not None and kind == 2
+            predictor._history = history
+            predictor._predictions += branches + crossing_branch
+            predictor._mispredictions += (branch_misses
+                                          + (crossing_branch and mispredicted))
 
             # Publish the ops before the crossing op (or the whole rest of
             # the chunk): by construction their pulses reach no horizon.
@@ -435,7 +465,7 @@ class CoreTimingModel:
             if task is not None:
                 _sync_pc(task, ops, index)
             self._retire_one(op, mem if kind == 1 else None,
-                             kind == 2 and mispredicted, total, fp, bp)
+                             crossing_branch and mispredicted, total, fp, bp)
             start = index + 1
 
     # -- event publication ------------------------------------------------------

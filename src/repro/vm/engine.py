@@ -51,7 +51,8 @@ The engine has two dispatch strategies over the same semantics:
   stack frame pops, so samples attribute correctly) and at a size
   threshold.  A load or store queues its lowering's address-free template
   (a constant) and appends its access to a parallel list, where alone its
-  address travels.  ``execute_batch`` keeps counters, bus totals and
+  address travels; a target whose memory lowering yields more than that
+  one op is refused at predecode.  ``execute_batch`` keeps counters, bus totals and
   samples bit-identical to the per-op path, and resolves a flush's
   accesses in one batched ``hierarchy.access_lines`` call.
 
@@ -221,7 +222,7 @@ _SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^
 #: The engine objects every generated factory binds first, in this order.
 _FIXED_PARAMS = ("pending_append, pending_extend, pending_mem_append, pending, "
                  "stats, per_fn, fuel, flush, dispatch, call, stack_alloc, "
-                 "general, heap_base, load_typed, store_typed")
+                 "heap_base, load_typed, store_typed")
 
 
 @functools.lru_cache(maxsize=256)
@@ -495,18 +496,17 @@ class _Codegen:
         ops, width = self.lowering(inst) if self.accounted else ((), 0)
         if not ops:
             return      # register-promoted access: nothing retires
-        if len(ops) == 1 and ops[0].is_memory:
-            op = ops[0]
-            items: list = [op]
-            if op.size_bytes > 0:
-                items.append(f"pending_mem_append(({address}, {op.size_bytes}, "
-                             f"{op.is_store}))")
-            self.queue(width, items, 1)
-        else:
-            # Several ops per access: lowered per execution, so the address
-            # lands wherever the target puts it.
-            self.queue(width, [f"general({self.bind(inst)}, {address}, "
-                               f"{self.engine._pc_of.get(inst, 0)}, {width})"], 0)
+        if len(ops) != 1 or not ops[0].is_memory:
+            classes = ", ".join(op.opclass.name for op in ops)
+            raise ValueError(
+                f"{self.engine.target!r} lowers a {inst.opcode} to {classes}: "
+                "a target's memory lowering yields at most one op, a memory op")
+        op = ops[0]
+        items: list = [op]
+        if op.size_bytes > 0:
+            items.append(f"pending_mem_append(({address}, {op.size_bytes}, "
+                         f"{op.is_store}))")
+        self.queue(width, items, 1)
 
     def leave(self, line: str, charge: bool = False) -> None:
         """Close one exit path: pending constants, the op count (and the
@@ -856,8 +856,8 @@ class _Codegen:
             pending.append, pending.extend, engine._pending_mem.append, pending,
             engine.stats, engine.stats.per_function_instructions, engine._fuel,
             engine._flush, engine._dispatch_external,
-            engine._call_function, memory.stack_alloc, engine._account_general,
-            memory.heap_base, memory.load_typed, memory.store_typed, *self.objects)
+            engine._call_function, memory.stack_alloc, memory.heap_base,
+            memory.load_typed, memory.store_typed, *self.objects)
         values = {local: value for value, local in self.names.items()}
         values.update((content, alloca) for alloca, (_, content, _) in self.slots.items())
         return run, values
@@ -1201,19 +1201,6 @@ class ExecutionEngine:
                 observes = getattr(handler, "observes_machine", None)
                 return entry, observes is None or bool(observes(name))
         return None, name not in _BUILTIN_MATH
-
-    def _account_general(self, inst: Instruction, address: int, pc: int,
-                         width: int) -> None:
-        """Retire a memory access whose lowering is several ops, lowered
-        per execution so the address lands wherever the target puts it."""
-        lowered = self.target.lower(inst, address=address, pc=pc,
-                                    vector_width=width)
-        self._pending.extend(lowered)
-        # retire_batch's memory predicate keeps the streams aligned.
-        self._pending_mem.extend(
-            (op.address, op.size_bytes, op.is_store) for op in lowered
-            if op.is_memory and op.size_bytes > 0)
-        self.stats.machine_ops += len(lowered)
 
     # -- instruction execution (reference path) -------------------------------------------------
 

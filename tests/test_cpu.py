@@ -1,9 +1,9 @@
-"""Tests for the cache hierarchy, branch predictors and core timing models."""
+"""Tests for the cache hierarchy, branch predictor and core timing models."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpu.branch import AlwaysTakenPredictor, GsharePredictor
+from repro.cpu.branch import GsharePredictor
 from repro.cpu.cache import Cache, CacheConfig, CacheHierarchy, MemoryConfig
 from repro.cpu.core import CoreConfig, InOrderCore, OutOfOrderCore
 from repro.cpu.events import EventBus, EventCounts, HwEvent
@@ -137,13 +137,6 @@ class TestBranchPredictors:
         late = [predictor.update(0x400, 0x500, True) for _ in range(50)]
         assert sum(late) == 0          # no mispredictions once learned
         assert predictor.miss_rate < 0.2
-
-    def test_always_taken_counts_not_taken_as_miss(self):
-        predictor = AlwaysTakenPredictor()
-        predictor.update(0, 0, False)
-        predictor.update(0, 0, True)
-        assert predictor.mispredictions == 1
-        assert predictor.predictions == 2
 
     @given(st.lists(st.booleans(), min_size=1, max_size=300))
     @settings(max_examples=25, deadline=None)

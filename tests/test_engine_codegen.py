@@ -51,9 +51,10 @@ from repro.compiler.ir.instructions import (
     ICMP_PREDICATES,
     INT_BINARY_OPS,
 )
-from repro.compiler.targets import target_for_platform
+from repro.compiler.targets import TargetLowering, target_for_platform
 from repro.compiler.transforms.vectorize import VECTOR_WIDTH_KEY
 from repro.cpu.events import HwEvent
+from repro.isa.machine_ops import MachineOp, OpClass
 from repro.kernel.perf_event import PerfEventAttr, ReadFormat, SampleType
 from repro.platforms import Machine, spacemit_x60
 from repro.vm import ExecutionEngine, Memory
@@ -815,3 +816,37 @@ def test_generated_code_builds_no_machine_op(monkeypatch):
                and "MachineOp" not in source.split("\n", 1)[0]
                for source in sources)
     assert "MachineOp" not in engine_module._FIXED_PARAMS
+
+
+class _TwoOpLoads(TargetLowering):
+    """Lowers a load to an address computation plus the access."""
+
+    def _lower_memory(self, size_bytes, is_store, address, pc, vector_width):
+        ops = super()._lower_memory(size_bytes, is_store, address, pc, vector_width)
+        return ops if is_store else [MachineOp(OpClass.INT_ALU, pc=pc)] + ops
+
+
+def test_memory_lowering_of_several_ops_is_rejected_at_predecode():
+    """Generated code retires one template op per access, so a target whose
+    memory lowering yields more is refused before anything runs; the
+    reference interpreter, which lowers per execution, still runs it."""
+    module, function, (entry,) = _function("entry")
+    a, p = function.args
+    b = IRBuilder(entry)
+    b.store(a, p)
+    b.ret(b.load(p))
+    for fast in (True, False):
+        memory = Memory()
+        buffer = memory.malloc(8)
+        machine = Machine(spacemit_x60())
+        engine = ExecutionEngine(module, machine, _TwoOpLoads(), memory=memory,
+                                 fast_dispatch=fast)
+        if fast:
+            with pytest.raises(ValueError, match=r"_TwoOpLoads\(march='generic'\) "
+                               r"lowers a load to INT_ALU, LOAD: a target's memory "
+                               r"lowering yields at most one op"):
+                engine.run("f", [41, buffer])
+            assert machine.instructions == 0
+        else:
+            assert engine.run("f", [41, buffer]) == 41
+            assert machine.instructions > 0

@@ -18,7 +18,10 @@ at sample periods from 1 (an overflow on every op, several per op when an
 op costs more than one cycle) to 6000.  Sample streams (ip, time,
 callchain, group values), counter reads, bus totals and the cache
 hierarchy's stats must be identical; the last compare the batched
-``access_lines`` walk with per-op ``access`` directly.
+``access_lines`` walk with per-op ``access`` directly.  The predictor
+oracle at the end compares gshare's exact state (history, counter table,
+unrounded prediction counts) after ``retire_batch``'s inline update with
+a ``retire`` loop's.
 """
 
 import random
@@ -268,3 +271,112 @@ def test_site_ops_with_accesses_match_addressed_per_op(group, period, seed):
     if period <= (1 if group == "i5-cache-misses" else 7):
         chains = {sample[4] for sample in per_op["samples"]}
         assert len(chains) > 1      # crossings under several call chains
+
+
+# -- predictor-state oracle: gshare inline in retire_batch ---------------------
+
+
+def branch_segments(seed: int) -> list:
+    """Seeded branch-heavy segments: mostly branches at pcs unique within a
+    segment (so a crossing op is located by its pc), with loads, stores and
+    plain ops between them, and runs of biased and of random outcomes."""
+    rng = random.Random(seed)
+    segments = []
+    for _ in range(30):
+        base = 0x1000 + 4 * rng.randrange(1 << 12)
+        bias = rng.choice((0.05, 0.5, 0.95))
+        ops = []
+        for i in range(rng.randint(1, 80)):
+            pc = base + 4 * i
+            draw = rng.random()
+            if draw < 0.7:
+                ops.append(MachineOp(OpClass.BRANCH, taken=rng.random() < bias,
+                                     target=pc + 16, pc=pc))
+            elif draw < 0.85:
+                ops.append(MachineOp(rng.choice(_SCALAR_MEMORY), 8,
+                                     0x4000_0000 + rng.randrange(1 << 16),
+                                     pc=pc))
+            else:
+                ops.append(MachineOp(rng.choice(_PLAIN), pc=pc))
+        segments.append(ops)
+    return segments
+
+
+def _predictor_state(machine: Machine) -> tuple:
+    """The predictor exactly: history, the counter table in insertion
+    order, and the unrounded prediction counts."""
+    predictor = machine.predictor
+    return (predictor._history, list(predictor._counters.items()),
+            predictor.predictions, predictor.mispredictions)
+
+
+def predict_branches(group: str, period: int, seed: int, batched: bool):
+    """Retire :func:`branch_segments` under *group*: batched through
+    ``retire_batch``, or op by op through ``retire``.  Returns the recorded
+    run, the predictor's state and, batched, each crossing op as
+    ``(segment, index)``."""
+    machines, crossings = [], []
+
+    def drive(machine: Machine, task) -> None:
+        core = machine.core
+        retire_one = core._retire_one
+        for ops in branch_segments(seed):
+            if not batched:
+                for op in ops:
+                    machine.execute(op, task)
+                continue
+
+            def crossing(op, *rest, ops=ops, pcs=[op.pc for op in ops]):
+                crossings.append((ops, pcs.index(op.pc)))
+                retire_one(op, *rest)
+
+            core._retire_one = crossing
+            machine.execute_batch(
+                [_site(op) for op in ops], task,
+                [(op.address, op.size_bytes, op.is_store) for op in ops
+                 if op.is_memory])
+            core._retire_one = retire_one
+        machines.append(machine)
+
+    recorded = _record(group, period, drive)
+    return recorded, _predictor_state(machines[0]), crossings
+
+
+@pytest.mark.parametrize("period", (1, 2, 3, 7, 61, 997, 6000))
+@pytest.mark.parametrize("group", sorted(GROUPS))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_inline_predictor_matches_per_op_update(group, period, seed):
+    """``retire_batch`` runs gshare's update inline on locals and writes it
+    back once per pass; its history, counters and exact prediction counts
+    equal a ``retire`` loop's (``Machine.stats`` rounds the miss rate, so
+    only this comparison catches a crossing branch counted twice or not at
+    all)."""
+    per_op, expected, _ = predict_branches(group, period, seed, batched=False)
+    recorded, state, crossings = predict_branches(group, period, seed,
+                                                  batched=True)
+    assert state == expected
+    assert recorded == per_op
+    assert expected[2] > 100 and 0 < expected[3] < expected[2]
+    if period <= (1 if group == "i5-cache-misses" else 3):
+        # Not vacuous: a pass ends on a branch, and a branch opens the next.
+        assert any(ops[i].is_branch for ops, i in crossings)
+        assert any(i + 1 < len(ops) and ops[i + 1].is_branch
+                   for ops, i in crossings)
+
+
+def test_inline_predictor_matches_on_sqlite_record():
+    """A ``sqlite3-like`` record leaves the X60's predictor in the same
+    state with every fast path on as with every one off."""
+    from repro.api import ProfileSpec, Session
+    from repro.workloads import registry
+
+    spec = ProfileSpec(sample_period=6000, analyses=("hotspots",))
+    states = []
+    for fast in (True, False):
+        session = Session("SpacemiT X60")
+        run = session.run(registry.create("sqlite3-like", scale=1),
+                          spec if fast else spec.without_fast_paths())
+        assert run.recording.sample_count > 0
+        states.append(_predictor_state(session.machine()))
+    assert states[0] == states[1]
+    assert states[0][2] > 10_000 and states[0][3] > 0
